@@ -40,8 +40,6 @@ from .nonanticipation import (
     is_prefix_na,
     meet_of_projections,
     project,
-    stm_set,
-    stmb,
 )
 from .oracle import (
     DEFAULT_BUDGET,
@@ -59,7 +57,6 @@ from .scenarios import (
     build_example2,
     build_example3,
     build_example4,
-    build_retention,
     build_scenario,
     example3_system,
     integrate,

@@ -179,7 +179,7 @@ def cmd_oracle(args) -> int:
     chain = partition_to_chain(inst.grid, delta)
     budget = DEFAULT_BUDGET if args.budget is None else EnumBudget(args.budget)
     fast = compose_chain(mf, chain)
-    slow = brute_greatest(mf, chain, budget, threads=args.threads)
+    slow = brute_greatest(mf, chain, budget)
     match = fast.values == slow.values
     report = fileio.build_report(
         "oracle", inst, mf, {"delta": args.delta}, fast, {"match": match}
@@ -243,34 +243,32 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON reports")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized choices")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for enumeration")
+    report = _Parser(add_help=False)
+    report.add_argument("--json", action="store_true", help="emit JSON reports")
 
     parser = _Parser(prog="naselect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("project", parents=[common], help="project at one prefix")
+    p = sub.add_parser("project", parents=[report], help="project at one prefix")
     p.add_argument("file")
     p.add_argument("--prefix", type=int, required=True, help="prefix length in cells")
     p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("compose", parents=[common], help="greatest partition-non-anticipative multiselector")
+    p = sub.add_parser("compose", parents=[report], help="greatest partition-non-anticipative multiselector")
     p.add_argument("file")
     p.add_argument("--delta", required=True, help="comma-joined stamp indices")
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("feasible", parents=[common], help="decide step-by-step feasibility")
+    p = sub.add_parser("feasible", parents=[report], help="decide step-by-step feasibility")
     p.add_argument("file")
     p.add_argument("--delta", required=True)
     p.set_defaults(func=cmd_feasible)
 
-    p = sub.add_parser("greatest", parents=[common], help="greatest fully non-anticipative multiselector")
+    p = sub.add_parser("greatest", parents=[report], help="greatest fully non-anticipative multiselector")
     p.add_argument("file")
     p.set_defaults(func=cmd_greatest)
 
-    p = sub.add_parser("simulate", parents=[common], help="run the step-by-step procedure")
+    p = sub.add_parser("simulate", parents=[report], help="run the step-by-step procedure")
     p.add_argument("file")
     p.add_argument("--delta", required=True)
     p.add_argument(
@@ -279,21 +277,22 @@ def build_parser() -> _Parser:
         help="scripted:<name> | interactive | exhaustive",
     )
     p.add_argument("--policy", choices=("lex", "random"), default="lex")
+    p.add_argument("--seed", type=int, default=0, help="seed for --policy random")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("oracle", parents=[common], help="cross-check composition against brute force")
+    p = sub.add_parser("oracle", parents=[report], help="cross-check composition against brute force")
     p.add_argument("file")
     p.add_argument("--delta", required=True)
     p.add_argument("--budget", type=int, help="cap on enumerated subset assignments")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("scenario", parents=[common], help="emit a built-in instance")
+    p = sub.add_parser("scenario", help="emit a built-in instance")
     p.add_argument("name", help="ex1 | ex2 | ex3:<n> | ex4[:levels] | random:<seed>:<sizes>")
     p.add_argument("--emit", required=True, help="output path")
     p.add_argument("--rho", help="cost level override for ex4, as p/q")
     p.set_defaults(func=cmd_scenario)
 
-    p = sub.add_parser("check", parents=[common], help="run the invariant suite on one instance")
+    p = sub.add_parser("check", help="run the invariant suite on one instance")
     p.add_argument("file")
     p.set_defaults(func=cmd_check)
 

@@ -49,11 +49,10 @@ def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily
             )
         names.append(name)
         signals.append(Signal(tuple(body)))
-    if len(set(names)) != len(names):
-        raise ValidationError(f"{field}: signal names must be unique")
-    if len(set(signals)) != len(signals):
-        raise ValidationError(f"{field}: duplicate signals are not allowed")
-    return SignalFamily(role, tuple(names), tuple(signals))
+    try:
+        return SignalFamily(role, tuple(names), tuple(signals))
+    except ValidationError as e:
+        raise ValidationError(f"{field}: {e}") from None
 
 
 def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
@@ -127,9 +126,12 @@ def load(path: str) -> tuple[Instance, Multifunction]:
 
 def save(path: str, inst: Instance, mf: Multifunction, metadata: dict | None = None) -> None:
     doc = to_jsonable(inst, mf, metadata)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f, sort_keys=True, indent=2)
+            f.write("\n")
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from None
 
 
 def na_flags(mf: Multifunction) -> dict[str, bool]:

@@ -165,17 +165,6 @@ def _lcp_len(inst: Instance, w1: int, w2: int) -> int:
     return n
 
 
-def stm_set(inst: Instance, w1: int, w2: int) -> frozenset[Prefix]:
-    """All prefixes on which the two disturbances agree."""
-    return frozenset(Prefix(k) for k in range(1, _lcp_len(inst, w1, w2) + 1))
-
-
-def stmb(inst: Instance, w1: int, w2: int) -> Prefix | None:
-    """The longest prefix of agreement, or None when the signals differ already on cell 0."""
-    n = _lcp_len(inst, w1, w2)
-    return Prefix(n) if n else None
-
-
 def canonical_chain(inst: Instance) -> PrefixChain:
     """Sorted, deduplicated longest agreement prefixes over all disturbance pairs.
 

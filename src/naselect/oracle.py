@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -24,14 +23,13 @@ from .timebase import PrefixChain
 
 @dataclass(frozen=True)
 class EnumBudget:
-    """Work caps: subset assignments tried during enumeration, disturbance tuples walked."""
+    """Work cap: subset assignments tried during enumeration."""
 
     max_multiselectors: int = 2**22
-    max_tuples: int = 10**6
 
     def __post_init__(self) -> None:
-        if self.max_multiselectors < 1 or self.max_tuples < 1:
-            raise ValidationError("budgets must be positive")
+        if self.max_multiselectors < 1:
+            raise ValidationError("budget must be positive")
 
 
 DEFAULT_BUDGET = EnumBudget()
@@ -96,36 +94,39 @@ class _SearchPlan:
         return tuple(out)
 
 
-def _walk(
-    plan: _SearchPlan, budget: EnumBudget, first_indices: range | list[int] | None = None
-) -> Iterator[tuple[frozenset[int], ...]]:
+def _walk(plan: _SearchPlan, budget: EnumBudget) -> Iterator[tuple[frozenset[int], ...]]:
+    """Depth-first over positions with an explicit stack, so depth is not bounded by recursion.
+
+    `untried[k]` is the next subset index to try at position k; every tried
+    index counts against the budget, consistent or not.
+    """
     n = len(plan.perm)
     chosen = [0] * n
+    untried = [0] * (n + 1)
     nodes = 0
-
-    def rec(k: int) -> Iterator[tuple[frozenset[int], ...]]:
-        nonlocal nodes
+    k = 0
+    while k >= 0:
         if k == n:
             yield plan.assemble(chosen)
-            return
-        indices = first_indices if k == 0 and first_indices is not None else range(
-            len(plan.subsets[k])
-        )
-        for si in indices:
-            nodes += 1
-            if nodes > budget.max_multiselectors:
-                raise BudgetExceededError(
-                    f"enumeration exceeded {budget.max_multiselectors} subset assignments"
-                )
-            if all(
-                plan.keysets[k][slot][si] == plan.keysets[rep][slot][chosen[rep]]
-                for rep, slot in plan.constraints[k]
-            ):
-                chosen[k] = si
-                yield from rec(k + 1)
-        return
-
-    return rec(0)
+            k -= 1
+            continue
+        si = untried[k]
+        if si == len(plan.subsets[k]):
+            k -= 1
+            continue
+        untried[k] = si + 1
+        nodes += 1
+        if nodes > budget.max_multiselectors:
+            raise BudgetExceededError(
+                f"enumeration exceeded {budget.max_multiselectors} subset assignments"
+            )
+        if all(
+            plan.keysets[k][slot][si] == plan.keysets[rep][slot][chosen[rep]]
+            for rep, slot in plan.constraints[k]
+        ):
+            chosen[k] = si
+            k += 1
+            untried[k] = 0
 
 
 def enumerate_na_multiselectors(
@@ -146,43 +147,20 @@ def enumerate_na_multiselectors(
 
 
 def brute_greatest(
-    a: Multifunction,
-    h: PrefixChain,
-    budget: EnumBudget = DEFAULT_BUDGET,
-    threads: int = 1,
+    a: Multifunction, h: PrefixChain, budget: EnumBudget = DEFAULT_BUDGET
 ) -> Multifunction:
     """Pointwise join of all chain-non-anticipative multiselectors of `a`.
 
     The meet of single-prefix projections bounds the join from above, so the
-    single-thread walk stops as soon as the running join reaches it.  With
-    several threads the search space is partitioned by the first visited
-    disturbance's subset; joins commute, so the result stays deterministic.
+    walk stops as soon as the running join reaches it.
     """
-    inst = a.instance
     bound = meet_of_projections(a, h).values
-    n = len(a.values)
-    plan = _SearchPlan(inst, h, a.values)
-    if threads <= 1:
-        join = [frozenset()] * n
-        for values in _walk(plan, budget):
-            join = [u | v for u, v in zip(join, values)]
-            if tuple(join) == bound:
-                break
-        return Multifunction(inst, tuple(join))
-
-    def worker(slot: int) -> list[frozenset[int]]:
-        join = [frozenset()] * n
-        local = _SearchPlan(inst, h, a.values)
-        for values in _walk(local, budget, list(range(len(local.subsets[0])))[slot::threads]):
-            join = [u | v for u, v in zip(join, values)]
-        return join
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(worker, range(threads)))
-    join = [frozenset()] * n
-    for part in parts:
-        join = [u | v for u, v in zip(join, part)]
-    return Multifunction(inst, tuple(join))
+    join = [frozenset()] * len(a.values)
+    for values in _walk(_SearchPlan(a.instance, h, a.values), budget):
+        join = [u | v for u, v in zip(join, values)]
+        if tuple(join) == bound:
+            break
+    return Multifunction(a.instance, tuple(join))
 
 
 @dataclass(frozen=True)

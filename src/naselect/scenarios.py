@@ -87,11 +87,6 @@ def integrate(sys: ControlSystem, u: Signal, v: Signal) -> Fraction:
     return x
 
 
-def build_retention(s: Multifunction, keep: frozenset[int]) -> Multifunction:
-    """Responses surviving a phase constraint: every value set intersected with `keep`."""
-    return Multifunction(s.instance, tuple(v & keep for v in s.values))
-
-
 # ---------------------------------------------------------------------------
 # Worked example instances
 

@@ -250,21 +250,25 @@ def enumerate_omega_delta(inst: Instance, delta: Partition) -> Iterator[tuple[in
 
     A tuple fixes one disturbance per control step such that consecutive
     entries agree on the earlier step's prefix.  Generated by choosing the
-    last entry and walking backwards through equivalence classes; yielded in
-    ascending index order.
+    last entry and walking backwards through equivalence classes, depth first
+    with an explicit stack of (suffix, untried options); yielded in ascending
+    index order.
     """
     chain = partition_to_chain(inst.grid, delta)
     n = len(chain.prefixes)
-
-    def extend(i: int, suffix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    stack: list[tuple[tuple[int, ...], Iterator[int]]] = [((), iter(range(len(inst.omega))))]
+    while stack:
+        suffix, options = stack[-1]
+        w = next(options, None)
+        if w is None:
+            stack.pop()
+            continue
+        tup = (w,) + suffix
+        i = n - len(tup)
         if i == 0:
-            yield suffix
-            return
-        for w in sorted(equiv_class(inst.omega, suffix[0], chain.prefixes[i - 1])):
-            yield from extend(i - 1, (w,) + suffix)
-
-    for last in range(len(inst.omega)):
-        yield from extend(n - 1, (last,))
+            yield tup
+        else:
+            stack.append((tup, iter(sorted(equiv_class(inst.omega, w, chain.prefixes[i - 1])))))
 
 
 @dataclass(frozen=True)

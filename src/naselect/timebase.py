@@ -130,7 +130,3 @@ def full_partition(g: TimeGrid) -> Partition:
 
 def full_prefix_chain(g: TimeGrid) -> PrefixChain:
     return partition_to_chain(g, full_partition(g))
-
-
-def check_chain(g: TimeGrid, h: PrefixChain) -> None:
-    g.check_prefix(h.prefixes[-1])

@@ -42,6 +42,30 @@ def test_validation_errors_exit_two(tmp_path):
     assert run("scenario", "ex9", "--emit", str(tmp_path / "x.json")).returncode == 2
 
 
+def test_emit_into_a_missing_directory_exits_two(tmp_path):
+    r = run("scenario", "ex1", "--emit", str(tmp_path / "absent" / "x.json"))
+    assert r.returncode == 2
+    assert "cannot write" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        ("project {ex2} --prefix 1 --threads 2", 1),
+        ("project {ex2} --prefix 1 --seed 1", 1),
+        ("oracle {ex2} --delta 0,1,2,3 --threads 2", 1),
+        ("check {ex2} --json", 1),
+        ("scenario ex1 --emit {tmp}/x.json --json", 1),
+        ("simulate {ex2} --delta 0,3 --adversary exhaustive --policy random --seed 3", 0),
+        ("oracle {ex2} --delta 0,1,2,3 --budget 50", 5),
+    ],
+)
+def test_flags_exist_only_where_they_are_read(ex2_file, tmp_path, line, code):
+    r = run(*line.format(ex2=ex2_file, tmp=tmp_path).split())
+    assert r.returncode == code, r.stderr
+
+
 def test_feasible_exits_zero_at_the_optimum(ex4_file):
     r = run("feasible", ex4_file, "--delta", "0,1,3")
     assert r.returncode == 0

@@ -1,8 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
-from naselect import ValidationError, build_example2, build_scenario, random_instance
+from naselect import (
+    ValidationError,
+    build_example2,
+    build_scenario,
+    canonical_chain,
+    compose_chain,
+    full_prefix_chain,
+    greatest_na,
+    project,
+    random_instance,
+)
 from naselect.fileio import (
     build_report,
     from_jsonable,
@@ -12,6 +23,8 @@ from naselect.fileio import (
     save,
     to_jsonable,
 )
+
+from conftest import small_instances
 
 
 def _doc():
@@ -92,7 +105,11 @@ def test_wrong_cell_count_is_located():
 def test_duplicate_signals_are_rejected():
     doc = _doc()
     doc["z"][1]["cells"] = ["x", "y"]
-    with pytest.raises(ValidationError, match="duplicate"):
+    with pytest.raises(ValidationError, match="^z: duplicate"):
+        from_jsonable(doc)
+    doc = _doc()
+    doc["z"][1]["name"] = "h1"
+    with pytest.raises(ValidationError, match="^z: .*unique"):
         from_jsonable(doc)
 
 
@@ -135,3 +152,26 @@ def test_report_rendering_is_stable():
     assert blob["command"] == "compose"
     assert blob["inputs"]["digest"] == instance_digest(inst, mf)
     assert set(blob["flags"]["na"]) == {"1", "2", "3"}
+
+
+def _reports_as_text(inst, mf):
+    """project, compose and greatest reports, each rendered as JSON and as text."""
+    mid = inst.grid.prefixes()[inst.grid.cells // 2]
+    chain = canonical_chain(inst)
+    reports = [
+        build_report("project", inst, mf, {"prefix": mid.len}, project(mf, mid)),
+        build_report("compose", inst, mf, {}, compose_chain(mf, full_prefix_chain(inst.grid))),
+        build_report(
+            "greatest", inst, mf, {}, greatest_na(mf), {"chain": [p.len for p in chain.prefixes]}
+        ),
+    ]
+    return [render_report(r, as_json) for r in reports for as_json in (True, False)]
+
+
+@given(small_instances())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_same_inputs_give_the_same_bytes_across_a_json_round_trip(data):
+    inst, mf = data
+    inst2, mf2 = from_jsonable(json.loads(json.dumps(to_jsonable(inst, mf))))
+    assert instance_digest(inst2, mf2) == instance_digest(inst, mf)
+    assert _reports_as_text(inst2, mf2) == _reports_as_text(inst, mf)

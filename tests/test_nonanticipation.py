@@ -26,8 +26,6 @@ from naselect import (
     mf_meet,
     mf_to_names,
     project,
-    stm_set,
-    stmb,
 )
 
 from conftest import (
@@ -205,30 +203,6 @@ def test_truncation_meets_shrink_to_one_control():
 
 # ---------------------------------------------------------------------------
 # agreement prefixes and the canonical chain
-
-
-def test_agreement_with_self_is_the_full_prefix():
-    inst, _ = build_example1()
-    assert stmb(inst, 0, 0) == Prefix(3)
-    assert stm_set(inst, 0, 0) == frozenset({Prefix(1), Prefix(2), Prefix(3)})
-
-
-def test_agreement_of_the_middle_ramp_pair():
-    inst, _ = build_example2()
-    w12 = inst.omega.index_of("w12")
-    w22 = inst.omega.index_of("w22")
-    assert stmb(inst, w12, w22) == Prefix(2)
-
-
-def test_disagreement_on_the_first_cell_means_no_prefix():
-    g = grid(0, 1, 2)
-    fam = SignalFamily(
-        "disturbance", ("w1", "w2"), (Signal(("a", "a")), Signal(("b", "a")))
-    )
-    z = SignalFamily("trajectory", ("h1",), (Signal(("x", "x")),))
-    inst = Instance(g, fam, z)
-    assert stmb(inst, 0, 1) is None
-    assert stm_set(inst, 0, 1) == frozenset()
 
 
 def test_canonical_chain_of_the_ramp_example():

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from naselect import (
     BudgetExceededError,
     EnumBudget,
+    Instance,
     Multifunction,
     Prefix,
     PrefixChain,
+    Signal,
+    SignalFamily,
     ValidationError,
     brute_greatest,
     build_example1,
@@ -15,6 +18,7 @@ from naselect import (
     enumerate_na_multiselectors,
     fixpoint_iterate,
     full_prefix_chain,
+    grid,
     is_chain_na,
     mf_join,
     mf_le,
@@ -81,12 +85,16 @@ def test_brute_greatest_with_single_disturbance_is_the_input():
     assert brute_greatest(a, chain).values == a.values
 
 
-def test_brute_greatest_is_thread_count_independent():
-    _, alpha = build_example2()
-    chain = PrefixChain((Prefix(1), Prefix(2)))
-    lone = brute_greatest(alpha, chain)
-    for threads in (2, 3, 5):
-        assert brute_greatest(alpha, chain, threads=threads).values == lone.values
+def test_brute_greatest_walks_more_disturbances_than_the_recursion_limit():
+    g = grid(*range(12))
+    omega = SignalFamily(
+        "disturbance",
+        tuple(f"w{k}" for k in range(1200)),
+        tuple(Signal(tuple(f"{k:011b}")) for k in range(1200)),
+    )
+    z = SignalFamily("trajectory", ("h",), (Signal(("0",) * 11),))
+    a = Multifunction(Instance(g, omega, z), (frozenset({0}),) * 1200)
+    assert brute_greatest(a, PrefixChain((Prefix(11),))).values == a.values
 
 
 @given(small_instances())

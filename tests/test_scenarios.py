@@ -12,7 +12,6 @@ from naselect import (
     build_example2,
     build_example3,
     build_example4,
-    build_retention,
     build_scenario,
     example3_system,
     feasible,
@@ -65,24 +64,6 @@ def test_integrate_rejects_symbolic_cells():
     sys = build_example4()
     with pytest.raises(ValidationError):
         integrate(sys, Signal(("high", "0", "0")), sys.disturbances.signals[0])
-
-
-def test_retention_with_everything_changes_nothing():
-    inst, a = build_example1()
-    assert build_retention(a, frozenset(range(3))).values == a.values
-
-
-def test_retention_with_nothing_empties_everything():
-    inst, a = build_example1()
-    assert all(not v for v in build_retention(a, frozenset()).values)
-
-
-def test_retention_intersects_entrywise():
-    inst, a = random_instance(4, 3, 5, 3, density=0.7)
-    keep = frozenset({0, 2, 4})
-    kept = build_retention(a, keep)
-    for before, after in zip(a.values, kept.values):
-        assert after == before & keep
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,21 @@ def test_distinct_first_cells_admit_only_constant_tuples():
     assert tuples == [(0, 0), (1, 1)]
 
 
+def test_tuples_longer_than_the_recursion_limit_come_in_walk_order():
+    # the two disturbances share only cell 0, so only the first entry is free
+    n = 1100
+    g = grid(*range(n + 1))
+    omega = SignalFamily(
+        "disturbance",
+        ("w1", "w2"),
+        (Signal(("a",) * n), Signal(("a",) + ("b",) * (n - 1))),
+    )
+    z = SignalFamily("trajectory", ("h1",), (Signal(("x",) * n),))
+    inst = Instance(g, omega, z)
+    tuples = list(enumerate_omega_delta(inst, Partition(tuple(range(n + 1)))))
+    assert tuples == [(0,) * n, (1,) + (0,) * (n - 1), (0,) + (1,) * (n - 1), (1,) * n]
+
+
 # ---------------------------------------------------------------------------
 # witness verification
 
