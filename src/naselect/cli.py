@@ -20,7 +20,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .multifunction import mf_le
+from .multifunction import is_total, mf_le
 from .nonanticipation import (
     canonical_chain,
     compose_chain,
@@ -103,10 +103,10 @@ def cmd_compose(args) -> int:
 def cmd_feasible(args) -> int:
     inst, mf = fileio.load(args.file)
     delta = _parse_delta(args.delta)
-    ok, witness = feasible(mf, delta)
-    shown = witness if ok else compose_chain(mf, partition_to_chain(inst.grid, delta))
+    composed = compose_chain(mf, partition_to_chain(inst.grid, delta))
+    ok = is_total(composed)
     report = fileio.build_report(
-        "feasible", inst, mf, {"delta": args.delta}, shown, {"feasible": ok}
+        "feasible", inst, mf, {"delta": args.delta}, composed, {"feasible": ok}
     )
     _emit(report, args)
     return 0 if ok else 3

@@ -74,8 +74,10 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
         raise ValidationError("alpha: expected an object keyed by omega names")
     values = [frozenset()] * len(omega)
     for name, zs in raw_alpha.items():
-        if name not in omega.names:
-            raise ValidationError(f"alpha: unknown omega name {name!r}")
+        try:
+            w = omega.index_of(name)
+        except ValidationError:
+            raise ValidationError(f"alpha: unknown omega name {name!r}") from None
         if not isinstance(zs, list) or not all(isinstance(x, str) for x in zs):
             raise ValidationError(f"alpha[{name!r}]: expected an array of z names")
         if len(set(zs)) != len(zs):
@@ -85,7 +87,7 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
         except ValidationError:
             bad = next(x for x in zs if x not in z.names)
             raise ValidationError(f"alpha[{name!r}]: unknown z name {bad!r}") from None
-        values[omega.names.index(name)] = entry
+        values[w] = entry
     return inst, Multifunction(inst, tuple(values))
 
 

@@ -10,7 +10,7 @@ rational strings, so exact payload equality and token equality agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .timebase import Prefix
@@ -46,6 +46,7 @@ class SignalFamily:
     role: str
     names: tuple[str, ...]
     signals: tuple[Signal, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.role not in (ROLE_DISTURBANCE, ROLE_TRAJECTORY):
@@ -54,8 +55,10 @@ class SignalFamily:
             raise ValidationError("a signal family must not be empty")
         if len(self.names) != len(self.signals):
             raise ValidationError("family needs exactly one name per signal")
-        if len(set(self.names)) != len(self.names):
+        index = {n: i for i, n in enumerate(self.names)}
+        if len(index) != len(self.names):
             raise ValidationError("family names must be unique")
+        object.__setattr__(self, "_index", index)
         if len(set(self.signals)) != len(self.signals):
             raise ValidationError("duplicate signals are not allowed")
         if len({len(s.cells) for s in self.signals}) != 1:
@@ -70,8 +73,8 @@ class SignalFamily:
 
     def index_of(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise ValidationError(f"unknown {self.role} name {name!r}") from None
 
 

@@ -6,7 +6,8 @@ reconstructs some admissible disturbance matching it and picks a trajectory
 that is admissible for that disturbance and agrees with its earlier picks.
 The selection multifunction for every step is the greatest chain-non-
 anticipative multiselector; its non-emptiness is exactly what keeps the
-procedure from getting stuck.
+procedure from getting stuck.  It depends only on the multifunction and the
+partition, so an exhaustive run composes it once and replays it per disturbance.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class InteractiveAdversary:
 
     Each step prints the legal extensions (one `#k  tokens` line each) to
     `err` and reads one line from `infile`: either `#k` picking an option or
-    the literal comma-joined tokens.
+    the literal comma-joined tokens, which must match exactly one option.
     """
 
     instance: Instance
@@ -88,9 +89,12 @@ class InteractiveAdversary:
                 return opts[int(line[1:])]
             except (ValueError, IndexError):
                 raise AdversaryError(f"no extension option {line!r} at step {step}") from None
-        for o in opts:
-            if ",".join(o) == line:
-                return o
+        hits = [k for k, o in enumerate(opts) if ",".join(o) == line]
+        if len(hits) == 1:
+            return opts[hits[0]]
+        if hits:
+            which = ", ".join(f"#{k}" for k in hits)
+            raise AdversaryError(f"line {line!r} matches options {which} at step {step}; pick one with #k")
         raise AdversaryError(f"line {line!r} matches no legal extension at step {step}")
 
 
@@ -137,6 +141,12 @@ def run_stepwise(
     admissible trajectories: "lex" for the smallest index, "random" for a
     seeded draw.  `on_step` is called with each finished `Step`.
     """
+    chain, phi = _compose(a, delta, policy, check)
+    return _drive(a, delta, chain, phi, adversary, policy, seed, on_step)
+
+
+def _compose(a: Multifunction, delta: Partition, policy: str, check: bool):
+    """Validate `policy` and compose the selection multifunction; with `check`, require it total."""
     if policy not in ("lex", "random"):
         raise ValidationError(f"unknown selector policy {policy!r}")
     inst = a.instance
@@ -150,6 +160,12 @@ def run_stepwise(
             empty_omegas=empty,
             witness=phi,
         )
+    return chain, phi
+
+
+def _drive(a, delta, chain, phi, adversary: Adversary, policy, seed, on_step) -> StepTrace:
+    """One run against `adversary`, picking from the composed `phi` over `chain`."""
+    inst = a.instance
     rng = random.Random(seed)
     revealed: RestrictionKey = ()
     steps: list[Step] = []
@@ -203,11 +219,15 @@ def run_exhaustive(
     seed: int = 0,
     check: bool = False,
 ) -> dict[int, StepTrace]:
-    """One scripted run per admissible disturbance; raises if any path gets stuck."""
-    inst = a.instance
+    """One scripted run per admissible disturbance; raises if any path gets stuck.
+
+    The selection multifunction is composed once and replayed for every
+    disturbance in index order; each run draws from its own `random.Random(seed)`.
+    """
+    chain, phi = _compose(a, delta, policy, check)
     return {
-        w: run_stepwise(a, delta, ScriptedAdversary(inst.omega.signals[w]), policy, seed, check)
-        for w in range(len(inst.omega))
+        w: _drive(a, delta, chain, phi, ScriptedAdversary(s), policy, seed, None)
+        for w, s in enumerate(a.instance.omega.signals)
     }
 
 

@@ -1,17 +1,28 @@
 """Subprocess-level checks of the command surface and its exit-code contract."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import naselect
+from naselect import cli, nonanticipation
+
 CMD = [sys.executable, "-m", "naselect"]
+# The child process imports the same naselect as the test run.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(naselect.__file__)))
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run(*args, stdin=None):
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, input=stdin, timeout=120
+        CMD + list(args), capture_output=True, text=True, input=stdin, timeout=120, env=ENV
     )
 
 
@@ -78,6 +89,23 @@ def test_feasible_exits_three_below_the_optimum(tmp_path):
     r = run("feasible", str(path), "--delta", "0,1,3")
     assert r.returncode == 3
     assert "empty at:" in r.stdout
+
+
+def test_feasible_composes_once_on_infeasible_input(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "low.json"
+    assert cli.cli(["scenario", "ex4", "--rho=-15/4", "--emit", str(path)]) == 0
+    calls = []
+    compose = cli.compose_chain
+
+    def counted(*a):
+        calls.append(a)
+        return compose(*a)
+
+    monkeypatch.setattr(cli, "compose_chain", counted)
+    monkeypatch.setattr(nonanticipation, "compose_chain", counted)
+    assert cli.cli(["feasible", str(path), "--delta", "0,1,3"]) == 3
+    assert len(calls) == 1
+    assert "feasible: false" in capsys.readouterr().out
 
 
 def test_oracle_agrees_on_the_ramp_example(ex2_file):
@@ -170,6 +198,38 @@ def test_interactive_rejects_garbage(ex4_file):
         stdin="#0\nnope\n",
     )
     assert r.returncode == 2
+
+
+def _comma_tokens_file(tmp_path):
+    # Both disturbances print as "a,b,c" once their cells are comma-joined.
+    doc = {
+        "grid": ["0", "1", "2"],
+        "omega": [{"name": "w0", "cells": ["a,b", "c"]}, {"name": "w1", "cells": ["a", "b,c"]}],
+        "z": [{"name": "h0", "cells": ["x", "y"]}],
+        "alpha": {"w0": ["h0"], "w1": ["h0"]},
+    }
+    path = tmp_path / "commas.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "line, code, final",
+    [("a,b,c\n", 2, None), ("#1\n", 0, "h0")],
+)
+def test_interactive_literal_line_must_match_one_option(
+    tmp_path, monkeypatch, capsys, line, code, final
+):
+    path = _comma_tokens_file(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line))
+    argv = ["simulate", path, "--delta", "0,2", "--adversary", "interactive"]
+    assert cli.cli(argv) == code
+    out, err = capsys.readouterr()
+    assert "#0  a,b,c" in err and "#1  a,b,c" in err
+    if final is None:
+        assert "matches options #0, #1 at step 1; pick one with #k" in err
+    else:
+        assert json.loads(out.splitlines()[-1])["final"] == final
 
 
 def test_check_passes_on_scenarios(ex2_file, ex4_file):

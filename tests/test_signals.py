@@ -10,6 +10,7 @@ from naselect import (
     build_example2,
     equiv_class,
     restrict,
+    random_instance,
     restriction_set,
     signal_classes,
 )
@@ -92,6 +93,29 @@ def test_family_rejects_duplicates_and_mismatches():
         SignalFamily("disturbance", ("a", "b"), (Signal(("x",)), Signal(("y", "z"))))
     with pytest.raises(ValidationError):
         SignalFamily("elsewhere", ("a",), (Signal(("x",)),))
+
+
+def test_index_of_agrees_with_the_name_order():
+    inst, _ = random_instance(3, 40, 60, 4, alphabet=3)
+    for fam in (inst.omega, inst.z):
+        assert [fam.index_of(n) for n in fam.names] == [fam.names.index(n) for n in fam.names]
+
+
+def test_index_of_rejects_unknown_names():
+    inst, _ = build_example2()
+    with pytest.raises(ValidationError, match=r"^unknown disturbance name 'nope'$"):
+        inst.omega.index_of("nope")
+    with pytest.raises(ValidationError, match=r"^unknown trajectory name 'w11'$"):
+        inst.z.index_of("w11")
+
+
+def test_name_index_stays_out_of_equality_hash_and_repr():
+    inst, _ = build_example2()
+    fam = inst.omega
+    twin = SignalFamily(fam.role, tuple(fam.names), tuple(fam.signals))
+    assert twin == fam and hash(twin) == hash(fam)
+    assert "_index" not in repr(fam)
+    assert repr(twin) == repr(fam)
 
 
 @given(small_instances())

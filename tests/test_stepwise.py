@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from naselect import stepwise
 from naselect import (
     AdversaryError,
     InfeasibleError,
@@ -29,6 +32,8 @@ from naselect import (
     validate_trace,
     verify_witness,
 )
+
+from conftest import small_instances
 
 
 def _ex4_at_optimum():
@@ -138,6 +143,54 @@ def test_exhaustive_covers_every_disturbance():
     for w, trace in traces.items():
         assert trace.final_h in a.values[w]
         assert validate_trace(a, trace) == []
+
+
+def _outcome(run):
+    """What a run returns, or the type and identifying fields of what it raises."""
+    try:
+        return run()
+    except InfeasibleError as e:
+        return (type(e), str(e), e.empty_omegas, e.witness.values)
+    except ProcedureStuckError as e:
+        return (type(e), str(e), e.step, e.omega)
+
+
+@st.composite
+def instance_with_partition(draw):
+    inst, a = draw(small_instances())
+    m = inst.grid.cells
+    inner = draw(st.sets(st.integers(1, m - 1)))
+    return inst, a, Partition((0, *sorted(inner), m))
+
+
+@given(instance_with_partition())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_exhaustive_equals_one_scripted_run_per_disturbance(data):
+    inst, a, delta = data
+    for policy, seed in (("lex", 0), ("random", 0), ("random", 7)):
+        for check in (True, False):
+            expected = _outcome(
+                lambda: {
+                    w: run_stepwise(a, delta, ScriptedAdversary(s), policy, seed, check)
+                    for w, s in enumerate(inst.omega.signals)
+                }
+            )
+            assert _outcome(lambda: run_exhaustive(a, delta, policy, seed, check)) == expected
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_exhaustive_composes_once(monkeypatch, check):
+    inst, a = _ex4_at_optimum()
+    calls = []
+    compose = stepwise.compose_chain
+
+    def counted(*x):
+        calls.append(x)
+        return compose(*x)
+
+    monkeypatch.setattr(stepwise, "compose_chain", counted)
+    assert len(run_exhaustive(a, Partition((0, 1, 3)), check=check)) == len(inst.omega) > 1
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
