@@ -1,7 +1,8 @@
 """Command line: project, compose, feasibility, simulation, oracle cross-checks, scenarios.
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 infeasible conditions,
-4 oracle or invariant mismatch, 5 enumeration budget exceeded.
+4 oracle or invariant mismatch, 5 oracle enumeration budget exceeded,
+6 internal error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .multifunction import is_total, mf_le
 from .nonanticipation import (
     canonical_chain,
     compose_chain,
-    feasible,
     greatest_na,
     is_chain_na,
     is_prefix_na,
@@ -115,7 +115,7 @@ def cmd_feasible(args) -> int:
 def cmd_greatest(args) -> int:
     inst, mf = fileio.load(args.file)
     chain = canonical_chain(inst)
-    result = greatest_na(mf)
+    result = compose_chain(mf, chain)
     extra = {"chain": [p.len for p in chain.prefixes]}
     _emit(fileio.build_report("greatest", inst, mf, {}, result, extra), args)
     return 0
@@ -222,7 +222,7 @@ def _check_lines(inst, mf) -> list[tuple[str, bool]]:
     if 2**bits <= 2**16:
         out.append(("compose-vs-oracle", brute_greatest(mf, chain).values == composed.values))
     delta = full_partition(inst.grid)
-    ok, _ = feasible(mf, delta)
+    ok = is_total(composed)
     witness_ok = verify_witness([composed] * delta.steps, delta, mf).ok
     out.append(("feasible-vs-witness", ok == witness_ok))
     try:
@@ -319,6 +319,9 @@ def cli(argv: list[str]) -> int:
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 5
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 6
 
 
 def main() -> None:

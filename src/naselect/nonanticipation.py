@@ -58,43 +58,29 @@ class NaReport:
         return self.holds
 
 
-def _restriction_keysets(a: Multifunction, members, key_of) -> dict[int, frozenset]:
-    return {w: frozenset(key_of[j] for j in a.values[w]) for w in members}
-
-
 def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
     """Check non-anticipativity at one prefix.
 
-    On failure the witness is the lexicographically smallest violating pair
-    of disturbance indices, with the smallest restriction key present on one
-    side only.
+    Every member of a class must share the restriction set of the class's
+    first member.  On failure the witness is the lexicographically smallest
+    violating pair of disturbance indices, which is that first member and
+    the first member that differs from it in the first failing class, with
+    the smallest restriction key present on one side only.
     """
     inst = a.instance
     inst.grid.check_prefix(p)
     key_of = [s.cells[: p.len] for s in inst.z.signals]
-    best: tuple[int, int] | None = None
-    best_sets: dict[int, frozenset] = {}
     for cls in signal_classes(inst.omega, p):
         if len(cls) == 1:
             continue
-        keysets = _restriction_keysets(a, cls, key_of)
-        for pos, w in enumerate(cls):
-            found = None
-            for w2 in cls[pos + 1 :]:
-                if keysets[w] != keysets[w2]:
-                    found = (w, w2)
-                    break
-            if found is not None:
-                if best is None or found < best:
-                    best = found
-                    best_sets = keysets
-                break
-    if best is None:
-        return NaReport(True)
-    w, w2 = best
-    key = min(best_sets[w] ^ best_sets[w2])
-    holder = w if key in best_sets[w] else w2
-    return NaReport(False, NaWitness(p, w, w2, key, holder))
+        r = cls[0]
+        ref = frozenset(key_of[j] for j in a.values[r])
+        for w in cls[1:]:
+            keys = frozenset(key_of[j] for j in a.values[w])
+            if keys != ref:
+                key = min(ref ^ keys)
+                return NaReport(False, NaWitness(p, r, w, key, r if key in ref else w))
+    return NaReport(True)
 
 
 def is_chain_na(a: Multifunction, h: PrefixChain) -> NaReport:
@@ -154,28 +140,19 @@ def meet_of_projections(a: Multifunction, h: PrefixChain) -> Multifunction:
     return mf_meet(project(a, p) for p in h.prefixes)
 
 
-def _lcp_len(inst: Instance, w1: int, w2: int) -> int:
-    s1 = inst.omega.signals[w1].cells
-    s2 = inst.omega.signals[w2].cells
-    n = 0
-    for a, b in zip(s1, s2):
-        if a != b:
-            break
-        n += 1
-    return n
-
-
 def canonical_chain(inst: Instance) -> PrefixChain:
     """Sorted, deduplicated longest agreement prefixes over all disturbance pairs.
 
-    Identical pairs contribute the full prefix, so the chain is never empty;
-    pairs that disagree on cell 0 contribute nothing.
+    In lexicographic order the agreement of any two signals is the smallest
+    agreement of the neighbouring pairs between them, so the neighbours give
+    every length; family signals are distinct, so neighbours differ at some
+    cell.  Each signal paired with itself contributes the full prefix, so the
+    chain is never empty; pairs that disagree on cell 0 contribute nothing.
     """
-    lens = set()
-    count = len(inst.omega)
-    for i in range(count):
-        for j in range(i, count):
-            lens.add(_lcp_len(inst, i, j))
+    ordered = sorted(s.cells for s in inst.omega.signals)
+    lens = {inst.grid.cells}
+    for s, t in zip(ordered, ordered[1:]):
+        lens.add(next(k for k, (x, y) in enumerate(zip(s, t)) if x != y))
     lens.discard(0)
     return PrefixChain(tuple(Prefix(k) for k in sorted(lens)))
 

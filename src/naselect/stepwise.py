@@ -19,14 +19,13 @@ from typing import Iterator, Protocol, TextIO
 
 from .errors import (
     AdversaryError,
-    BudgetExceededError,
     InfeasibleError,
     ProcedureStuckError,
     ValidationError,
 )
 from .multifunction import Instance, Multifunction, is_total, mf_le
 from .nonanticipation import compose_chain
-from .signals import RestrictionKey, Signal, equiv_class, restriction_set
+from .signals import RestrictionKey, Signal, equiv_class, restriction_set, signal_classes
 from .timebase import Partition, partition_to_chain
 
 
@@ -86,9 +85,12 @@ class InteractiveAdversary:
         line = line.strip()
         if line.startswith("#"):
             try:
-                return opts[int(line[1:])]
-            except (ValueError, IndexError):
-                raise AdversaryError(f"no extension option {line!r} at step {step}") from None
+                k = int(line[1:])
+            except ValueError:
+                k = -1
+            if not 0 <= k < len(opts):
+                raise AdversaryError(f"no extension option {line!r} at step {step}")
+            return opts[k]
         hits = [k for k, o in enumerate(opts) if ",".join(o) == line]
         if len(hits) == 1:
             return opts[hits[0]]
@@ -305,18 +307,26 @@ class WitnessReport:
     violation: WitnessViolation | None = None
 
 
-def verify_witness(
-    phis: list[Multifunction],
-    delta: Partition,
-    a: Multifunction,
-    max_tuples: int = 10**6,
-) -> WitnessReport:
+def verify_witness(phis: list[Multifunction], delta: Partition, a: Multifunction) -> WitnessReport:
     """Check a tuple of per-step multifunctions against the step-by-step conditions.
 
     Every entry must sit below `a`; for every consistent disturbance tuple the
     selected value sets must be non-empty and have matching restriction sets
-    on each step's prefix.  The first violation, in enumeration order, is
-    reported.
+    on each step's prefix.  The conditions tie only consecutive entries, and
+    two kinds of consistent tuple already reach every one of them: constant
+    tuples, and tuples that switch once, at step i, between two members of
+    one class at the i-th prefix.  So each class member is compared with the
+    class's first member instead of enumerating tuples.
+
+    The first violation is reported in this order:
+    1. `not-multiselector`, by step;
+    2. `empty-value`, by step, then by disturbance w, as the tuple `(w,)*n`;
+    3. `restriction-mismatch`, by step i, then by class at the i-th prefix in
+       `signal_classes` order.  With r the class's first member and K the
+       restriction set of step i+1's value at r: the first member x whose
+       step-i restriction set differs from K, as `(x,)*i + (r,)*(n-i)`; else
+       the first member y whose step-(i+1) restriction set differs from K, as
+       `(r,)*i + (y,)*(n-i)`.
     """
     inst = a.instance
     chain = partition_to_chain(inst.grid, delta)
@@ -328,39 +338,30 @@ def verify_witness(
             return WitnessReport(
                 False, WitnessViolation("not-multiselector", i, (), "entry not below the target")
             )
-
-    keyset_cache: dict[tuple[int, int, int], frozenset] = {}
-
-    def keys_at(step: int, phi_index: int, w: int) -> frozenset:
-        k = (step, phi_index, w)
-        if k not in keyset_cache:
-            keyset_cache[k] = restriction_set(
-                inst.z, phis[phi_index].values[w], chain.prefixes[step]
-            )
-        return keyset_cache[k]
-
-    count = 0
-    for tup in enumerate_omega_delta(inst, delta):
-        count += 1
-        if count > max_tuples:
-            raise BudgetExceededError(f"more than {max_tuples} disturbance tuples")
-        for i, w in enumerate(tup):
-            if not phis[i].values[w]:
+    for i, phi in enumerate(phis, start=1):
+        for w, v in enumerate(phi.values):
+            if not v:
                 return WitnessReport(
                     False,
                     WitnessViolation(
-                        "empty-value", i + 1, tup, f"empty value at {inst.omega.names[w]}"
+                        "empty-value", i, (w,) * n, f"empty value at {inst.omega.names[w]}"
                     ),
                 )
-        for i in range(n - 1):
-            if keys_at(i, i, tup[i]) != keys_at(i, i + 1, tup[i + 1]):
-                return WitnessReport(
-                    False,
-                    WitnessViolation(
-                        "restriction-mismatch",
-                        i + 1,
-                        tup,
-                        f"restriction sets differ between steps {i + 1} and {i + 2}",
-                    ),
-                )
+
+    def mismatch(i: int, tup: tuple[int, ...]) -> WitnessReport:
+        detail = f"restriction sets differ between steps {i} and {i + 1}"
+        return WitnessReport(False, WitnessViolation("restriction-mismatch", i, tup, detail))
+
+    for i in range(1, n):
+        p = chain.prefixes[i - 1]
+        before, after = phis[i - 1].values, phis[i].values
+        for cls in signal_classes(inst.omega, p):
+            r = cls[0]
+            keys = restriction_set(inst.z, after[r], p)
+            for x in cls:
+                if restriction_set(inst.z, before[x], p) != keys:
+                    return mismatch(i, (x,) * i + (r,) * (n - i))
+            for y in cls:
+                if restriction_set(inst.z, after[y], p) != keys:
+                    return mismatch(i, (r,) * i + (y,) * (n - i))
     return WitnessReport(True)

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from naselect import (
     Multifunction,
+    Partition,
     Prefix,
     PrefixChain,
     full_prefix_chain,
+    partition_to_chain,
     random_instance,
     restrict,
 )
@@ -104,3 +106,58 @@ def naive_enumerate_na(a: Multifunction, h: PrefixChain) -> list[tuple[frozenset
         if naive_is_chain_na(cand, h):
             out.append(cand.values)
     return out
+
+
+def naive_consistent_tuples(inst, chain: PrefixChain) -> list[tuple[int, ...]]:
+    """Every disturbance tuple whose consecutive entries agree on the earlier step's prefix."""
+    n = len(chain.prefixes)
+    omega = inst.omega.signals
+    return [
+        t
+        for t in itertools.product(range(len(omega)), repeat=n)
+        if all(
+            restrict(omega[t[i]], chain.prefixes[i]) == restrict(omega[t[i + 1]], chain.prefixes[i])
+            for i in range(n - 1)
+        )
+    ]
+
+
+def naive_tuple_violations(phis, chain: PrefixChain, t: tuple[int, ...]) -> set[tuple[str, int]]:
+    """(kind, step) of every step condition the tuple breaks, steps counted from 1."""
+    z = phis[0].instance.z.signals
+    out = set()
+    for i, w in enumerate(t):
+        if not phis[i].values[w]:
+            out.add(("empty-value", i + 1))
+    for i in range(len(t) - 1):
+        p = chain.prefixes[i]
+        left = {restrict(z[h], p) for h in phis[i].values[t[i]]}
+        right = {restrict(z[h], p) for h in phis[i + 1].values[t[i + 1]]}
+        if left != right:
+            out.add(("restriction-mismatch", i + 1))
+    return out
+
+
+def naive_verify_witness(phis, delta: Partition, a: Multifunction) -> bool:
+    """Every entry below `a` and no consistent tuple, enumerated in full, breaks a condition."""
+    if not all(v <= t for phi in phis for v, t in zip(phi.values, a.values)):
+        return False
+    chain = partition_to_chain(a.instance.grid, delta)
+    tuples = naive_consistent_tuples(a.instance, chain)
+    return not any(naive_tuple_violations(phis, chain, t) for t in tuples)
+
+
+def naive_na_witness(a: Multifunction, p: Prefix):
+    """The lex-first violating pair, its smallest one-sided key and that key's holder, or None."""
+    inst = a.instance
+    n = len(inst.omega)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if restrict(inst.omega.signals[i], p) != restrict(inst.omega.signals[j], p):
+                continue
+            left = {restrict(inst.z.signals[h], p) for h in a.values[i]}
+            right = {restrict(inst.z.signals[h], p) for h in a.values[j]}
+            if left != right:
+                key = min(left ^ right)
+                return i, j, key, i if key in left else j
+    return None

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import naselect
-from naselect import cli, nonanticipation
+from naselect import cli, nonanticipation, stepwise
 
 CMD = [sys.executable, "-m", "naselect"]
 # The child process imports the same naselect as the test run.
@@ -91,21 +91,57 @@ def test_feasible_exits_three_below_the_optimum(tmp_path):
     assert "empty at:" in r.stdout
 
 
-def test_feasible_composes_once_on_infeasible_input(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "low.json"
-    assert cli.cli(["scenario", "ex4", "--rho=-15/4", "--emit", str(path)]) == 0
+def _counting(monkeypatch, name, modules):
     calls = []
-    compose = cli.compose_chain
+    original = getattr(modules[0], name)
 
     def counted(*a):
         calls.append(a)
-        return compose(*a)
+        return original(*a)
 
-    monkeypatch.setattr(cli, "compose_chain", counted)
-    monkeypatch.setattr(nonanticipation, "compose_chain", counted)
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_feasible_composes_once_on_infeasible_input(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "low.json"
+    assert cli.cli(["scenario", "ex4", "--rho=-15/4", "--emit", str(path)]) == 0
+    calls = _counting(monkeypatch, "compose_chain", [cli, nonanticipation])
     assert cli.cli(["feasible", str(path), "--delta", "0,1,3"]) == 3
     assert len(calls) == 1
     assert "feasible: false" in capsys.readouterr().out
+
+
+def test_check_composes_three_times(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "r.json")
+    assert cli.cli(["scenario", "random:4:4,6,3,2,50", "--emit", path]) == 0
+    calls = _counting(monkeypatch, "compose_chain", [cli, nonanticipation, stepwise])
+    assert cli.cli(["check", path]) == 0
+    # its own, the exhaustive run's and greatest_na's
+    assert len(calls) == 3
+
+
+def test_greatest_derives_the_canonical_chain_once(ex2_file, monkeypatch, capsys):
+    calls = _counting(monkeypatch, "canonical_chain", [cli, nonanticipation])
+    assert cli.cli(["greatest", ex2_file]) == 0
+    assert len(calls) == 1
+
+
+def test_check_needs_no_tuple_budget_on_a_large_instance(tmp_path, capsys):
+    path = str(tmp_path / "big.json")
+    assert cli.cli(["scenario", "random:3:100,500,8,3,90", "--emit", path]) == 0
+    assert cli.cli(["check", path]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_unexpected_exceptions_exit_six(ex2_file, monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(cli, "cmd_project", boom)
+    assert cli.cli(["project", ex2_file, "--prefix", "1"]) == 6
+    assert capsys.readouterr().err == "internal error: RuntimeError: kaput\n"
 
 
 def test_oracle_agrees_on_the_ramp_example(ex2_file):
@@ -230,6 +266,15 @@ def test_interactive_literal_line_must_match_one_option(
         assert "matches options #0, #1 at step 1; pick one with #k" in err
     else:
         assert json.loads(out.splitlines()[-1])["final"] == final
+
+
+@pytest.mark.parametrize("line", ["#-1\n", "#2\n", "#one\n"])
+def test_interactive_index_must_name_an_option(tmp_path, monkeypatch, capsys, line):
+    path = _comma_tokens_file(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line))
+    argv = ["simulate", path, "--delta", "0,2", "--adversary", "interactive"]
+    assert cli.cli(argv) == 2
+    assert f"no extension option {line.strip()!r} at step 1" in capsys.readouterr().err
 
 
 def test_check_passes_on_scenarios(ex2_file, ex4_file):

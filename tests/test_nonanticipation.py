@@ -1,3 +1,5 @@
+import itertools
+
 from hypothesis import given, settings
 
 from naselect import (
@@ -32,6 +34,7 @@ from conftest import (
     instance_with_chain,
     instance_with_prefix,
     naive_is_prefix_na,
+    naive_na_witness,
     naive_project,
     small_instances,
 )
@@ -215,11 +218,13 @@ def test_canonical_chain_of_the_ramp_example():
 def test_canonical_chain_matches_naive_pairwise_agreement():
     from naselect import random_instance
 
-    for seed in range(10):
-        inst, _ = random_instance(seed, 4, 4, 3)
+    for (n_omega, n_cells, alphabet), seed in itertools.product(
+        [(4, 3, 2), (30, 6, 3), (60, 7, 2)], range(10)
+    ):
+        inst, _ = random_instance(seed, n_omega, 4, n_cells, alphabet)
         lens = set()
-        for i in range(4):
-            for j in range(i, 4):
+        for i in range(n_omega):
+            for j in range(i, n_omega):
                 si = inst.omega.signals[i].cells
                 sj = inst.omega.signals[j].cells
                 n = 0
@@ -331,6 +336,15 @@ def test_projection_matches_the_naive_definition(data):
 def test_prefix_predicate_matches_the_naive_definition(data):
     _, a, p = data
     assert is_prefix_na(a, p).holds == naive_is_prefix_na(a, p)
+
+
+@given(instance_with_prefix(max_omega=9, max_z=8, max_cells=4))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_prefix_witness_is_the_naive_lex_first_pair(data):
+    _, a, p = data
+    w = is_prefix_na(a, p).witness
+    got = None if w is None else (w.omega, w.omega_prime, w.key, w.key_holder)
+    assert got == naive_na_witness(a, p)
 
 
 @given(instance_with_prefix())

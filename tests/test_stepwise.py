@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from naselect import stepwise
@@ -25,6 +25,7 @@ from naselect import (
     enumerate_omega_delta,
     feasible,
     grid,
+    is_total,
     legal_extensions,
     partition_to_chain,
     run_exhaustive,
@@ -33,7 +34,12 @@ from naselect import (
     verify_witness,
 )
 
-from conftest import small_instances
+from conftest import (
+    naive_consistent_tuples,
+    naive_tuple_violations,
+    naive_verify_witness,
+    small_instances,
+)
 
 
 def _ex4_at_optimum():
@@ -208,15 +214,7 @@ def test_tuple_enumeration_matches_the_naive_filter():
     delta = Partition((0, 1, 2, 3))
     chain = partition_to_chain(inst.grid, delta)
     mine = sorted(enumerate_omega_delta(inst, delta))
-    naive = sorted(
-        t
-        for t in itertools.product(range(4), repeat=3)
-        if all(
-            inst.omega.signals[t[i]].cells[: chain.prefixes[i].len]
-            == inst.omega.signals[t[i + 1]].cells[: chain.prefixes[i].len]
-            for i in range(2)
-        )
-    )
+    naive = naive_consistent_tuples(inst, chain)
     assert mine == naive
     assert len(mine) == 24
 
@@ -282,16 +280,6 @@ def test_witness_length_must_match_the_partition():
         verify_witness([a], Partition((0, 1, 3)), a)
 
 
-def test_witness_tuple_budget_is_enforced():
-    from naselect import BudgetExceededError
-
-    inst, a = build_example2()
-    delta = Partition((0, 1, 2, 3))
-    composed = compose_chain(a, partition_to_chain(inst.grid, delta))
-    with pytest.raises(BudgetExceededError):
-        verify_witness([composed] * delta.steps, delta, a, max_tuples=3)
-
-
 def test_witness_must_sit_below_the_target():
     inst, a = build_example2()
     delta = Partition((0, 3))
@@ -309,6 +297,54 @@ def test_empty_value_is_reported():
     report = verify_witness([hollow], delta, a)
     assert not report.ok
     assert report.violation.kind == "empty-value"
+
+
+@st.composite
+def witness_candidates(draw):
+    """An instance, a partition and per-step multifunctions: composed, `a`, or parts of `a`."""
+    inst, a = draw(small_instances(max_omega=6, max_z=6, max_cells=4, min_omega=2))
+    assume(is_total(a))  # an empty value at `a` would hide every later condition
+    m = inst.grid.cells
+    inner = draw(st.sets(st.integers(1, m - 1)))
+    delta = Partition((0,) + tuple(sorted(inner)) + (m,))
+    n = delta.steps
+    composed = compose_chain(a, partition_to_chain(inst.grid, delta))
+
+    def part():
+        return Multifunction(
+            inst,
+            tuple(frozenset(draw(st.sets(st.sampled_from(sorted(v)), min_size=1))) for v in a.values),
+        )
+
+    mode = draw(st.sampled_from(["composed", "a", "mixed", "dropped"]))
+    if mode == "composed":
+        phis = [composed] * n
+    elif mode == "a":
+        phis = [a] * n
+    elif mode == "dropped":  # one trajectory fewer at the last step: only its side can differ
+        values = list(composed.values)
+        w = draw(st.integers(0, len(values) - 1))
+        if values[w]:
+            values[w] = values[w] - {draw(st.sampled_from(sorted(values[w])))}
+        phis = [composed] * (n - 1) + [Multifunction(inst, tuple(values))]
+    else:
+        phis = [
+            draw(st.sampled_from([composed, a])) if draw(st.booleans()) else part() for _ in range(n)
+        ]
+    return inst, a, delta, phis
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(witness_candidates())
+def test_witness_check_matches_full_tuple_enumeration(case):
+    inst, a, delta, phis = case
+    report = verify_witness(phis, delta, a)
+    assert report.ok == naive_verify_witness(phis, delta, a)
+    if not report.ok:
+        v = report.violation
+        chain = partition_to_chain(inst.grid, delta)
+        assert v.omegas in naive_consistent_tuples(inst, chain)
+        assert (v.kind, v.step) in naive_tuple_violations(phis, chain, v.omegas)
 
 
 # ---------------------------------------------------------------------------
