@@ -123,6 +123,8 @@ def load(path: str) -> tuple[Instance, Multifunction]:
         raise ValidationError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: parse error at line {e.lineno}: {e.msg}") from None
+    except (UnicodeDecodeError, RecursionError) as e:
+        raise ValidationError(f"{path}: cannot decode: {e}") from None
     return from_jsonable(doc)
 
 

@@ -262,46 +262,42 @@ def _control_family(sys: ControlSystem) -> SignalFamily:
     )
 
 
-def alpha_rho(sys: ControlSystem, rho: Fraction) -> tuple[Instance, Multifunction]:
-    """Responses achieving cost at most `rho`: keep controls with |terminal state| >= -rho."""
+def _responses(sys: ControlSystem) -> tuple[Instance, list[list[Fraction]]]:
+    """The instance over all control sequences, and costs[v][j] = -|terminal state| of u_j against v."""
     z = _control_family(sys)
     inst = Instance(sys.grid, sys.disturbances, z)
-    values = []
-    for v in sys.disturbances.signals:
-        values.append(
-            frozenset(
-                j for j, u in enumerate(z.signals) if abs(integrate(sys, u, v)) >= -rho
-            )
-        )
-    return inst, Multifunction(inst, tuple(values))
+    return inst, [[-abs(integrate(sys, u, v)) for u in z.signals] for v in sys.disturbances.signals]
+
+
+def _within(inst: Instance, costs: list[list[Fraction]], rho: Fraction) -> Multifunction:
+    values = tuple(frozenset(j for j, c in enumerate(row) if c <= rho) for row in costs)
+    return Multifunction(inst, values)
+
+
+def alpha_rho(sys: ControlSystem, rho: Fraction) -> tuple[Instance, Multifunction]:
+    """Responses achieving cost at most `rho`: keep controls with |terminal state| >= -rho."""
+    inst, costs = _responses(sys)
+    return inst, _within(inst, costs, rho)
 
 
 def optimal_rho(sys: ControlSystem) -> RhoSearchResult:
     """Scan the achievable cost levels downwards for the last one that stays feasible.
 
     Candidates are the finitely many achievable values of -|terminal state|
-    together with 0.  Response sets only shrink as the candidate drops, so
-    the first infeasible candidate ends the scan.
+    together with 0.  Every (control, disturbance) cost is integrated once;
+    each candidate only filters that table.  Response sets only shrink as
+    the candidate drops, so the first infeasible candidate ends the scan.
     """
-    z = _control_family(sys)
-    achievable = {
-        -abs(integrate(sys, u, v))
-        for u in z.signals
-        for v in sys.disturbances.signals
-    }
-    candidates = sorted(achievable | {Fraction(0)}, reverse=True)
-    tried: list[Fraction] = []
+    inst, costs = _responses(sys)
+    candidates = sorted({c for row in costs for c in row} | {Fraction(0)}, reverse=True)
     best: tuple[Fraction, Multifunction] | None = None
-    for rho in candidates:
-        tried.append(rho)
-        _, al = alpha_rho(sys, rho)
-        w = greatest_na(al)
-        if is_total(w):
-            best = (rho, w)
-        else:
+    for k, rho in enumerate(candidates):
+        w = greatest_na(_within(inst, costs, rho))
+        if not is_total(w):
             break
+        best = (rho, w)
     assert best is not None  # the zero candidate keeps every control
-    return RhoSearchResult(best[0], tuple(tried), best[1])
+    return RhoSearchResult(best[0], tuple(candidates[: k + 1]), best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +370,8 @@ def build_scenario(
     optional alphabet and integer density percent.
     """
     head, _, rest = name.partition(":")
+    if rho is not None and head != "ex4":
+        raise ValidationError("only ex4 scenarios take a rho level")
     meta: dict = {"scenario": name}
     if head == "ex1":
         inst, mf = build_example1()
@@ -416,6 +414,4 @@ def build_scenario(
         inst, mf = random_instance(seed, **kwargs)
     else:
         raise ValidationError(f"unknown scenario {name!r}")
-    if rho is not None and head != "ex4":
-        raise ValidationError("only ex4 scenarios take a rho level")
     return inst, mf, meta

@@ -8,19 +8,25 @@ independent oracles.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from naselect import (
+    Instance,
     Multifunction,
     Partition,
     Prefix,
     PrefixChain,
+    RhoSearchResult,
     full_prefix_chain,
+    greatest_na,
+    is_total,
     partition_to_chain,
     random_instance,
     restrict,
 )
+from naselect.scenarios import _control_family, integrate
 
 
 @st.composite
@@ -49,6 +55,20 @@ def instance_with_chain(draw, **kwargs):
     everything = full_prefix_chain(inst.grid).prefixes
     picked = draw(st.sets(st.sampled_from(everything), min_size=1))
     return inst, a, PrefixChain(tuple(sorted(picked)))
+
+
+def counting(monkeypatch, name, modules):
+    """Rebind `name` in every module to a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*a):
+        calls.append(a)
+        return original(*a)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def bits_of(a: Multifunction) -> int:
@@ -161,3 +181,28 @@ def naive_na_witness(a: Multifunction, p: Prefix):
                 key = min(left ^ right)
                 return i, j, key, i if key in left else j
     return None
+
+
+def naive_alpha_rho(sys, rho):
+    """Responses at cost level `rho`, integrating every (control, disturbance) pair on each call."""
+    z = _control_family(sys)
+    inst = Instance(sys.grid, sys.disturbances, z)
+    values = tuple(
+        frozenset(j for j, u in enumerate(z.signals) if abs(integrate(sys, u, v)) >= -rho)
+        for v in sys.disturbances.signals
+    )
+    return inst, Multifunction(inst, values)
+
+
+def naive_optimal_rho(sys) -> RhoSearchResult:
+    """Downward linear scan over the achievable levels, rebuilding the responses per candidate."""
+    z = _control_family(sys).signals
+    achievable = {-abs(integrate(sys, u, v)) for u in z for v in sys.disturbances.signals}
+    tried, best = [], None
+    for rho in sorted(achievable | {Fraction(0)}, reverse=True):
+        tried.append(rho)
+        w = greatest_na(naive_alpha_rho(sys, rho)[1])
+        if not is_total(w):
+            break
+        best = (rho, w)
+    return RhoSearchResult(best[0], tuple(tried), best[1])

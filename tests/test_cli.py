@@ -11,6 +11,8 @@ import pytest
 import naselect
 from naselect import cli, nonanticipation, stepwise
 
+from conftest import counting
+
 CMD = [sys.executable, "-m", "naselect"]
 # The child process imports the same naselect as the test run.
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(naselect.__file__)))
@@ -53,6 +55,14 @@ def test_validation_errors_exit_two(tmp_path):
     assert run("scenario", "ex9", "--emit", str(tmp_path / "x.json")).returncode == 2
 
 
+@pytest.mark.parametrize("body", [b"\xff\xfe{}", b"[" * 200000], ids=["not-utf8", "too-deep"])
+def test_undecodable_files_exit_two(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_bytes(body)
+    assert cli.cli(["project", str(path), "--prefix", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_emit_into_a_missing_directory_exits_two(tmp_path):
     r = run("scenario", "ex1", "--emit", str(tmp_path / "absent" / "x.json"))
     assert r.returncode == 2
@@ -91,23 +101,10 @@ def test_feasible_exits_three_below_the_optimum(tmp_path):
     assert "empty at:" in r.stdout
 
 
-def _counting(monkeypatch, name, modules):
-    calls = []
-    original = getattr(modules[0], name)
-
-    def counted(*a):
-        calls.append(a)
-        return original(*a)
-
-    for mod in modules:
-        monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def test_feasible_composes_once_on_infeasible_input(tmp_path, monkeypatch, capsys):
     path = tmp_path / "low.json"
     assert cli.cli(["scenario", "ex4", "--rho=-15/4", "--emit", str(path)]) == 0
-    calls = _counting(monkeypatch, "compose_chain", [cli, nonanticipation])
+    calls = counting(monkeypatch, "compose_chain", [cli, nonanticipation])
     assert cli.cli(["feasible", str(path), "--delta", "0,1,3"]) == 3
     assert len(calls) == 1
     assert "feasible: false" in capsys.readouterr().out
@@ -116,14 +113,14 @@ def test_feasible_composes_once_on_infeasible_input(tmp_path, monkeypatch, capsy
 def test_check_composes_three_times(tmp_path, monkeypatch, capsys):
     path = str(tmp_path / "r.json")
     assert cli.cli(["scenario", "random:4:4,6,3,2,50", "--emit", path]) == 0
-    calls = _counting(monkeypatch, "compose_chain", [cli, nonanticipation, stepwise])
+    calls = counting(monkeypatch, "compose_chain", [cli, nonanticipation, stepwise])
     assert cli.cli(["check", path]) == 0
     # its own, the exhaustive run's and greatest_na's
     assert len(calls) == 3
 
 
 def test_greatest_derives_the_canonical_chain_once(ex2_file, monkeypatch, capsys):
-    calls = _counting(monkeypatch, "canonical_chain", [cli, nonanticipation])
+    calls = counting(monkeypatch, "canonical_chain", [cli, nonanticipation])
     assert cli.cli(["greatest", ex2_file]) == 0
     assert len(calls) == 1
 

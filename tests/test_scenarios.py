@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,10 @@ from naselect import (
     optimal_rho,
     random_instance,
 )
+from naselect import scenarios
 from naselect.fileio import instance_digest
+
+from conftest import counting, naive_alpha_rho, naive_optimal_rho
 
 
 def test_integrate_on_the_catch_up_game():
@@ -141,6 +145,38 @@ def test_responses_grow_with_the_level():
     assert mf_le(greatest_na(lo), greatest_na(hi))
 
 
+QUARTERS = tuple(Fraction(k, 4) for k in range(-4, 5))
+RHO_SYSTEMS = {
+    "default": build_example4(),
+    "coarse": build_example4((Fraction(-1), Fraction(0), Fraction(1))),
+    "half": build_example4((Fraction(1, 2),)),
+    "extremes": build_example4((Fraction(-1), Fraction(1))),
+    **{f"quarters{k}": build_example4(random.Random(k).sample(QUARTERS, k)) for k in range(2, 10)},
+    **{f"ex3:{n}": example3_system(n) for n in range(1, 4)},
+}
+
+
+@pytest.mark.parametrize("name", RHO_SYSTEMS)
+def test_rho_search_agrees_with_per_candidate_integration(name):
+    sys = RHO_SYSTEMS[name]
+    res, ref = optimal_rho(sys), naive_optimal_rho(sys)
+    assert res.rho_star == ref.rho_star
+    assert res.candidates == ref.candidates
+    assert res.witness.values == ref.witness.values
+    for rho in res.candidates:
+        assert alpha_rho(sys, rho)[1].values == naive_alpha_rho(sys, rho)[1].values
+
+
+def test_rho_search_integrates_each_pair_once(monkeypatch):
+    calls = counting(monkeypatch, "integrate", [scenarios])
+    optimal_rho(build_example4())
+    assert len(calls) == 125 * 2
+    calls.clear()
+    build_scenario("ex4")
+    # one table for the search, one for the responses at the optimum
+    assert len(calls) == 2 * 125 * 2
+
+
 def test_feasibility_fails_below_the_optimum():
     sys = build_example4()
     res = optimal_rho(sys)
@@ -161,12 +197,17 @@ def test_same_seed_same_instance():
     assert instance_digest(*a) == instance_digest(*b)
 
 
-def test_recorded_digest_for_the_reference_seed():
-    inst, mf = random_instance(0, 3, 4, 3)
-    assert (
-        instance_digest(inst, mf)
-        == "94f01bd50847f9e8e941472ad2a723ac55de815310be73b42a718d77222798ab"
-    )
+RECORDED_DIGESTS = {
+    "random:0:3,4,3": "94f01bd50847f9e8e941472ad2a723ac55de815310be73b42a718d77222798ab",
+    "ex4": "7ac51af1cf27dc777514db705fa7808d9dc2cfa9726d955f71366394ae3f06b4",
+    "ex4:-1,-3/4,-1/4,0,1/4,1/2,1": "359c7482d594b628dbd373a06c72e5e49ef1f7681d21737b6fce9e3aec830d1e",
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_DIGESTS)
+def test_recorded_digest_for_the_reference_seed(name):
+    inst, mf, _ = build_scenario(name)
+    assert instance_digest(inst, mf) == RECORDED_DIGESTS[name]
 
 
 def test_density_extremes():
@@ -208,3 +249,12 @@ def test_scenario_name_errors():
             build_scenario(name)
     with pytest.raises(ValidationError):
         build_scenario("ex1", rho=Fraction(1))
+
+
+def test_rho_is_rejected_before_a_non_ex4_scenario_is_built(monkeypatch):
+    def unbuilt(*a, **kw):
+        raise AssertionError("built the instance")
+
+    monkeypatch.setattr(scenarios, "random_instance", unbuilt)
+    with pytest.raises(ValidationError, match="only ex4 scenarios take a rho level"):
+        build_scenario("random:1:3,4,3", rho=Fraction(1))

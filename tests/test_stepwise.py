@@ -35,6 +35,7 @@ from naselect import (
 )
 
 from conftest import (
+    counting,
     naive_consistent_tuples,
     naive_tuple_violations,
     naive_verify_witness,
@@ -187,14 +188,7 @@ def test_exhaustive_equals_one_scripted_run_per_disturbance(data):
 @pytest.mark.parametrize("check", [True, False])
 def test_exhaustive_composes_once(monkeypatch, check):
     inst, a = _ex4_at_optimum()
-    calls = []
-    compose = stepwise.compose_chain
-
-    def counted(*x):
-        calls.append(x)
-        return compose(*x)
-
-    monkeypatch.setattr(stepwise, "compose_chain", counted)
+    calls = counting(monkeypatch, "compose_chain", [stepwise])
     assert len(run_exhaustive(a, Partition((0, 1, 3)), check=check)) == len(inst.omega) > 1
     assert len(calls) == 1
 
