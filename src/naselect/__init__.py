@@ -68,8 +68,6 @@ from .signals import (
     Signal,
     SignalFamily,
     equiv_class,
-    restrict,
-    restriction_set,
     signal_classes,
 )
 from .stepwise import (

@@ -88,7 +88,7 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
             bad = next(x for x in zs if x not in z.names)
             raise ValidationError(f"alpha[{name!r}]: unknown z name {bad!r}") from None
         values[w] = entry
-    return inst, Multifunction(inst, tuple(values))
+    return inst, Multifunction._trusted(inst, tuple(values))
 
 
 def to_jsonable(inst: Instance, mf: Multifunction, metadata: dict | None = None) -> dict:

@@ -53,6 +53,13 @@ class Multifunction:
                 if not 0 <= j < n:
                     raise ValidationError(f"trajectory index {j} out of range 0..{n - 1}")
 
+    @classmethod
+    def _trusted(cls, instance: Instance, values: tuple[frozenset[int], ...]) -> Multifunction:
+        """Wrap values the library built itself: one in-range frozenset per disturbance, unchecked."""
+        out = object.__new__(cls)
+        out.__dict__.update(instance=instance, values=values)
+        return out
+
 
 def _same_instance(a: Multifunction, b: Multifunction) -> None:
     if a.instance is not b.instance and a.instance != b.instance:
@@ -65,30 +72,26 @@ def mf_le(a: Multifunction, b: Multifunction) -> bool:
     return all(x <= y for x, y in zip(a.values, b.values))
 
 
-def mf_join(ms: Iterable[Multifunction]) -> Multifunction:
-    """Entrywise union; the supremum of a non-empty set of multifunctions."""
+def _entrywise(ms: Iterable[Multifunction], op, what: str) -> Multifunction:
     ms = list(ms)
     if not ms:
-        raise ValidationError("join needs at least one multifunction")
+        raise ValidationError(f"{what} needs at least one multifunction")
     first = ms[0]
-    out = list(first.values)
+    out = first.values
     for m in ms[1:]:
         _same_instance(first, m)
-        out = [x | y for x, y in zip(out, m.values)]
-    return Multifunction(first.instance, tuple(out))
+        out = tuple(map(op, out, m.values))
+    return Multifunction._trusted(first.instance, out)
+
+
+def mf_join(ms: Iterable[Multifunction]) -> Multifunction:
+    """Entrywise union; the supremum of a non-empty set of multifunctions."""
+    return _entrywise(ms, frozenset.union, "join")
 
 
 def mf_meet(ms: Iterable[Multifunction]) -> Multifunction:
     """Entrywise intersection; the infimum of a non-empty set of multifunctions."""
-    ms = list(ms)
-    if not ms:
-        raise ValidationError("meet needs at least one multifunction")
-    first = ms[0]
-    out = list(first.values)
-    for m in ms[1:]:
-        _same_instance(first, m)
-        out = [x & y for x, y in zip(out, m.values)]
-    return Multifunction(first.instance, tuple(out))
+    return _entrywise(ms, frozenset.intersection, "meet")
 
 
 def dom(a: Multifunction) -> frozenset[int]:

@@ -69,17 +69,20 @@ def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
     """
     inst = a.instance
     inst.grid.check_prefix(p)
-    key_of = [s.cells[: p.len] for s in inst.z.signals]
+    key_id = inst.z.prefix_index.ids(p.len)
     for cls in signal_classes(inst.omega, p):
         if len(cls) == 1:
             continue
         r = cls[0]
-        ref = frozenset(key_of[j] for j in a.values[r])
+        ref = {key_id[j] for j in a.values[r]}
         for w in cls[1:]:
-            keys = frozenset(key_of[j] for j in a.values[w])
+            keys = {key_id[j] for j in a.values[w]}
             if keys != ref:
-                key = min(ref ^ keys)
-                return NaReport(False, NaWitness(p, r, w, key, r if key in ref else w))
+                kid = min(ref ^ keys)
+                holder = r if kid in ref else w
+                j = next(j for j in a.values[holder] if key_id[j] == kid)
+                key = inst.z.signals[j].cells[: p.len]
+                return NaReport(False, NaWitness(p, r, w, key, holder))
     return NaReport(True)
 
 
@@ -103,17 +106,17 @@ def project(a: Multifunction, p: Prefix) -> Multifunction:
     """
     inst = a.instance
     inst.grid.check_prefix(p)
-    key_of = [s.cells[: p.len] for s in inst.z.signals]
+    key_id = inst.z.prefix_index.ids(p.len)
     out = list(a.values)
     for cls in signal_classes(inst.omega, p):
         if len(cls) == 1:
             continue
-        keysets = [frozenset(key_of[j] for j in a.values[w]) for w in cls]
-        core = frozenset.intersection(*keysets)
+        keysets = [{key_id[j] for j in a.values[w]} for w in cls]
+        core = set.intersection(*keysets)
         for w, keys in zip(cls, keysets):
             if keys != core:
-                out[w] = frozenset(j for j in a.values[w] if key_of[j] in core)
-    return Multifunction(inst, tuple(out))
+                out[w] = frozenset([j for j in a.values[w] if key_id[j] in core])
+    return Multifunction._trusted(inst, tuple(out))
 
 
 def compose_chain(a: Multifunction, h: PrefixChain) -> Multifunction:
@@ -149,11 +152,7 @@ def canonical_chain(inst: Instance) -> PrefixChain:
     cell.  Each signal paired with itself contributes the full prefix, so the
     chain is never empty; pairs that disagree on cell 0 contribute nothing.
     """
-    ordered = sorted(s.cells for s in inst.omega.signals)
-    lens = {inst.grid.cells}
-    for s, t in zip(ordered, ordered[1:]):
-        lens.add(next(k for k, (x, y) in enumerate(zip(s, t)) if x != y))
-    lens.discard(0)
+    lens = {inst.grid.cells, *inst.omega.prefix_index.lcp} - {0}
     return PrefixChain(tuple(Prefix(k) for k in sorted(lens)))
 
 

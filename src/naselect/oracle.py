@@ -49,43 +49,30 @@ class _SearchPlan:
     Disturbances are visited in lexicographic signal order, which makes every
     prefix equivalence class a contiguous run: a member only ever needs to
     match the restriction keyset of its class's first member, already
-    assigned.  Restriction keys are interned to small ints per prefix.
+    assigned.  Restriction keys are the families' prefix-index key ids.
     """
 
     def __init__(self, inst: Instance, h: PrefixChain, values: tuple[frozenset[int], ...]):
         inst.grid.check_prefix(h.prefixes[-1])
-        self.inst = inst
-        self.perm = sorted(range(len(inst.omega)), key=lambda w: inst.omega.signals[w].cells)
+        index = inst.omega.prefix_index
+        self.perm = index.order
         n = len(self.perm)
         self.subsets = [_subsets_popcount_desc(sorted(values[w])) for w in self.perm]
-        # constraints[k] lists (earlier position, prefix slot) pairs to match
+        # constraints[k] lists (earlier position, prefix slot) pairs to match;
+        # keysets[k][slot][subset index] is a restriction key-id set, for the slots k is matched at
         self.constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        key_ids = []
-        for p in h.prefixes:
-            ids: dict[tuple, int] = {}
-            key_ids.append(
-                tuple(ids.setdefault(s.cells[: p.len], len(ids)) for s in inst.z.signals)
-            )
-            first_of_class: dict[tuple, int] = {}
-            for k, w in enumerate(self.perm):
-                key = inst.omega.signals[w].cells[: p.len]
-                if key in first_of_class:
-                    self.constraints[k].append((first_of_class[key], len(key_ids) - 1))
-                else:
-                    first_of_class[key] = k
-        needed: list[set[int]] = [set() for _ in range(n)]
-        for k, cons in enumerate(self.constraints):
-            for rep, slot in cons:
-                needed[k].add(slot)
-                needed[rep].add(slot)
-        # keysets[k][slot][subset index] -> interned restriction keyset
-        self.keysets: list[dict[int, list[frozenset[int]]]] = []
-        for k in range(n):
-            per: dict[int, list[frozenset[int]]] = {}
-            for slot in sorted(needed[k]):
-                kid = key_ids[slot]
-                per[slot] = [frozenset(kid[j] for j in s) for s in self.subsets[k]]
-            self.keysets.append(per)
+        self.keysets: list[dict[int, list[frozenset[int]]]] = [{} for _ in range(n)]
+        for slot, p in enumerate(h.prefixes):
+            kid = inst.z.prefix_index.ids(p.len)
+            first = 0
+            for k, shared in enumerate(index.lcp, start=1):
+                if shared < p.len:
+                    first = k
+                    continue
+                self.constraints[k].append((first, slot))
+                for pos in (first, k):
+                    if slot not in self.keysets[pos]:
+                        self.keysets[pos][slot] = [frozenset(kid[j] for j in s) for s in self.subsets[pos]]
 
     def assemble(self, chosen: list[int]) -> tuple[frozenset[int], ...]:
         out: list[frozenset[int]] = [frozenset()] * len(self.perm)
@@ -137,13 +124,8 @@ def enumerate_na_multiselectors(
     Per-disturbance subsets are tried with larger sets first, so a running
     join saturates early.
     """
-    plan = _SearchPlan(a.instance, h, a.values)
-
-    def gen() -> Iterator[Multifunction]:
-        for values in _walk(plan, budget):
-            yield Multifunction(a.instance, values)
-
-    return gen()
+    walk = _walk(_SearchPlan(a.instance, h, a.values), budget)
+    return (Multifunction._trusted(a.instance, values) for values in walk)
 
 
 def brute_greatest(
@@ -160,7 +142,7 @@ def brute_greatest(
         join = [u | v for u, v in zip(join, values)]
         if tuple(join) == bound:
             break
-    return Multifunction(a.instance, tuple(join))
+    return Multifunction._trusted(a.instance, tuple(join))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
-"""Finite families of cell-valued signals: restriction, equivalence classes, restriction sets.
+"""Finite families of cell-valued signals, their prefix index and equivalence classes.
 
 A signal carries one opaque token per grid cell.  Restricting it to a prefix
 keeps the leading tokens; two signals are equivalent at a prefix when their
-restrictions coincide.  Tokens are plain strings with their natural total
-order, which keeps every derived set printable in a deterministic order.
-Scenario builders that need numeric payloads format them as canonical
-rational strings, so exact payload equality and token equality agree.
+restrictions coincide.  Each family builds one `PrefixIndex` on first use,
+so every layer names restrictions by small key ids instead of hashing token
+tuples.  Tokens are plain strings with their natural total order, which
+keeps every derived set printable in a deterministic order.  Scenario
+builders that need numeric payloads format them as canonical rational
+strings, so exact payload equality and token equality agree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import ValidationError
 from .timebase import Prefix
@@ -34,6 +39,52 @@ class Signal:
         for c in self.cells:
             if not isinstance(c, str):
                 raise ValidationError(f"signal cells must be strings, got {type(c).__name__}")
+
+
+class PrefixIndex:
+    """Prefix classes of one family, from its signals sorted once.
+
+    In lexicographic order the members that agree on the first `length`
+    cells form a run, broken wherever two neighbours share fewer leading
+    cells.  A member's run number is the key id of its restriction: ids
+    ascend with the restriction, so the smallest id names the smallest key.
+    """
+
+    def __init__(self, fam: SignalFamily):
+        cells = [s.cells for s in fam.signals]
+        self.order = sorted(range(len(cells)), key=cells.__getitem__)
+        self.sorted_cells = [cells[i] for i in self.order]
+        # lcp[k]: leading cells shared by the k-th and (k+1)-th sorted signals
+        self.lcp = [
+            next((k for k, (x, y) in enumerate(zip(s, t)) if x != y), len(s))
+            for s, t in zip(self.sorted_cells, self.sorted_cells[1:])
+        ]
+        self._ids: dict[int, list[int]] = {}
+        self._classes: dict[int, dict[int, tuple[int, ...]]] = {}
+
+    def ids(self, length: int) -> list[int]:
+        """Key id of each member's restriction to `length` cells, by member index."""
+        if length not in self._ids:
+            ids = self._ids[length] = [0] * len(self.order)
+            for i, run in zip(self.order, accumulate(map(length.__gt__, self.lcp), initial=0)):
+                ids[i] = run
+        return self._ids[length]
+
+    def classes(self, length: int) -> dict[int, tuple[int, ...]]:
+        """Classes at `length` by key id, in first-appearance order, members in index order."""
+        if length not in self._classes:
+            groups: dict[int, list[int]] = {}
+            for i, run in enumerate(self.ids(length)):
+                groups.setdefault(run, []).append(i)
+            self._classes[length] = {run: tuple(g) for run, g in groups.items()}
+        return self._classes[length]
+
+    def members(self, key: RestrictionKey) -> tuple[int, ...]:
+        """The class of the members whose restriction to `len(key)` cells is `key`, else ()."""
+        k = bisect_left(self.sorted_cells, key)
+        if k == len(self.order) or self.sorted_cells[k][: len(key)] != key:
+            return ()
+        return self.classes(len(key))[self.ids(len(key))[self.order[k]]]
 
 
 @dataclass(frozen=True)
@@ -77,28 +128,18 @@ class SignalFamily:
         except KeyError:
             raise ValidationError(f"unknown {self.role} name {name!r}") from None
 
-
-def restrict(s: Signal, a: Prefix) -> RestrictionKey:
-    """Leading `a.len` tokens of the signal."""
-    if a.len > len(s.cells):
-        raise ValidationError(f"prefix of {a.len} cells does not fit a signal of {len(s.cells)}")
-    return s.cells[: a.len]
+    @cached_property
+    def prefix_index(self) -> PrefixIndex:
+        """The family's prefix index, built on first use and kept out of equality, hash and repr."""
+        return PrefixIndex(self)
 
 
 def equiv_class(fam: SignalFamily, idx: int, a: Prefix) -> frozenset[int]:
     """Indices of all family members that agree with member `idx` on the prefix."""
-    key = restrict(fam.signals[idx], a)
+    key = fam.signals[idx].cells[: a.len]
     return frozenset(i for i, s in enumerate(fam.signals) if s.cells[: a.len] == key)
 
 
 def signal_classes(fam: SignalFamily, a: Prefix) -> tuple[tuple[int, ...], ...]:
     """The partition of all indices by restriction at `a`, in first-appearance order."""
-    groups: dict[RestrictionKey, list[int]] = {}
-    for i, s in enumerate(fam.signals):
-        groups.setdefault(s.cells[: a.len], []).append(i)
-    return tuple(tuple(g) for g in groups.values())
-
-
-def restriction_set(fam: SignalFamily, indices, a: Prefix) -> frozenset[RestrictionKey]:
-    """Distinct restrictions of the chosen members; empty input yields the empty set."""
-    return frozenset(fam.signals[i].cells[: a.len] for i in indices)
+    return tuple(fam.prefix_index.classes(a.len).values())

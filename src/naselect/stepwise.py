@@ -25,7 +25,7 @@ from .errors import (
 )
 from .multifunction import Instance, Multifunction, is_total, mf_le
 from .nonanticipation import compose_chain
-from .signals import RestrictionKey, Signal, equiv_class, restriction_set, signal_classes
+from .signals import RestrictionKey, Signal, equiv_class, signal_classes
 from .timebase import Partition, partition_to_chain
 
 
@@ -52,12 +52,9 @@ class ScriptedAdversary:
 
 def legal_extensions(inst: Instance, revealed: RestrictionKey, new_len: int) -> tuple[RestrictionKey, ...]:
     """Sorted distinct extensions realizable by some admissible disturbance."""
-    opts = {
-        s.cells[len(revealed) : new_len]
-        for s in inst.omega.signals
-        if s.cells[: len(revealed)] == revealed
-    }
-    return tuple(sorted(opts))
+    cut = slice(len(revealed), new_len)
+    found = {inst.omega.signals[w].cells[cut] for w in inst.omega.prefix_index.members(revealed)}
+    return tuple(sorted(found))
 
 
 @dataclass
@@ -84,10 +81,8 @@ class InteractiveAdversary:
             raise AdversaryError(f"input ended before step {step}")
         line = line.strip()
         if line.startswith("#"):
-            try:
-                k = int(line[1:])
-            except ValueError:
-                k = -1
+            digits = line[1:]
+            k = int(digits) if digits.isascii() and digits.isdigit() else -1
             if not 0 <= k < len(opts):
                 raise AdversaryError(f"no extension option {line!r} at step {step}")
             return opts[k]
@@ -181,30 +176,19 @@ def _drive(a, delta, chain, phi, adversary: Adversary, policy, seed, on_step) ->
                 f"step {i}: expected {p.len - len(revealed)} cells, got {len(ext)}"
             )
         revealed = revealed + tuple(ext)
-        matches = [
-            w for w, s in enumerate(inst.omega.signals) if s.cells[: p.len] == revealed
-        ]
+        matches = inst.omega.prefix_index.members(revealed)
         if not matches:
             raise AdversaryError(f"step {i}: revealed prefix {revealed} matches no disturbance")
         w = matches[0]
-        if prev_h is None:
-            admissible = sorted(phi.values[w])
-        else:
-            prev_key = inst.z.signals[prev_h].cells[:prev_len]
-            admissible = sorted(
-                j for j in phi.values[w] if inst.z.signals[j].cells[:prev_len] == prev_key
-            )
+        omega_id, z_id = inst.omega.prefix_index.ids(prev_len), inst.z.prefix_index.ids(prev_len)
+        admissible = sorted(j for j in phi.values[w] if prev_h is None or z_id[j] == z_id[prev_h])
         if not admissible:
             raise ProcedureStuckError(
                 f"step {i}: no admissible trajectory for {inst.omega.names[w]}", step=i, omega=w
             )
         h = admissible[0] if policy == "lex" else rng.choice(admissible)
-        omega_ok = prev_w is None or (
-            inst.omega.signals[w].cells[:prev_len] == inst.omega.signals[prev_w].cells[:prev_len]
-        )
-        h_ok = prev_h is None or (
-            inst.z.signals[h].cells[:prev_len] == inst.z.signals[prev_h].cells[:prev_len]
-        )
+        omega_ok = prev_w is None or omega_id[w] == omega_id[prev_w]
+        h_ok = prev_h is None or z_id[h] == z_id[prev_h]
         step = Step(i, revealed, w, h, omega_ok, h_ok, h in phi.values[w] and h in a.values[w])
         steps.append(step)
         if on_step is not None:
@@ -355,13 +339,14 @@ def verify_witness(phis: list[Multifunction], delta: Partition, a: Multifunction
     for i in range(1, n):
         p = chain.prefixes[i - 1]
         before, after = phis[i - 1].values, phis[i].values
+        key_id = inst.z.prefix_index.ids(p.len)
         for cls in signal_classes(inst.omega, p):
             r = cls[0]
-            keys = restriction_set(inst.z, after[r], p)
+            keys = {key_id[j] for j in after[r]}
             for x in cls:
-                if restriction_set(inst.z, before[x], p) != keys:
+                if {key_id[j] for j in before[x]} != keys:
                     return mismatch(i, (x,) * i + (r,) * (n - i))
             for y in cls:
-                if restriction_set(inst.z, after[y], p) != keys:
+                if {key_id[j] for j in after[y]} != keys:
                     return mismatch(i, (r,) * i + (y,) * (n - i))
     return WitnessReport(True)

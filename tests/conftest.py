@@ -8,6 +8,7 @@ independent oracles.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -19,12 +20,14 @@ from naselect import (
     Prefix,
     PrefixChain,
     RhoSearchResult,
+    Signal,
+    SignalFamily,
     full_prefix_chain,
+    grid,
     greatest_na,
     is_total,
     partition_to_chain,
     random_instance,
-    restrict,
 )
 from naselect.scenarios import _control_family, integrate
 
@@ -40,6 +43,34 @@ def small_instances(draw, max_omega=4, max_z=6, max_cells=4, min_omega=1):
     density = draw(st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8]))
     seed = draw(st.integers(0, 10**6))
     return random_instance(seed, n_omega, n_z, n_cells, alphabet, density)
+
+
+@st.composite
+def edge_instances(draw):
+    """Small instances drawn cell by cell, edge shapes included.
+
+    One cell, a one-token alphabet (hence one signal per family), empty
+    value sets and families that fill their whole signal space all occur.
+    """
+    n_cells = draw(st.integers(1, 3))
+    tokens = "abc"[: draw(st.integers(1, 3))]
+    space = list(itertools.product(tokens, repeat=n_cells))
+
+    def family(role, prefix, most):
+        most = min(most, len(space))
+        cells = draw(st.lists(st.sampled_from(space), min_size=1, max_size=most, unique=True))
+        names = tuple(f"{prefix}{i}" for i in range(len(cells)))
+        return SignalFamily(role, names, tuple(Signal(c) for c in cells))
+
+    omega = family("disturbance", "w", 7)
+    z = family("trajectory", "h", 8)
+    inst = Instance(grid(*range(n_cells + 1)), omega, z)
+    values = draw(
+        st.lists(
+            st.frozensets(st.integers(0, len(z) - 1)), min_size=len(omega), max_size=len(omega)
+        )
+    )
+    return inst, Multifunction(inst, tuple(values))
 
 
 @st.composite
@@ -81,10 +112,10 @@ def naive_is_prefix_na(a: Multifunction, p: Prefix) -> bool:
     n = len(inst.omega)
     for i in range(n):
         for j in range(n):
-            if restrict(inst.omega.signals[i], p) != restrict(inst.omega.signals[j], p):
+            if inst.omega.signals[i].cells[: p.len] != inst.omega.signals[j].cells[: p.len]:
                 continue
-            left = {restrict(inst.z.signals[h], p) for h in a.values[i]}
-            right = {restrict(inst.z.signals[h], p) for h in a.values[j]}
+            left = {inst.z.signals[h].cells[: p.len] for h in a.values[i]}
+            right = {inst.z.signals[h].cells[: p.len] for h in a.values[j]}
             if left != right:
                 return False
     return True
@@ -102,16 +133,71 @@ def naive_project(a: Multifunction, p: Prefix) -> Multifunction:
         cls = [
             j
             for j in range(len(inst.omega))
-            if restrict(inst.omega.signals[j], p) == restrict(inst.omega.signals[i], p)
+            if inst.omega.signals[j].cells[: p.len] == inst.omega.signals[i].cells[: p.len]
         ]
         keysets = [
-            {restrict(inst.z.signals[h], p) for h in a.values[j]} for j in cls
+            {inst.z.signals[h].cells[: p.len] for h in a.values[j]} for j in cls
         ]
         core = set.intersection(*keysets)
         out.append(
-            frozenset(h for h in a.values[i] if restrict(inst.z.signals[h], p) in core)
+            frozenset(h for h in a.values[i] if inst.z.signals[h].cells[: p.len] in core)
         )
     return Multifunction(inst, tuple(out))
+
+
+def naive_compose(a: Multifunction, h: PrefixChain) -> Multifunction:
+    """Naive projections along the chain, largest prefix first."""
+    for p in reversed(h.prefixes):
+        a = naive_project(a, p)
+    return a
+
+
+def naive_replay(a: Multifunction, delta: Partition, policy: str = "lex", seed: int = 0):
+    """Per disturbance, the (disturbance, trajectory) picks of a scripted run.
+
+    The run replays the naive composition.  Each step scans every
+    disturbance for the revealed prefix and slices every candidate
+    trajectory.  A run that finds no admissible trajectory ends with
+    ("stuck", step, disturbance).
+    """
+    inst = a.instance
+    chain = partition_to_chain(inst.grid, delta)
+    phi = naive_compose(a, chain)
+    out = {}
+    for truth, signal in enumerate(inst.omega.signals):
+        rng = random.Random(seed)
+        picks = []
+        prev_h, prev_len = None, 0
+        for i, p in enumerate(chain.prefixes, start=1):
+            revealed = signal.cells[: p.len]
+            w = [v for v, s in enumerate(inst.omega.signals) if s.cells[: p.len] == revealed][0]
+            admissible = sorted(
+                j
+                for j in phi.values[w]
+                if prev_h is None
+                or inst.z.signals[j].cells[:prev_len] == inst.z.signals[prev_h].cells[:prev_len]
+            )
+            if not admissible:
+                picks.append(("stuck", i, w))
+                break
+            h = admissible[0] if policy == "lex" else rng.choice(admissible)
+            picks.append((w, h))
+            prev_h, prev_len = h, p.len
+        out[truth] = picks
+    return out
+
+
+def naive_legal_extensions(inst, revealed, new_len):
+    """Sorted distinct extensions, from a scan of every disturbance."""
+    return tuple(
+        sorted(
+            {
+                s.cells[len(revealed) : new_len]
+                for s in inst.omega.signals
+                if s.cells[: len(revealed)] == revealed
+            }
+        )
+    )
 
 
 def naive_enumerate_na(a: Multifunction, h: PrefixChain) -> list[tuple[frozenset[int], ...]]:
@@ -136,7 +222,8 @@ def naive_consistent_tuples(inst, chain: PrefixChain) -> list[tuple[int, ...]]:
         t
         for t in itertools.product(range(len(omega)), repeat=n)
         if all(
-            restrict(omega[t[i]], chain.prefixes[i]) == restrict(omega[t[i + 1]], chain.prefixes[i])
+            omega[t[i]].cells[: chain.prefixes[i].len]
+            == omega[t[i + 1]].cells[: chain.prefixes[i].len]
             for i in range(n - 1)
         )
     ]
@@ -151,8 +238,8 @@ def naive_tuple_violations(phis, chain: PrefixChain, t: tuple[int, ...]) -> set[
             out.add(("empty-value", i + 1))
     for i in range(len(t) - 1):
         p = chain.prefixes[i]
-        left = {restrict(z[h], p) for h in phis[i].values[t[i]]}
-        right = {restrict(z[h], p) for h in phis[i + 1].values[t[i + 1]]}
+        left = {z[h].cells[: p.len] for h in phis[i].values[t[i]]}
+        right = {z[h].cells[: p.len] for h in phis[i + 1].values[t[i + 1]]}
         if left != right:
             out.add(("restriction-mismatch", i + 1))
     return out
@@ -173,10 +260,10 @@ def naive_na_witness(a: Multifunction, p: Prefix):
     n = len(inst.omega)
     for i in range(n):
         for j in range(i + 1, n):
-            if restrict(inst.omega.signals[i], p) != restrict(inst.omega.signals[j], p):
+            if inst.omega.signals[i].cells[: p.len] != inst.omega.signals[j].cells[: p.len]:
                 continue
-            left = {restrict(inst.z.signals[h], p) for h in a.values[i]}
-            right = {restrict(inst.z.signals[h], p) for h in a.values[j]}
+            left = {inst.z.signals[h].cells[: p.len] for h in a.values[i]}
+            right = {inst.z.signals[h].cells[: p.len] for h in a.values[j]}
             if left != right:
                 key = min(left ^ right)
                 return i, j, key, i if key in left else j

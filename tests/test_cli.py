@@ -274,6 +274,72 @@ def test_interactive_index_must_name_an_option(tmp_path, monkeypatch, capsys, li
     assert f"no extension option {line.strip()!r} at step 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["#1_0\n", "#+1\n", "# 2\n", "#\u0663\n"])
+def test_interactive_index_is_ascii_digits_only(tmp_path, monkeypatch, capsys, line):
+    # Twelve one-cell disturbances, so int() would read each of these as a listed option.
+    doc = {
+        "grid": ["0", "1"],
+        "omega": [{"name": f"w{k}", "cells": [f"t{k:02}"]} for k in range(12)],
+        "z": [{"name": "h0", "cells": ["x"]}],
+        "alpha": {f"w{k}": ["h0"] for k in range(12)},
+    }
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line))
+    argv = ["simulate", str(path), "--delta", "0,1", "--adversary", "interactive"]
+    assert cli.cli(argv) == 2
+    assert f"no extension option {line.strip()!r} at step 1" in capsys.readouterr().err
+
+
+# Runs every subcommand in one child process and reports exit codes and output.
+_ALL_COMMANDS = """
+import contextlib, io, json, sys
+from naselect.cli import cli
+out = {}
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli(argv)
+    out[" ".join(argv)] = [code, buf.getvalue()]
+print(json.dumps(out))
+"""
+
+
+def test_same_bytes_under_different_hash_seeds(tmp_path):
+    results = []
+    for hash_seed in ("0", "3"):
+        d = tmp_path / hash_seed
+        d.mkdir()
+        emitted = str(d / "r.json")
+        commands = [["scenario", "random:5:5,7,3,2,60", "--emit", emitted]] + [
+            cmd + [emitted] + rest
+            for cmd, rest in [
+                (["project", "--json"], ["--prefix", "2"]),
+                (["compose", "--json"], ["--delta", "0,1,3"]),
+                (["feasible", "--json"], ["--delta", "0,2,3"]),
+                (["greatest", "--json"], []),
+                (
+                    ["simulate", "--json"],
+                    ["--delta", "0,1,2,3", "--adversary", "exhaustive", "--policy", "random"],
+                ),
+                (["oracle", "--json"], ["--delta", "0,1,2,3"]),
+                (["check"], []),
+            ]
+        ]
+        r = subprocess.run(
+            [sys.executable, "-c", _ALL_COMMANDS, json.dumps(commands)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**ENV, "PYTHONHASHSEED": hash_seed},
+        )
+        assert r.returncode == 0, r.stderr
+        outputs = list(json.loads(r.stdout).values())
+        assert len(outputs) == 8 and all(code in (0, 3) for code, _ in outputs)
+        results.append((outputs[1:], (d / "r.json").read_bytes()))
+    assert results[0] == results[1]
+
+
 def test_check_passes_on_scenarios(ex2_file, ex4_file):
     for path in (ex2_file, ex4_file):
         r = run("check", path)

@@ -1,0 +1,144 @@
+"""The prefix index and the library's unchecked construction against naive references.
+
+`edge_instances` draws the shapes a sorted index gets wrong first: one
+cell, a one-token alphabet, empty value sets and prefixes of full width.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from naselect import (
+    Multifunction,
+    Partition,
+    PrefixChain,
+    ProcedureStuckError,
+    ValidationError,
+    compose_chain,
+    full_prefix_chain,
+    is_prefix_na,
+    legal_extensions,
+    project,
+    random_instance,
+    run_exhaustive,
+    signal_classes,
+)
+from naselect.fileio import from_jsonable, na_flags, to_jsonable
+
+from conftest import (
+    edge_instances,
+    naive_compose,
+    naive_is_prefix_na,
+    naive_legal_extensions,
+    naive_na_witness,
+    naive_project,
+    naive_replay,
+)
+
+EDGE = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _chains(inst):
+    """Every non-empty prefix chain of a grid of at most three cells."""
+    everything = full_prefix_chain(inst.grid).prefixes
+    return [
+        PrefixChain(tuple(p for k, p in enumerate(everything) if mask >> k & 1))
+        for mask in range(1, 2 ** len(everything))
+    ]
+
+
+def _partitions(inst):
+    """Every partition of the grid: the chains that end at the full prefix."""
+    full = inst.grid.cells
+    return [
+        Partition((0, *(p.len for p in chain.prefixes)))
+        for chain in _chains(inst)
+        if chain.prefixes[-1].len == full
+    ]
+
+
+@EDGE
+@given(edge_instances())
+def test_projection_and_na_check_match_the_naive_definitions(data):
+    inst, a = data
+    for p in inst.grid.prefixes():
+        assert project(a, p).values == naive_project(a, p).values
+        report = is_prefix_na(a, p)
+        assert report.holds == naive_is_prefix_na(a, p)
+        expected = naive_na_witness(a, p)
+        if expected is None:
+            assert report.witness is None
+        else:
+            w = report.witness
+            assert (w.omega, w.omega_prime, w.key, w.key_holder) == expected
+    assert na_flags(a) == {str(p.len): naive_is_prefix_na(a, p) for p in inst.grid.prefixes()}
+
+
+@EDGE
+@given(edge_instances())
+def test_composition_matches_naive_projections(data):
+    inst, a = data
+    for chain in _chains(inst):
+        assert compose_chain(a, chain).values == naive_compose(a, chain).values
+
+
+@EDGE
+@given(edge_instances())
+def test_classes_and_extensions_match_a_scan_of_every_disturbance(data):
+    inst, _ = data
+    m = inst.grid.cells
+    for p in inst.grid.prefixes():
+        first_seen: dict[tuple, list[int]] = {}
+        for i, s in enumerate(inst.omega.signals):
+            first_seen.setdefault(s.cells[: p.len], []).append(i)
+        assert signal_classes(inst.omega, p) == tuple(map(tuple, first_seen.values()))
+    revealed = {s.cells[:r] for s in inst.omega.signals for r in range(m + 1)}
+    revealed.add(("zz",) * m)  # matches no disturbance
+    for prefix in revealed:
+        for new_len in range(len(prefix), m + 1):
+            assert legal_extensions(inst, prefix, new_len) == naive_legal_extensions(
+                inst, prefix, new_len
+            )
+
+
+@EDGE
+@given(edge_instances(), st.sampled_from([("lex", 0), ("random", 0), ("random", 5)]))
+def test_exhaustive_picks_match_a_linear_replay(data, policy_seed):
+    inst, a = data
+    policy, seed = policy_seed
+    for delta in _partitions(inst):
+        expected = naive_replay(a, delta, policy, seed)
+        stuck = [run[-1] for run in expected.values() if run[-1][0] == "stuck"]
+        if stuck:
+            with pytest.raises(ProcedureStuckError) as e:
+                run_exhaustive(a, delta, policy, seed, check=False)
+            assert ("stuck", e.value.step, e.value.omega) == stuck[0]
+            continue
+        traces = run_exhaustive(a, delta, policy, seed, check=False)
+        assert {w: [(s.omega, s.h) for s in t.steps] for w, t in traces.items()} == expected
+
+
+@EDGE
+@given(edge_instances())
+def test_library_built_values_pass_the_public_constructor(data):
+    inst, a = data
+    _, loaded = from_jsonable(to_jsonable(inst, a))
+    built = [loaded] + [project(a, p) for p in inst.grid.prefixes()]
+    built += [compose_chain(a, chain) for chain in _chains(inst)]
+    for r in built:
+        assert type(r.values) is tuple
+        assert all(type(v) is frozenset for v in r.values)
+        assert Multifunction(inst, r.values).values == r.values
+    assert loaded.values == a.values
+
+
+def test_the_public_constructor_still_validates():
+    inst, a = random_instance(2, 4, 5, 3)
+    with pytest.raises(ValidationError, match="out of range"):
+        Multifunction(inst, ({len(inst.z)},) + a.values[1:])
+    with pytest.raises(ValidationError, match="out of range"):
+        Multifunction(inst, ({-1},) + a.values[1:])
+    with pytest.raises(ValidationError, match="exactly one value set"):
+        Multifunction(inst, a.values[:-1])
+    with pytest.raises(ValidationError, match="exactly one value set"):
+        Multifunction(inst, a.values + (frozenset(),))

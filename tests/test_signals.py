@@ -9,9 +9,7 @@ from naselect import (
     build_example1,
     build_example2,
     equiv_class,
-    restrict,
     random_instance,
-    restriction_set,
     signal_classes,
 )
 
@@ -22,28 +20,11 @@ def _names(inst, indices):
     return {inst.omega.names[i] for i in indices}
 
 
-def test_restrict_full_prefix_is_identity():
-    s = Signal(("A", "B", "C"))
-    assert restrict(s, Prefix(3)) == ("A", "B", "C")
-
-
-def test_restrict_leading_subsequence():
-    s = Signal(("A", "B", "C"))
-    assert restrict(s, Prefix(1)) == ("A",)
-
-
-def test_restrict_rejects_oversized_prefix():
-    with pytest.raises(ValidationError):
-        restrict(Signal(("A",)), Prefix(2))
-
-
 def test_ramp_disturbances_share_the_first_cell():
     inst, _ = build_example2()
     w11 = inst.omega.index_of("w11")
     w22 = inst.omega.index_of("w22")
-    assert restrict(inst.omega.signals[w11], Prefix(1)) == restrict(
-        inst.omega.signals[w22], Prefix(1)
-    )
+    assert inst.omega.signals[w11].cells[:1] == inst.omega.signals[w22].cells[:1]
 
 
 def test_ramp_classes_at_one_cell_cover_everything():
@@ -68,18 +49,6 @@ def test_distinct_signals_are_alone_at_full_length():
     inst, _ = build_example2()
     for idx in range(len(inst.omega)):
         assert equiv_class(inst.omega, idx, Prefix(3)) == frozenset({idx})
-
-
-def test_restriction_set_merges_shared_prefixes():
-    inst, _ = build_example1()
-    keys = restriction_set(inst.z, {0, 1, 2}, Prefix(1))
-    assert len(keys) == 2  # the first two trajectories share their first cell
-
-
-def test_restriction_set_trivia():
-    inst, _ = build_example1()
-    assert restriction_set(inst.z, set(), Prefix(2)) == frozenset()
-    assert len(restriction_set(inst.z, {1}, Prefix(2))) == 1
 
 
 def test_family_rejects_duplicates_and_mismatches():
@@ -113,6 +82,7 @@ def test_name_index_stays_out_of_equality_hash_and_repr():
     inst, _ = build_example2()
     fam = inst.omega
     twin = SignalFamily(fam.role, tuple(fam.names), tuple(fam.signals))
+    fam.prefix_index.classes(2)  # built and cached on one side only
     assert twin == fam and hash(twin) == hash(fam)
     assert "_index" not in repr(fam)
     assert repr(twin) == repr(fam)
@@ -152,5 +122,5 @@ def test_equal_restriction_means_same_class(data):
     for p in inst.grid.prefixes():
         for i, s in enumerate(inst.omega.signals):
             for j, t in enumerate(inst.omega.signals):
-                same = restrict(s, p) == restrict(t, p)
+                same = s.cells[: p.len] == t.cells[: p.len]
                 assert same == (j in equiv_class(inst.omega, i, p))

@@ -1,12 +1,16 @@
 """The benchmark's tracer rebinds library functions by name; keep those names alive.
 
-`perfbench/tracing.py` is read as source, not imported, so this check needs
-nothing the benchmark needs.
+`perfbench/tracing.py` needs only the standard library, so these checks
+read it as source or load it by path; nothing else of the benchmark runs.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
+
+from naselect import cli, fileio
+from naselect.scenarios import build_scenario
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
@@ -32,3 +36,26 @@ def test_every_traced_function_exists():
     ]
     assert missing == []
     assert len(pairs) > 10
+
+
+def test_a_traced_run_raises_nothing(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    path = str(tmp_path / "ex2.json")
+    fileio.save(path, *build_scenario("ex2")[:2])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            cli.cli(["project", path, "--prefix", "1"]),
+            cli.cli(["compose", path, "--delta", "0,1,3"]),
+            cli.cli(["simulate", path, "--delta", "0,1,3", "--adversary", "scripted:w11"]),
+        ]
+    finally:
+        tracer.close()
+    capsys.readouterr()
+    names = {name for _, name in tracer.counts}
+    assert codes == [0, 0, 0]
+    assert [n for n in names if ".raised." in n] == []
+    assert "nonanticipation.project.removed" in names
