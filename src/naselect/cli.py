@@ -133,7 +133,7 @@ def cmd_simulate(args) -> int:
             "traces": {inst.omega.names[w]: _trace_doc(t, inst) for w, t in sorted(traces.items())},
         }
         if args.json:
-            print(json.dumps(doc, sort_keys=True, indent=2))
+            print(fileio.dumps(doc))
         else:
             for name in sorted(doc["traces"]):
                 t = doc["traces"][name]
@@ -165,7 +165,7 @@ def cmd_simulate(args) -> int:
     doc = _trace_doc(trace, inst)
     problems = validate_trace(mf, trace)
     if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(fileio.dumps(doc))
     else:
         for s in doc["steps"]:
             print(f"step {s['step']}: omega={s['omega']} h={s['h']}")

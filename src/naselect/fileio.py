@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _esc
 from typing import Any
 
 from .errors import ValidationError
@@ -18,6 +20,30 @@ from .multifunction import Instance, Multifunction, dom, is_total, mf_to_names
 from .nonanticipation import is_prefix_na
 from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, Signal, SignalFamily
 from .timebase import TimeGrid
+
+
+def dumps(obj: Any, pad: str = "\n") -> str:
+    """Exactly `json.dumps(obj, sort_keys=True, indent=2)`, with `pad` opening each inner line.
+
+    Strings and lists of strings take one call of the C escaper; only
+    containers are walked in Python, and what is left goes to `json.dumps`.
+    """
+    if type(obj) is str:
+        return _esc(obj)
+    if obj is None or type(obj) in (bool, int):
+        return "null" if obj is None else repr(obj).lower()  # True -> true
+    inner = pad + "  "
+    sep = "," + inner
+    if type(obj) is dict and all(type(k) is str for k in obj):
+        body = sep.join(f"{_esc(k)}: {dumps(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + body + pad + "}" if body else "{}"
+    if type(obj) in (list, tuple):
+        try:
+            body = sep.join(map(_esc, obj))
+        except TypeError:
+            body = sep.join([dumps(x, inner) for x in obj])
+        return "[" + inner + body + pad + "]" if body else "[]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def _parse_stamp(text: Any, position: int) -> Fraction:
@@ -41,7 +67,7 @@ def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily
         body = item["cells"]
         if not isinstance(name, str):
             raise ValidationError(f"{field}[{k}].name: expected a string")
-        if not isinstance(body, list) or not all(isinstance(c, str) for c in body):
+        if not isinstance(body, list) or not all(map(isinstance, body, repeat(str))):
             raise ValidationError(f"{field}[{k}].cells: expected an array of tokens")
         if len(body) != cells:
             raise ValidationError(
@@ -78,15 +104,17 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
             w = omega.index_of(name)
         except ValidationError:
             raise ValidationError(f"alpha: unknown omega name {name!r}") from None
-        if not isinstance(zs, list) or not all(isinstance(x, str) for x in zs):
-            raise ValidationError(f"alpha[{name!r}]: expected an array of z names")
-        if len(set(zs)) != len(zs):
-            raise ValidationError(f"alpha[{name!r}]: duplicate z names")
         try:
-            entry = frozenset(z.index_of(x) for x in zs)
-        except ValidationError:
-            bad = next(x for x in zs if x not in z.names)
-            raise ValidationError(f"alpha[{name!r}]: unknown z name {bad!r}") from None
+            entry = frozenset(map(z._index.__getitem__, zs)) if isinstance(zs, list) else None
+        except (KeyError, TypeError):
+            entry = None
+        if entry is None or len(entry) != len(zs):  # a shorter set means a duplicate name
+            if not isinstance(zs, list) or not all(isinstance(x, str) for x in zs):
+                raise ValidationError(f"alpha[{name!r}]: expected an array of z names")
+            if len(set(zs)) != len(zs):
+                raise ValidationError(f"alpha[{name!r}]: duplicate z names")
+            bad = next(x for x in zs if x not in z._index)
+            raise ValidationError(f"alpha[{name!r}]: unknown z name {bad!r}")
         values[w] = entry
     return inst, Multifunction._trusted(inst, tuple(values))
 
@@ -109,10 +137,17 @@ def to_jsonable(inst: Instance, mf: Multifunction, metadata: dict | None = None)
 
 
 def instance_digest(inst: Instance, mf: Multifunction) -> str:
-    doc = to_jsonable(inst, mf)
-    doc.pop("metadata", None)
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """SHA-256 of `to_jsonable` as sorted compact JSON, fed piece by piece with each name escaped once."""
+    zn = list(map(_esc, inst.z.names))
+    alpha = sorted(zip(inst.omega.names, mf.values))
+    h = hashlib.sha256(b'{"alpha":{')
+    h.update(",".join(f"{_esc(w)}:[{','.join(map(zn.__getitem__, sorted(v)))}]" for w, v in alpha).encode())
+    h.update(f'}},"grid":[{",".join(_esc(str(s)) for s in inst.grid.stamps)}]'.encode())
+    for key, fam, names in (("omega", inst.omega, map(_esc, inst.omega.names)), ("z", inst.z, zn)):
+        signals = (f'{{"cells":[{",".join(map(_esc, s.cells))}],"name":{n}}}' for s, n in zip(fam.signals, names))
+        h.update(f',"{key}":[{",".join(signals)}]'.encode())
+    h.update(b"}")
+    return h.hexdigest()
 
 
 def load(path: str) -> tuple[Instance, Multifunction]:
@@ -123,7 +158,7 @@ def load(path: str) -> tuple[Instance, Multifunction]:
         raise ValidationError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: parse error at line {e.lineno}: {e.msg}") from None
-    except (UnicodeDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8, an over-long integer, deep nesting
         raise ValidationError(f"{path}: cannot decode: {e}") from None
     return from_jsonable(doc)
 
@@ -132,8 +167,7 @@ def save(path: str, inst: Instance, mf: Multifunction, metadata: dict | None = N
     doc = to_jsonable(inst, mf, metadata)
     try:
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, sort_keys=True, indent=2)
-            f.write("\n")
+            f.write(dumps(doc) + "\n")
     except OSError as e:
         raise ValidationError(f"cannot write {path}: {e}") from None
 
@@ -171,7 +205,7 @@ def build_report(
 
 def render_report(report: dict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(report, sort_keys=True, indent=2)
+        return dumps(report)
     lines = [report["command"]]
     args = report.get("inputs", {}).get("args", {})
     for k in sorted(args):

@@ -123,6 +123,6 @@ def mf_to_names(a: Multifunction) -> dict[str, list[str]]:
     """Name-keyed view of the value sets, each list in trajectory index order."""
     inst = a.instance
     return {
-        inst.omega.names[i]: [inst.z.names[j] for j in sorted(v)]
+        inst.omega.names[i]: list(map(inst.z.names.__getitem__, sorted(v)))
         for i, v in enumerate(a.values)
     }

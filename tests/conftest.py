@@ -7,7 +7,9 @@ independent oracles.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from naselect import (
     partition_to_chain,
     random_instance,
 )
+from naselect.fileio import to_jsonable
 from naselect.scenarios import _control_family, integrate
 
 
@@ -71,6 +74,28 @@ def edge_instances(draw):
         )
     )
     return inst, Multifunction(inst, tuple(values))
+
+
+# Names and tokens that JSON must escape: quotes, backslashes, control
+# characters, U+2028 and non-ASCII text.
+hostile_text = st.text(st.sampled_from('"\\\x00\x1f\n\t\u2028\u00e9\u4e2d\U0001f600ab/ '), min_size=1, max_size=4)
+
+
+@st.composite
+def hostile_instances(draw):
+    """A small random instance with every name and token renamed to hostile text."""
+    inst, mf = draw(small_instances())
+    tokens = sorted({t for fam in (inst.omega, inst.z) for s in fam.signals for t in s.cells})
+    sizes = [len(inst.omega), len(inst.z), len(tokens)]
+    new = [draw(st.lists(hostile_text, min_size=n, max_size=n, unique=True)) for n in sizes]
+    rename = dict(zip(tokens, new[2]))
+
+    def family(fam, names):
+        signals = tuple(Signal(tuple(map(rename.get, s.cells))) for s in fam.signals)
+        return SignalFamily(fam.role, tuple(names), signals)
+
+    hostile = Instance(inst.grid, family(inst.omega, new[0]), family(inst.z, new[1]))
+    return hostile, Multifunction(hostile, mf.values)
 
 
 @st.composite
@@ -293,3 +318,9 @@ def naive_optimal_rho(sys) -> RhoSearchResult:
             break
         best = (rho, w)
     return RhoSearchResult(best[0], tuple(tried), best[1])
+
+
+def naive_digest(inst: Instance, mf: Multifunction) -> str:
+    """SHA-256 of the instance as sorted compact JSON, written by the `json` module."""
+    blob = json.dumps(to_jsonable(inst, mf), sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()

@@ -1,5 +1,6 @@
 """Subprocess-level checks of the command surface and its exit-code contract."""
 
+import hashlib
 import io
 import json
 import os
@@ -55,7 +56,11 @@ def test_validation_errors_exit_two(tmp_path):
     assert run("scenario", "ex9", "--emit", str(tmp_path / "x.json")).returncode == 2
 
 
-@pytest.mark.parametrize("body", [b"\xff\xfe{}", b"[" * 200000], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize(
+    "body",
+    [b"\xff\xfe{}", b"[" * 200000, b'{"grid": [' + b"1" * 5000 + b"]}"],
+    ids=["not-utf8", "too-deep", "int-past-the-digit-limit"],
+)
 def test_undecodable_files_exit_two(tmp_path, capsys, body):
     path = tmp_path / "bad.json"
     path.write_bytes(body)
@@ -360,3 +365,53 @@ def test_scenario_emit_then_reload_digest_is_stable(tmp_path):
     d1 = run("scenario", "ex2", "--emit", str(p1)).stdout.split()[-1]
     d2 = run("scenario", "ex2", "--emit", str(p2)).stdout.split()[-1]
     assert d1 == d2
+
+
+# SHA-256 of what each command printed (or `scenario --emit` wrote) on one
+# fixed random instance, recorded when reports, files and the input digest
+# were still written by the `json` module.  The same inputs must keep
+# giving the same bytes.
+_PINNED = {
+    "scenario --emit": "ae6aa64844bcc8a129fd47bff8db22c0df13f73bba1b794e427de51eea8d8bfe",
+    "scenario stdout": "8e85740f86a6c224d49c44eec17c3c2a2272a7a865ad611c35b66c98f4101635",
+    "project": "90fbd11f279c6cd57d1e82ca6101eb400c753f49b9abf139220c935136df7287",
+    "project --json": "52873c4f5f9c992b850f0c6e6c468d8ed510f27c1b12c673385d5236925de9c2",
+    "compose": "37a3cc116e2dc3c3b17cb96fe1874cd3c765b868b29f9c4273aeec9c8fda21b3",
+    "compose --json": "f9ab07264ced786e369a707c931ecf22475b875175de8a8ed372b41a6d24d2bf",
+    "feasible": "deb0f6a2037d17a91c41be0796acd5e4ed4b6158e3f8f7f6896d9080f1a35b51",
+    "feasible --json": "92e92e5b6d18924710dbf43327e836a617e075e8daaac3442ef86c7397582032",
+    "greatest": "e0694b64d128b2287ff854b5cd183dae340d90dad6378bb4b30183c6fb2b6918",
+    "greatest --json": "b91f5c43c1a64301fabed3109762e804054ec3ea8cbf9feaa6d1c4a9afccc1b1",
+    "oracle": "61281fb5c4d96c0d202f5f91d6595ef98388f4a49c93acbcc79f24c557f6fc20",
+    "oracle --json": "56b1ae3bd95ffb1e1af0411a97a02b7c64b840220d824c66f22b7be120ab6d66",
+    "simulate exhaustive --json": "2a5c4dd7ec1fc6bc73351514388b5b789da4040b4fa4a53b1b8dbf602eff1e25",
+    "simulate scripted --json": "dd3cdef55abcebe9ca291d37b6f91eac8d96a1f0467f95bef3f855fa5cc664da",
+}
+
+
+def _sha_of_stdout(argv, capsys) -> str:
+    assert cli.cli(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_outputs_keep_their_pinned_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = {"scenario stdout": _sha_of_stdout(["scenario", "random:7:6,12,4,3,60", "--emit", "r.json"], capsys)}
+    got["scenario --emit"] = hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest()
+    for argv in (
+        ["project", "r.json", "--prefix", "2"],
+        ["compose", "r.json", "--delta", "0,2,4"],
+        ["feasible", "r.json", "--delta", "0,2,4"],
+        ["greatest", "r.json"],
+        ["oracle", "r.json", "--delta", "0,2,4"],
+    ):
+        got[argv[0]] = _sha_of_stdout(argv, capsys)
+        got[argv[0] + " --json"] = _sha_of_stdout(argv + ["--json"], capsys)
+    simulate = ["simulate", "r.json", "--json", "--delta"]
+    got["simulate exhaustive --json"] = _sha_of_stdout(
+        simulate + ["0,2,4", "--adversary", "exhaustive", "--policy", "random", "--seed", "3"], capsys
+    )
+    got["simulate scripted --json"] = _sha_of_stdout(
+        simulate + ["0,1,2,3,4", "--adversary", "scripted:w1"], capsys
+    )
+    assert got == _PINNED
