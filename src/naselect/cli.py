@@ -252,21 +252,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("project", parents=[report], help="project at one prefix")
     p.add_argument("file")
     p.add_argument("--prefix", type=int, required=True, help="prefix length in cells")
-    p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("compose", parents=[report], help="greatest partition-non-anticipative multiselector")
     p.add_argument("file")
     p.add_argument("--delta", required=True, help="comma-joined stamp indices")
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("feasible", parents=[report], help="decide step-by-step feasibility")
     p.add_argument("file")
     p.add_argument("--delta", required=True)
-    p.set_defaults(func=cmd_feasible)
 
     p = sub.add_parser("greatest", parents=[report], help="greatest fully non-anticipative multiselector")
     p.add_argument("file")
-    p.set_defaults(func=cmd_greatest)
 
     p = sub.add_parser("simulate", parents=[report], help="run the step-by-step procedure")
     p.add_argument("file")
@@ -278,32 +274,34 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--policy", choices=("lex", "random"), default="lex")
     p.add_argument("--seed", type=int, default=0, help="seed for --policy random")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", parents=[report], help="cross-check composition against brute force")
     p.add_argument("file")
     p.add_argument("--delta", required=True)
     p.add_argument("--budget", type=int, help="cap on enumerated subset assignments")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("scenario", help="emit a built-in instance")
     p.add_argument("name", help="ex1 | ex2 | ex3:<n> | ex4[:levels] | random:<seed>:<sizes>")
     p.add_argument("--emit", required=True, help="output path")
     p.add_argument("--rho", help="cost level override for ex4, as p/q")
-    p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("check", help="run the invariant suite on one instance")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check)
 
     return parser
 
 
+_parser: _Parser | None = None
+
+
 def cli(argv: list[str]) -> int:
-    parser = build_parser()
+    """Run one command; the parser is built on the first call and reused."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser.parse_args(argv)
+        return globals()["cmd_" + args.command](args)  # looked up per call, so a rebound command runs
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _esc
 from typing import Any
 
 from .errors import ValidationError
 from .multifunction import Instance, Multifunction, dom, is_total, mf_to_names
-from .nonanticipation import is_prefix_na
+from .nonanticipation import _na_level, _walk
 from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, Signal, SignalFamily
 from .timebase import TimeGrid
 
@@ -55,6 +56,10 @@ def _parse_stamp(text: Any, position: int) -> Fraction:
         raise ValidationError(f"grid[{position}]: {text!r} is not a rational") from None
 
 
+# JSON may escape a lone UTF-16 surrogate such as "\ud800"; no UTF-8 output can hold one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily:
     if not isinstance(items, list) or not items:
         raise ValidationError(f"{field}: expected a non-empty array of signals")
@@ -75,6 +80,10 @@ def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily
             )
         names.append(name)
         signals.append(Signal(tuple(body)))
+    if _SURROGATE.search("".join(chain(names, *(s.cells for s in signals)))):
+        k = next(k for k, (n, s) in enumerate(zip(names, signals)) if _SURROGATE.search(n + "".join(s.cells)))
+        part = "name" if _SURROGATE.search(names[k]) else "cells"
+        raise ValidationError(f"{field}[{k}].{part}: lone surrogate, not valid Unicode text")
     try:
         return SignalFamily(role, tuple(names), tuple(signals))
     except ValidationError as e:
@@ -173,10 +182,10 @@ def save(path: str, inst: Instance, mf: Multifunction, metadata: dict | None = N
 
 
 def na_flags(mf: Multifunction) -> dict[str, bool]:
-    """Non-anticipativity of the multifunction at every grid prefix, keyed by length."""
-    return {
-        str(p.len): is_prefix_na(mf, p).holds for p in mf.instance.grid.prefixes()
-    }
+    """Non-anticipativity at every grid prefix, keyed by length; longest first, so keysets coarsen."""
+    walk = _walk(mf.instance, mf.values, reversed(mf.instance.grid.prefixes()))
+    flags = {str(p.len): _na_level(mf.instance, p, level).holds for p, level in walk}
+    return dict(reversed(flags.items()))
 
 
 def build_report(

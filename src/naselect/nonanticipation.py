@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .multifunction import Instance, Multifunction, is_total, mf_meet
-from .signals import RestrictionKey, signal_classes
+from .signals import RestrictionKey
 from .timebase import (
     Partition,
     Prefix,
@@ -58,6 +58,52 @@ class NaReport:
         return self.holds
 
 
+def _walk(inst: Instance, values, prefixes):
+    """Per prefix, longest first: the prefix and its classes of two or more disturbances with their keysets.
+
+    A keyset is the restriction set of a value set, as z key ids.  Classes
+    only merge as the prefix shortens, so a member of a class of two or more
+    either sat in one at the previous prefix, and its keyset there is
+    coarsened, or has sat alone so far and kept its value set, which is read.
+    A consumer that narrows `values[w]` puts its new keyset in the yielded
+    list before the walk resumes.
+    """
+    z = inst.z.prefix_index
+    prev_len, prev = 0, {}
+    for p in prefixes:
+        key_id, to_short = z.ids(p.len), z.coarsen(prev_len, p.len) if prev else None
+        level = [
+            (cls, [{key_id[j] for j in values[w]} if (keys := prev.get(w)) is None
+                   else {to_short[k] for k in keys} for w in cls])
+            for cls in inst.omega.prefix_index.classes(p.len).values()
+            if len(cls) > 1
+        ]
+        yield p, level
+        prev_len, prev = p.len, {w: keys for cls, keysets in level for w, keys in zip(cls, keysets)}
+
+
+def _project_level(values: list, level, key_id: list[int]) -> None:
+    """Narrow `values` in place to each class's core, the keys all members hold; it becomes their keyset."""
+    for cls, keysets in level:
+        core = set.intersection(*keysets)
+        for i, w in enumerate(cls):
+            if len(keysets[i]) != len(core):
+                values[w] = frozenset([j for j in values[w] if key_id[j] in core])
+                keysets[i] = core
+
+
+def _na_level(inst: Instance, p: Prefix, level) -> NaReport:
+    """Non-anticipativity at `p` from its level of `_walk`, with `is_prefix_na`'s witness."""
+    for cls, keysets in level:
+        r, ref = cls[0], keysets[0]
+        for w, keys in zip(cls[1:], keysets[1:]):
+            if keys != ref:
+                kid, z = min(ref ^ keys), inst.z.prefix_index
+                key = z.sorted_cells[z.starts(p.len)[kid]][: p.len]
+                return NaReport(False, NaWitness(p, r, w, key, r if kid in ref else w))
+    return NaReport(True)
+
+
 def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
     """Check non-anticipativity at one prefix.
 
@@ -67,23 +113,8 @@ def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
     the first member that differs from it in the first failing class, with
     the smallest restriction key present on one side only.
     """
-    inst = a.instance
-    inst.grid.check_prefix(p)
-    key_id = inst.z.prefix_index.ids(p.len)
-    for cls in signal_classes(inst.omega, p):
-        if len(cls) == 1:
-            continue
-        r = cls[0]
-        ref = {key_id[j] for j in a.values[r]}
-        for w in cls[1:]:
-            keys = {key_id[j] for j in a.values[w]}
-            if keys != ref:
-                kid = min(ref ^ keys)
-                holder = r if kid in ref else w
-                j = next(j for j in a.values[holder] if key_id[j] == kid)
-                key = inst.z.signals[j].cells[: p.len]
-                return NaReport(False, NaWitness(p, r, w, key, holder))
-    return NaReport(True)
+    a.instance.grid.check_prefix(p)
+    return _na_level(a.instance, *next(_walk(a.instance, a.values, [p])))
 
 
 def is_chain_na(a: Multifunction, h: PrefixChain) -> NaReport:
@@ -104,32 +135,25 @@ def project(a: Multifunction, p: Prefix) -> Multifunction:
     equivalence class.  The intersection is computed once per class and
     reused for all members.
     """
-    inst = a.instance
-    inst.grid.check_prefix(p)
-    key_id = inst.z.prefix_index.ids(p.len)
+    a.instance.grid.check_prefix(p)
     out = list(a.values)
-    for cls in signal_classes(inst.omega, p):
-        if len(cls) == 1:
-            continue
-        keysets = [{key_id[j] for j in a.values[w]} for w in cls]
-        core = set.intersection(*keysets)
-        for w, keys in zip(cls, keysets):
-            if keys != core:
-                out[w] = frozenset([j for j in a.values[w] if key_id[j] in core])
-    return Multifunction._trusted(inst, tuple(out))
+    _, level = next(_walk(a.instance, out, [p]))
+    _project_level(out, level, a.instance.z.prefix_index.ids(p.len))
+    return Multifunction._trusted(a.instance, tuple(out))
 
 
 def compose_chain(a: Multifunction, h: PrefixChain) -> Multifunction:
     """Project along the chain, largest prefix first: the greatest chain-non-anticipative multiselector.
 
     Exactly one projection pass per chain element; descending order is what
-    makes a single sweep sufficient.
+    makes a single sweep sufficient.  Each pass coarsens the keysets the
+    previous one left.
     """
     a.instance.grid.check_prefix(h.prefixes[-1])
-    out = a
-    for p in reversed(h.prefixes):
-        out = project(out, p)
-    return out
+    out = list(a.values)
+    for p, level in _walk(a.instance, out, reversed(h.prefixes)):
+        _project_level(out, level, a.instance.z.prefix_index.ids(p.len))
+    return Multifunction._trusted(a.instance, tuple(out))
 
 
 def meet_of_projections(a: Multifunction, h: PrefixChain) -> Multifunction:

@@ -60,6 +60,8 @@ class PrefixIndex:
             for s, t in zip(self.sorted_cells, self.sorted_cells[1:])
         ]
         self._ids: dict[int, list[int]] = {}
+        self._starts: dict[int, list[int]] = {}
+        self._coarsen: dict[tuple[int, int], list[int]] = {}
         self._classes: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def ids(self, length: int) -> list[int]:
@@ -69,6 +71,20 @@ class PrefixIndex:
             for i, run in zip(self.order, accumulate(map(length.__gt__, self.lcp), initial=0)):
                 ids[i] = run
         return self._ids[length]
+
+    def starts(self, length: int) -> list[int]:
+        """Run starts at `length` in `order`, then `len(order)`: key id k is `order[starts[k]:starts[k + 1]]`."""
+        if length not in self._starts:
+            breaks = (k for k, shared in enumerate(self.lcp, start=1) if shared < length)
+            self._starts[length] = [0, *breaks, len(self.order)]
+        return self._starts[length]
+
+    def coarsen(self, longer: int, shorter: int) -> list[int]:
+        """Key id at `shorter` cells of each key id at `longer` cells, for `shorter <= longer`."""
+        if (longer, shorter) not in self._coarsen:
+            ids = self.ids(shorter)
+            self._coarsen[longer, shorter] = [ids[self.order[k]] for k in self.starts(longer)[:-1]]
+        return self._coarsen[longer, shorter]
 
     def classes(self, length: int) -> dict[int, tuple[int, ...]]:
         """Classes at `length` by key id, in first-appearance order, members in index order."""

@@ -146,6 +146,63 @@ def test_unexpected_exceptions_exit_six(ex2_file, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: kaput\n"
 
 
+def test_the_parser_is_built_once_per_process(ex2_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    calls = counting(monkeypatch, "build_parser", [cli])
+    for _ in range(20):
+        assert cli.cli(["project", ex2_file, "--prefix", "1"]) == 0
+    assert len(calls) == 1
+
+
+def test_a_usage_error_after_a_successful_call_exits_one(ex2_file, capsys):
+    assert cli.cli(["project", ex2_file, "--prefix", "1"]) == 0
+    assert cli.cli(["project", ex2_file]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_no_option_leaks_into_the_next_call(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "r.json")
+    assert cli.cli(["scenario", "random:5:5,7,3,2,60", "--emit", path]) == 0
+    argv = ["simulate", path, "--delta", "0,1,2,3", "--adversary", "exhaustive", "--policy", "random"]
+    capsys.readouterr()
+
+    def stdout(args):
+        assert cli.cli(args) == 0
+        return capsys.readouterr().out
+
+    seeded = stdout(argv + ["--seed", "3"])
+    after = stdout(argv)
+    monkeypatch.setattr(cli, "_parser", None)
+    fresh = stdout(argv)
+    assert after == fresh != seeded
+
+
+@pytest.mark.parametrize(
+    "name, cells, field",
+    [("w\ud800", ["a"], "omega[0].name"), ("w0", ["\ud800"], "omega[0].cells")],
+    ids=["name", "token"],
+)
+def test_lone_surrogates_are_rejected_at_load(tmp_path, name, cells, field):
+    """JSON can escape a lone surrogate; no UTF-8 text output can print one, so only a real process shows it."""
+    doc = {
+        "grid": ["0", "1"],
+        "omega": [{"name": name, "cells": cells}],
+        "z": [{"name": "h0", "cells": cells}],
+        "alpha": {name: ["h0"]},
+    }
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps(doc))  # ASCII, with the surrogate as a \u escape
+    for argv in (
+        ["project", str(path), "--prefix", "1"],
+        ["greatest", str(path)],
+        ["check", str(path)],
+        ["simulate", str(path), "--delta", "0,1", "--adversary", "exhaustive"],
+    ):
+        r = run(*argv)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith(f"error: {field}: lone surrogate")
+
+
 def test_oracle_agrees_on_the_ramp_example(ex2_file):
     assert run("oracle", ex2_file, "--delta", "0,1,2,3").returncode == 0
 
@@ -367,25 +424,45 @@ def test_scenario_emit_then_reload_digest_is_stable(tmp_path):
     assert d1 == d2
 
 
-# SHA-256 of what each command printed (or `scenario --emit` wrote) on one
-# fixed random instance, recorded when reports, files and the input digest
-# were still written by the `json` module.  The same inputs must keep
-# giving the same bytes.
+# SHA-256 of what each command printed (or `scenario --emit` wrote) on fixed
+# random instances.  The first pins were recorded when reports, files and the
+# input digest were still written by the `json` module; the 40x200x6 ones when
+# each projection still rebuilt its keysets from the value sets.  It has
+# classes of several members at several prefixes, so value sets narrowed in
+# different ways must still print the same.  The same inputs must keep giving
+# the same bytes.
 _PINNED = {
-    "scenario --emit": "ae6aa64844bcc8a129fd47bff8db22c0df13f73bba1b794e427de51eea8d8bfe",
-    "scenario stdout": "8e85740f86a6c224d49c44eec17c3c2a2272a7a865ad611c35b66c98f4101635",
-    "project": "90fbd11f279c6cd57d1e82ca6101eb400c753f49b9abf139220c935136df7287",
-    "project --json": "52873c4f5f9c992b850f0c6e6c468d8ed510f27c1b12c673385d5236925de9c2",
-    "compose": "37a3cc116e2dc3c3b17cb96fe1874cd3c765b868b29f9c4273aeec9c8fda21b3",
-    "compose --json": "f9ab07264ced786e369a707c931ecf22475b875175de8a8ed372b41a6d24d2bf",
-    "feasible": "deb0f6a2037d17a91c41be0796acd5e4ed4b6158e3f8f7f6896d9080f1a35b51",
-    "feasible --json": "92e92e5b6d18924710dbf43327e836a617e075e8daaac3442ef86c7397582032",
-    "greatest": "e0694b64d128b2287ff854b5cd183dae340d90dad6378bb4b30183c6fb2b6918",
-    "greatest --json": "b91f5c43c1a64301fabed3109762e804054ec3ea8cbf9feaa6d1c4a9afccc1b1",
-    "oracle": "61281fb5c4d96c0d202f5f91d6595ef98388f4a49c93acbcc79f24c557f6fc20",
-    "oracle --json": "56b1ae3bd95ffb1e1af0411a97a02b7c64b840220d824c66f22b7be120ab6d66",
-    "simulate exhaustive --json": "2a5c4dd7ec1fc6bc73351514388b5b789da4040b4fa4a53b1b8dbf602eff1e25",
-    "simulate scripted --json": "dd3cdef55abcebe9ca291d37b6f91eac8d96a1f0467f95bef3f855fa5cc664da",
+    "random:7:6,12,4,3,60": {
+        "scenario --emit": "ae6aa64844bcc8a129fd47bff8db22c0df13f73bba1b794e427de51eea8d8bfe",
+        "scenario stdout": "8e85740f86a6c224d49c44eec17c3c2a2272a7a865ad611c35b66c98f4101635",
+        "project": "90fbd11f279c6cd57d1e82ca6101eb400c753f49b9abf139220c935136df7287",
+        "project --json": "52873c4f5f9c992b850f0c6e6c468d8ed510f27c1b12c673385d5236925de9c2",
+        "compose": "37a3cc116e2dc3c3b17cb96fe1874cd3c765b868b29f9c4273aeec9c8fda21b3",
+        "compose --json": "f9ab07264ced786e369a707c931ecf22475b875175de8a8ed372b41a6d24d2bf",
+        "feasible": "deb0f6a2037d17a91c41be0796acd5e4ed4b6158e3f8f7f6896d9080f1a35b51",
+        "feasible --json": "92e92e5b6d18924710dbf43327e836a617e075e8daaac3442ef86c7397582032",
+        "greatest": "e0694b64d128b2287ff854b5cd183dae340d90dad6378bb4b30183c6fb2b6918",
+        "greatest --json": "b91f5c43c1a64301fabed3109762e804054ec3ea8cbf9feaa6d1c4a9afccc1b1",
+        "oracle": "61281fb5c4d96c0d202f5f91d6595ef98388f4a49c93acbcc79f24c557f6fc20",
+        "oracle --json": "56b1ae3bd95ffb1e1af0411a97a02b7c64b840220d824c66f22b7be120ab6d66",
+        "simulate exhaustive --json": "2a5c4dd7ec1fc6bc73351514388b5b789da4040b4fa4a53b1b8dbf602eff1e25",
+        "simulate scripted --json": "dd3cdef55abcebe9ca291d37b6f91eac8d96a1f0467f95bef3f855fa5cc664da",
+    },
+    # too large for the brute-force oracle, so no oracle pins
+    "random:11:40,200,6,3,50": {
+        "scenario --emit": "2d657b2f2ad5ebcc633910da46854d7e238a501661b605ab6f64b6c82ceaaa6b",
+        "scenario stdout": "c5510a565cc5d64ed3348062bd41fbd4c317fc87496642e7b6ebf9141712a68a",
+        "project": "4cb1fcd8a4b5011aed240f64f1277d0292ba10e57d98ea7e505762641f631ebf",
+        "project --json": "9e66b7be8b685e8d48ba6665a07b24a2116de90dca8c6900955a7d45629d4484",
+        "compose": "0139884805449c010355b34d2c03bb70396a7a981bacbf55dec37a979e4a0647",
+        "compose --json": "2387b3aee762c02a53a63a0e53e1142123ed14da52eb4c9f0b456014a3f68eab",
+        "feasible": "0f32c805f582b79eee080ec781e7393f1c582374fc4dc1cc392817c0ba99bc8c",
+        "feasible --json": "0db82e2bc4fc2b176c1dcc793c34dc430ce1f20d018ee9fd313808936fd49870",
+        "greatest": "673ebe84aa7a121e043d2aea610df379fc81fe04be6bc6c854c4c0c7b3729a01",
+        "greatest --json": "a7838187fb424561195cbcfbfff765f02c296fcaa0330292195b150dec662e23",
+        "simulate exhaustive --json": "dcc9601894a2224ca0dbbdf96dc89f991633bb37171f377392aa8666d9102f3d",
+        "simulate scripted --json": "8078179fd1b10dc58ba8ec9877b6a9d339c6e71fd69b8998d699d29de728024e",
+    },
 }
 
 
@@ -394,24 +471,33 @@ def _sha_of_stdout(argv, capsys) -> str:
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-def test_outputs_keep_their_pinned_bytes(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    got = {"scenario stdout": _sha_of_stdout(["scenario", "random:7:6,12,4,3,60", "--emit", "r.json"], capsys)}
+def _pinned_outputs(spec, delta, capsys, tmp_path, with_oracle) -> dict:
+    got = {"scenario stdout": _sha_of_stdout(["scenario", spec, "--emit", "r.json"], capsys)}
     got["scenario --emit"] = hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest()
-    for argv in (
+    commands = [
         ["project", "r.json", "--prefix", "2"],
-        ["compose", "r.json", "--delta", "0,2,4"],
-        ["feasible", "r.json", "--delta", "0,2,4"],
+        ["compose", "r.json", "--delta", delta],
+        ["feasible", "r.json", "--delta", delta],
         ["greatest", "r.json"],
-        ["oracle", "r.json", "--delta", "0,2,4"],
-    ):
+    ]
+    if with_oracle:
+        commands.append(["oracle", "r.json", "--delta", delta])
+    for argv in commands:
         got[argv[0]] = _sha_of_stdout(argv, capsys)
         got[argv[0] + " --json"] = _sha_of_stdout(argv + ["--json"], capsys)
     simulate = ["simulate", "r.json", "--json", "--delta"]
     got["simulate exhaustive --json"] = _sha_of_stdout(
-        simulate + ["0,2,4", "--adversary", "exhaustive", "--policy", "random", "--seed", "3"], capsys
+        simulate + [delta, "--adversary", "exhaustive", "--policy", "random", "--seed", "3"], capsys
     )
-    got["simulate scripted --json"] = _sha_of_stdout(
-        simulate + ["0,1,2,3,4", "--adversary", "scripted:w1"], capsys
-    )
+    full = ",".join(map(str, range(int(delta.split(",")[-1]) + 1)))
+    got["simulate scripted --json"] = _sha_of_stdout(simulate + [full, "--adversary", "scripted:w1"], capsys)
+    return got
+
+
+def test_outputs_keep_their_pinned_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = {
+        "random:7:6,12,4,3,60": _pinned_outputs("random:7:6,12,4,3,60", "0,2,4", capsys, tmp_path, True),
+        "random:11:40,200,6,3,50": _pinned_outputs("random:11:40,200,6,3,50", "0,2,4,6", capsys, tmp_path, False),
+    }
     assert got == _PINNED

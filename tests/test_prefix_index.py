@@ -2,7 +2,12 @@
 
 `edge_instances` draws the shapes a sorted index gets wrong first: one
 cell, a one-token alphabet, empty value sets and prefixes of full width.
+Mid-size random instances (30 disturbances, 120 trajectories, 6 or 7 cells)
+have classes of several members at several prefixes, so keysets are
+carried and coarsened across levels of a walk.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -142,3 +147,59 @@ def test_the_public_constructor_still_validates():
         Multifunction(inst, a.values[:-1])
     with pytest.raises(ValidationError, match="exactly one value set"):
         Multifunction(inst, a.values + (frozenset(),))
+
+
+def _check_coarsen_and_starts(fam):
+    index = fam.prefix_index
+    n, width = len(fam), fam.width
+    for longer in range(1, width + 1):
+        starts = index.starts(longer)
+        assert starts[0] == 0 and starts[-1] == n
+        by_key: dict[int, list[int]] = {}
+        for i, k in enumerate(index.ids(longer)):
+            by_key.setdefault(k, []).append(i)
+        assert len(starts) == len(by_key) + 1
+        for k, members in by_key.items():
+            assert sorted(index.order[starts[k] : starts[k + 1]]) == members
+            assert {fam.signals[i].cells[:longer] for i in members} == {index.sorted_cells[starts[k]][:longer]}
+        for shorter in range(1, longer + 1):
+            table = index.coarsen(longer, shorter)
+            assert len(table) == len(by_key)
+            assert all(table[a] == b for a, b in zip(index.ids(longer), index.ids(shorter)))
+
+
+@EDGE
+@given(edge_instances())
+def test_coarsening_and_run_starts_match_the_key_ids(data):
+    inst, _ = data
+    _check_coarsen_and_starts(inst.omega)
+    _check_coarsen_and_starts(inst.z)
+
+
+@pytest.mark.parametrize("alphabet, cells", [(2, 7), (3, 6)])  # 2**6 < 120 signals
+def test_coarsening_and_run_starts_on_a_mid_size_family(alphabet, cells):
+    inst, _ = random_instance(alphabet, 2, 120, cells, alphabet)
+    _check_coarsen_and_starts(inst.z)
+
+
+def _carried_levels(inst, chain) -> int:
+    """Chain prefixes, but the shortest, with a class of two or more: the walk carries its keysets on."""
+    index = inst.omega.prefix_index
+    return sum(any(len(cls) > 1 for cls in index.classes(p.len).values()) for p in chain.prefixes[1:])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_composition_carries_keysets_like_naive_projections(seed):
+    alphabet, cells = ((2, 7), (3, 6))[seed % 2]
+    inst, a = random_instance(seed, 30, 120, cells, alphabet, 0.3 + 0.05 * (seed % 8))
+    rng = random.Random(seed)
+    everything = full_prefix_chain(inst.grid).prefixes
+    chains = [PrefixChain(everything)] + [
+        PrefixChain(tuple(sorted(rng.sample(everything, rng.randint(2, 5))))) for _ in range(4)
+    ]
+    assert _carried_levels(inst, chains[0]) >= 2
+    for chain in chains:
+        composed = compose_chain(a, chain)
+        assert composed.values == naive_compose(a, chain).values
+        for mf in (a, composed):
+            assert na_flags(mf) == {str(p.len): naive_is_prefix_na(mf, p) for p in inst.grid.prefixes()}
