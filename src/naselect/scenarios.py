@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -262,37 +263,51 @@ def _control_family(sys: ControlSystem) -> SignalFamily:
     )
 
 
-def _responses(sys: ControlSystem) -> tuple[Instance, list[list[Fraction]]]:
-    """The instance over all control sequences, and costs[v][j] = -|terminal state| of u_j against v."""
+def _areas(family: SignalFamily, widths: tuple[Fraction, ...]) -> list[Fraction]:
+    """Per signal, the sum over cells of value times width; each cell's distinct tokens parsed once."""
+    columns = zip(zip(*(s.cells for s in family.signals)), widths)
+    weighted = [{tok: _cell_value(tok) * w for tok in dict.fromkeys(col)} for col, w in columns]
+    return [sum(map(dict.__getitem__, weighted, s.cells)) for s in family.signals]
+
+
+def _responses(sys: ControlSystem) -> tuple[Instance, list[list[Fraction]], list[list[int]]]:
+    """The instance over all controls, costs[v][j] = -|x0 + area(u_j) ± area(v)| (the terminal
+    state of u_j against v), and each row's control indices in ascending cost order."""
     z = _control_family(sys)
-    inst = Instance(sys.grid, sys.disturbances, z)
-    return inst, [[-abs(integrate(sys, u, v)) for u in z.signals] for v in sys.disturbances.signals]
+    widths, sign = sys.grid.widths(), 1 if sys.dynamics == "u+v" else -1
+    area_u, area_v = _areas(z, widths), _areas(sys.disturbances, widths)
+    costs = [[-abs(base + a) for a in area_u] for base in [sys.x0 + sign * b for b in area_v]]
+    orders = [sorted(range(len(row)), key=row.__getitem__) for row in costs]
+    return Instance(sys.grid, sys.disturbances, z), costs, orders
 
 
-def _within(inst: Instance, costs: list[list[Fraction]], rho: Fraction) -> Multifunction:
-    values = tuple(frozenset(j for j, c in enumerate(row) if c <= rho) for row in costs)
-    return Multifunction(inst, values)
+def _within(inst: Instance, costs, orders, rho: Fraction) -> Multifunction:
+    cuts = [bisect_right(order, rho, key=row.__getitem__) for row, order in zip(costs, orders)]
+    return Multifunction._trusted(inst, tuple(frozenset(o[:k]) for o, k in zip(orders, cuts)))
 
 
 def alpha_rho(sys: ControlSystem, rho: Fraction) -> tuple[Instance, Multifunction]:
     """Responses achieving cost at most `rho`: keep controls with |terminal state| >= -rho."""
-    inst, costs = _responses(sys)
-    return inst, _within(inst, costs, rho)
+    inst, costs, orders = _responses(sys)
+    return inst, _within(inst, costs, orders, rho)
 
 
 def optimal_rho(sys: ControlSystem) -> RhoSearchResult:
     """Scan the achievable cost levels downwards for the last one that stays feasible.
 
-    Candidates are the finitely many achievable values of -|terminal state|
-    together with 0.  Every (control, disturbance) cost is integrated once;
-    each candidate only filters that table.  Response sets only shrink as
-    the candidate drops, so the first infeasible candidate ends the scan.
+    Candidates are the achievable values of -|terminal state| together with 0.
+    Response sets only shrink as the candidate drops, so the first infeasible
+    candidate ends the scan.
     """
-    inst, costs = _responses(sys)
+    return _search(*_responses(sys))
+
+
+def _search(inst: Instance, costs, orders) -> RhoSearchResult:
+    """`optimal_rho` over a filled table, cutting each candidate's responses by bisection."""
     candidates = sorted({c for row in costs for c in row} | {Fraction(0)}, reverse=True)
     best: tuple[Fraction, Multifunction] | None = None
     for k, rho in enumerate(candidates):
-        w = greatest_na(_within(inst, costs, rho))
+        w = greatest_na(_within(inst, costs, orders, rho))
         if not is_total(w):
             break
         best = (rho, w)
@@ -360,6 +375,9 @@ def random_instance(
 # Name-based dispatch for the command line
 
 
+MAX_SCENARIO_CELLS = 1_000_000
+
+
 def build_scenario(
     name: str, rho: Fraction | None = None
 ) -> tuple[Instance, Multifunction, dict]:
@@ -367,22 +385,25 @@ def build_scenario(
 
     For ex4 the emitted responses default to the optimal guaranteed-result
     level; `rho` overrides it.  Random sizes are n_omega,n_z,n_cells with
-    optional alphabet and integer density percent.
+    optional alphabet and integer density percent.  A spec whose signal
+    cells, value-set entries and random tokens would exceed
+    MAX_SCENARIO_CELLS is rejected before anything is built.
     """
     head, _, rest = name.partition(":")
     if rho is not None and head != "ex4":
         raise ValidationError("only ex4 scenarios take a rho level")
     meta: dict = {"scenario": name}
+    tokens = 0
     if head == "ex1":
-        inst, mf = build_example1()
+        shape, build = (3, 3, 3), build_example1
     elif head == "ex2":
-        inst, mf = build_example2()
+        shape, build = (4, 12, 3), build_example2
     elif head == "ex3":
         try:
             n = int(rest)
         except ValueError:
             raise ValidationError(f"ex3 needs a truncation level, got {rest!r}") from None
-        inst, mf = build_example3(n)
+        shape, build = (n, n, n + 1), lambda: build_example3(n)
     elif head == "ex4":
         levels = EXAMPLE4_LEVELS
         if rest:
@@ -390,11 +411,14 @@ def build_scenario(
                 levels = tuple(Fraction(x) for x in rest.split(","))
             except (ValueError, ZeroDivisionError):
                 raise ValidationError(f"bad level list {rest!r}") from None
-        sys = build_example4(levels)
-        if rho is None:
-            rho = optimal_rho(sys).rho_star
-        inst, mf = alpha_rho(sys, rho)
-        meta["rho"] = str(rho)
+
+        def build() -> tuple[Instance, Multifunction]:
+            inst, costs, orders = _responses(build_example4(levels))
+            level = _search(inst, costs, orders).rho_star if rho is None else rho
+            meta["rho"] = str(level)
+            return inst, _within(inst, costs, orders, level)
+
+        shape = (2, len(set(levels)) ** 3, 3)
     elif head == "random":
         parts = rest.split(":")
         if len(parts) != 2:
@@ -408,10 +432,18 @@ def build_scenario(
             raise ValidationError("random sizes are n_omega,n_z,n_cells[,alphabet[,density%]]")
         kwargs = dict(n_omega=sizes[0], n_z=sizes[1], n_cells=sizes[2])
         if len(sizes) >= 4:
-            kwargs["alphabet"] = sizes[3]
+            kwargs["alphabet"] = tokens = sizes[3]
         if len(sizes) == 5:
             kwargs["density"] = sizes[4] / 100
-        inst, mf = random_instance(seed, **kwargs)
+        shape, build = (sizes[0], sizes[1], sizes[2]), lambda: random_instance(seed, **kwargs)
     else:
         raise ValidationError(f"unknown scenario {name!r}")
+    n_omega, n_z, n_cells = shape
+    cells = (n_omega + n_z) * n_cells + n_omega * n_z + tokens
+    if cells > MAX_SCENARIO_CELLS:
+        raise ValidationError(
+            f"{head} scenario would allocate {cells} cells, value-set entries and tokens;"
+            f" at most {MAX_SCENARIO_CELLS} are allowed"
+        )
+    inst, mf = build()
     return inst, mf, meta

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from naselect import (
+    ControlSystem,
     Partition,
     Prefix,
     Signal,
@@ -25,8 +26,9 @@ from naselect import (
     optimal_rho,
     random_instance,
 )
-from naselect import scenarios
+from naselect import cli, scenarios
 from naselect.fileio import instance_digest
+from naselect.scenarios import _control_family, _responses, example3_grid
 
 from conftest import counting, naive_alpha_rho, naive_optimal_rho
 
@@ -146,13 +148,20 @@ def test_responses_grow_with_the_level():
 
 
 QUARTERS = tuple(Fraction(k, 4) for k in range(-4, 5))
+EX4, EX3 = build_example4(), example3_system(3)
 RHO_SYSTEMS = {
-    "default": build_example4(),
+    "default": EX4,
     "coarse": build_example4((Fraction(-1), Fraction(0), Fraction(1))),
     "half": build_example4((Fraction(1, 2),)),
     "extremes": build_example4((Fraction(-1), Fraction(1))),
     **{f"quarters{k}": build_example4(random.Random(k).sample(QUARTERS, k)) for k in range(2, 10)},
     **{f"ex3:{n}": example3_system(n) for n in range(1, 4)},
+    # nonzero start states, on equal unit cells and on the uneven truncation grid
+    "x0:u+v": ControlSystem(EX4.grid, QUARTERS[::2], EX4.disturbances, "u+v", x0=Fraction(2, 3)),
+    "x0:u-v": ControlSystem(EX4.grid, EX4.levels, EX4.disturbances, "u-v", x0=Fraction(-5, 4)),
+    "x0:ex3:3": ControlSystem(
+        example3_grid(3), EX3.levels, EX3.disturbances, "u-v", x0=Fraction(1, 7)
+    ),
 }
 
 
@@ -167,14 +176,31 @@ def test_rho_search_agrees_with_per_candidate_integration(name):
         assert alpha_rho(sys, rho)[1].values == naive_alpha_rho(sys, rho)[1].values
 
 
-def test_rho_search_integrates_each_pair_once(monkeypatch):
-    calls = counting(monkeypatch, "integrate", [scenarios])
-    optimal_rho(build_example4())
-    assert len(calls) == 125 * 2
-    calls.clear()
-    build_scenario("ex4")
-    # one table for the search, one for the responses at the optimum
-    assert len(calls) == 2 * 125 * 2
+@pytest.mark.parametrize("name", RHO_SYSTEMS)
+def test_cost_table_matches_pairwise_integration(name):
+    sys = RHO_SYSTEMS[name]
+    _, costs, orders = _responses(sys)
+    z = _control_family(sys).signals
+    ref = [[-abs(integrate(sys, u, v)) for u in z] for v in sys.disturbances.signals]
+    assert costs == ref
+    assert [[str(c) for c in row] for row in costs] == [[str(c) for c in row] for row in ref]
+    for row, order in zip(costs, orders):
+        assert sorted(order) == list(range(len(z)))
+        assert all(row[i] <= row[j] for i, j in zip(order, order[1:]))
+
+
+def test_ex4_fills_one_cost_table_without_pairwise_quadrature(monkeypatch):
+    integrations = counting(monkeypatch, "integrate", [scenarios])
+    tables = counting(monkeypatch, "_responses", [scenarios])
+    families = counting(monkeypatch, "_control_family", [scenarios])
+    for rho in (None, Fraction(-15, 4)):
+        build_scenario("ex4", rho=rho)
+        assert (len(tables), len(families)) == (1, 1)
+        tables.clear()
+        families.clear()
+    optimal_rho(EX4)
+    alpha_rho(EX4, Fraction(-3))
+    assert integrations == []
 
 
 def test_feasibility_fails_below_the_optimum():
@@ -201,12 +227,16 @@ RECORDED_DIGESTS = {
     "random:0:3,4,3": "94f01bd50847f9e8e941472ad2a723ac55de815310be73b42a718d77222798ab",
     "ex4": "7ac51af1cf27dc777514db705fa7808d9dc2cfa9726d955f71366394ae3f06b4",
     "ex4:-1,-3/4,-1/4,0,1/4,1/2,1": "359c7482d594b628dbd373a06c72e5e49ef1f7681d21737b6fce9e3aec830d1e",
+    "ex4:-1,-3/4,-1/2,-1/4,0,1/4,1/2,3/4,1": "aad86d264f2a5c40d8a799b383f52114a7b5b33d9bda89d58e2e3e9f70116b9a",
+    # "@" separates a --rho override from the scenario name
+    "ex4@-15/4": "1c326559f896b918881e261a416878c20f69364438550ee1d233fbe5c686812d",
 }
 
 
 @pytest.mark.parametrize("name", RECORDED_DIGESTS)
 def test_recorded_digest_for_the_reference_seed(name):
-    inst, mf, _ = build_scenario(name)
+    scenario, _, rho = name.partition("@")
+    inst, mf, _ = build_scenario(scenario, rho=Fraction(rho) if rho else None)
     assert instance_digest(inst, mf) == RECORDED_DIGESTS[name]
 
 
@@ -258,3 +288,43 @@ def test_rho_is_rejected_before_a_non_ex4_scenario_is_built(monkeypatch):
     monkeypatch.setattr(scenarios, "random_instance", unbuilt)
     with pytest.raises(ValidationError, match="only ex4 scenarios take a rho level"):
         build_scenario("random:1:3,4,3", rho=Fraction(1))
+
+
+CAP = scenarios.MAX_SCENARIO_CELLS
+# (spec, cells it would allocate): just over the cap, then far over it
+OVERSIZED = [
+    ("ex3:578", 2 * 578 * 579 + 578 * 578),
+    ("ex3:100000000", 2 * 10**8 * (10**8 + 1) + 10**16),
+    ("ex4:" + ",".join(str(Fraction(k, 29)) for k in range(-29, 30)), 5 * 59**3 + 6),
+    ("random:1:1,1,499999,3", 2 * 499999 + 1 + 3),
+    ("random:1:2,2,2,999993", 4 * 2 + 4 + 999993),
+    ("random:1:3,4,10000000000", 7 * 10**10 + 12),
+]
+
+
+@pytest.mark.parametrize("spec,cells", OVERSIZED, ids=[s[:20] for s, _ in OVERSIZED])
+def test_oversized_specs_are_rejected_before_anything_is_built(monkeypatch, spec, cells):
+    def unbuilt(*a, **kw):
+        raise AssertionError("built the instance")
+
+    for builder in ("build_example3", "build_example4", "random_instance", "_responses"):
+        monkeypatch.setattr(scenarios, builder, unbuilt)
+    assert cells > CAP
+    with pytest.raises(ValidationError, match=f"allocate {cells} cells.*at most {CAP} "):
+        build_scenario(spec)
+
+
+def test_the_cli_exits_two_on_an_oversized_spec(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    assert cli.cli(["scenario", "ex3:578", "--emit", str(path)]) == 2
+    assert f"allocate 1003408 cells, value-set entries and tokens; at most {CAP} " in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_specs_at_the_cap_still_build(monkeypatch):
+    built = []
+    monkeypatch.setattr(scenarios, "build_example3", lambda n: built.append(n) or (None, None))
+    build_scenario("ex3:577")  # 2*577*578 + 577**2 = 999935 cells
+    monkeypatch.setattr(scenarios, "random_instance", lambda *a, **kw: (None, None))
+    build_scenario("random:1:2,2,2,999988")  # exactly the cap
+    assert built == [577]
