@@ -4,8 +4,9 @@ Everything here enumerates rather than projects, so it can certify the fast
 paths on desk-size instances.  The multiselector enumeration walks per-
 disturbance subset assignments depth first, pruning a branch as soon as one
 prefix equivalence class is provably violated; the visited stream is exactly
-the set of chain-non-anticipative multiselectors.  Budgets cap the visited
-assignments and are explicit errors, never silent truncation.
+the set of chain-non-anticipative multiselectors.  Budgets cap the tried
+assignments, so they bound time, and are explicit errors, never silent
+truncation; memory is the instance plus one subset and its keysets per disturbance.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from .timebase import PrefixChain
 
 @dataclass(frozen=True)
 class EnumBudget:
-    """Work cap: subset assignments tried during enumeration."""
+    """Work cap: subset assignments tried during enumeration.
+
+    It bounds time; memory stays the instance plus one subset and its keysets per disturbance.
+    """
 
     max_multiselectors: int = 2**22
 
@@ -35,85 +39,61 @@ class EnumBudget:
 DEFAULT_BUDGET = EnumBudget()
 
 
-def _subsets_popcount_desc(elems: list[int]) -> list[frozenset[int]]:
-    return [
-        frozenset(c)
-        for r in range(len(elems), -1, -1)
-        for c in itertools.combinations(elems, r)
-    ]
-
-
-class _SearchPlan:
-    """Static data for the pruned enumeration of chain-non-anticipative multiselectors.
+def _walk(
+    inst: Instance, h: PrefixChain, values: tuple[frozenset[int], ...], budget: EnumBudget
+) -> Iterator[tuple[frozenset[int], ...]]:
+    """Depth-first over disturbances with an explicit stack, so depth is not bounded by recursion.
 
     Disturbances are visited in lexicographic signal order, which makes every
-    prefix equivalence class a contiguous run: a member only ever needs to
-    match the restriction keyset of its class's first member, already
-    assigned.  Restriction keys are the families' prefix-index key ids.
+    prefix class of the chain a contiguous run: a member only ever needs to
+    match the keyset (restriction key ids) of its run's first member, already
+    chosen.  Each position's subsets are generated when it is reached, larger
+    ones first; every subset tried counts against the budget, consistent or not.
     """
+    inst.grid.check_prefix(h.prefixes[-1])
+    perm = inst.omega.prefix_index.order
+    key_ids = [inst.z.prefix_index.ids(p.len).__getitem__ for p in h.prefixes]
+    # checks[k]: (run-first position, prefix slot) pairs that position k must match;
+    # leads[k]: the prefix slots at which position k is the first member of a run
+    checks: list[list[tuple[int, int]]] = [[] for _ in perm]
+    leads: list[list[int]] = [[] for _ in perm]
+    for slot, p in enumerate(h.prefixes):
+        starts = inst.omega.prefix_index.starts(p.len)
+        for first, end in zip(starts, starts[1:]):
+            if end - first > 1:
+                leads[first].append(slot)
+                for k in range(first + 1, end):
+                    checks[k].append((first, slot))
 
-    def __init__(self, inst: Instance, h: PrefixChain, values: tuple[frozenset[int], ...]):
-        inst.grid.check_prefix(h.prefixes[-1])
-        index = inst.omega.prefix_index
-        self.perm = index.order
-        n = len(self.perm)
-        self.subsets = [_subsets_popcount_desc(sorted(values[w])) for w in self.perm]
-        # constraints[k] lists (earlier position, prefix slot) pairs to match;
-        # keysets[k][slot][subset index] is a restriction key-id set, for the slots k is matched at
-        self.constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.keysets: list[dict[int, list[frozenset[int]]]] = [{} for _ in range(n)]
-        for slot, p in enumerate(h.prefixes):
-            kid = inst.z.prefix_index.ids(p.len)
-            first = 0
-            for k, shared in enumerate(index.lcp, start=1):
-                if shared < p.len:
-                    first = k
-                    continue
-                self.constraints[k].append((first, slot))
-                for pos in (first, k):
-                    if slot not in self.keysets[pos]:
-                        self.keysets[pos][slot] = [frozenset(kid[j] for j in s) for s in self.subsets[pos]]
+    def subsets(pos: int) -> Iterator[tuple[int, ...]]:
+        elems = sorted(values[perm[pos]])
+        sizes = range(len(elems), -1, -1)
+        return itertools.chain.from_iterable(itertools.combinations(elems, r) for r in sizes)
 
-    def assemble(self, chosen: list[int]) -> tuple[frozenset[int], ...]:
-        out: list[frozenset[int]] = [frozenset()] * len(self.perm)
-        for pos, w in enumerate(self.perm):
-            out[w] = self.subsets[pos][chosen[pos]]
-        return tuple(out)
-
-
-def _walk(plan: _SearchPlan, budget: EnumBudget) -> Iterator[tuple[frozenset[int], ...]]:
-    """Depth-first over positions with an explicit stack, so depth is not bounded by recursion.
-
-    `untried[k]` is the next subset index to try at position k; every tried
-    index counts against the budget, consistent or not.
-    """
-    n = len(plan.perm)
-    chosen = [0] * n
-    untried = [0] * (n + 1)
+    where = sorted(range(len(perm)), key=perm.__getitem__)  # position of each disturbance
+    chosen: list[frozenset[int]] = [frozenset()] * len(perm)
+    keysets: list[dict[int, frozenset[int]]] = [{} for _ in perm]  # by prefix slot, at run-first positions
+    untried = [subsets(0)]  # one subset stream per open position, so position k is len(untried) - 1
     nodes = 0
-    k = 0
-    while k >= 0:
-        if k == n:
-            yield plan.assemble(chosen)
-            k -= 1
+    while untried:
+        s = next(untried[-1], None)
+        if s is None:
+            untried.pop()
             continue
-        si = untried[k]
-        if si == len(plan.subsets[k]):
-            k -= 1
-            continue
-        untried[k] = si + 1
         nodes += 1
         if nodes > budget.max_multiselectors:
-            raise BudgetExceededError(
-                f"enumeration exceeded {budget.max_multiselectors} subset assignments"
-            )
-        if all(
-            plan.keysets[k][slot][si] == plan.keysets[rep][slot][chosen[rep]]
-            for rep, slot in plan.constraints[k]
-        ):
-            chosen[k] = si
-            k += 1
-            untried[k] = 0
+            raise BudgetExceededError(f"enumeration exceeded {budget.max_multiselectors} subset assignments")
+        k = len(untried) - 1
+        for first, slot in checks[k]:
+            if frozenset(map(key_ids[slot], s)) != keysets[first][slot]:
+                break
+        else:
+            chosen[k] = frozenset(s)
+            keysets[k] = {slot: frozenset(map(key_ids[slot], s)) for slot in leads[k]}
+            if k + 1 == len(perm):
+                yield tuple(map(chosen.__getitem__, where))
+            else:
+                untried.append(subsets(k + 1))
 
 
 def enumerate_na_multiselectors(
@@ -124,7 +104,7 @@ def enumerate_na_multiselectors(
     Per-disturbance subsets are tried with larger sets first, so a running
     join saturates early.
     """
-    walk = _walk(_SearchPlan(a.instance, h, a.values), budget)
+    walk = _walk(a.instance, h, a.values, budget)
     return (Multifunction._trusted(a.instance, values) for values in walk)
 
 
@@ -138,7 +118,7 @@ def brute_greatest(
     """
     bound = meet_of_projections(a, h).values
     join = [frozenset()] * len(a.values)
-    for values in _walk(_SearchPlan(a.instance, h, a.values), budget):
+    for values in _walk(a.instance, h, a.values, budget):
         join = [u | v for u, v in zip(join, values)]
         if tuple(join) == bound:
             break

@@ -336,7 +336,9 @@ def random_instance(
         raise ValidationError("sizes must be positive")
     if not 0 <= density <= 1:
         raise ValidationError("density must lie in [0, 1]")
-    space = alphabet**n_cells
+    # The space is only compared with the family sizes and with 4096; capping the
+    # exponent at their bit length keeps both comparisons exact without a huge power.
+    space = alphabet ** min(n_cells, max(n_omega, n_z, 4096).bit_length())
     if space < max(n_omega, n_z):
         raise ValidationError(
             f"{alphabet} tokens over {n_cells} cells cannot hold {max(n_omega, n_z)} distinct signals"

@@ -212,6 +212,42 @@ def test_oracle_budget_exhaustion_exits_five(ex2_file):
     assert r.returncode == 5
 
 
+# Runs one command under a 1 GB address-space cap and reports its exit code,
+# wall time and peak resident set (KiB), from a fresh interpreter so no
+# earlier child of the test run counts towards the peak.
+MEMORY_PROBE = """
+import json, resource, subprocess, sys, time
+def cap():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+t = time.perf_counter()
+r = subprocess.run(sys.argv[1:], capture_output=True, preexec_fn=cap, timeout=60)
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([r.returncode, time.perf_counter() - t, rss]))
+"""
+
+
+def test_oracle_budget_bounds_memory(tmp_path):
+    # Two disturbances that share cell 0, each with all 30 trajectories: the
+    # second subset tried breaks a budget of 1, long before 2**30 subsets exist.
+    names = [f"h{j}" for j in range(30)]
+    doc = {
+        "grid": ["0", "1", "2"],
+        "omega": [{"name": "w1", "cells": ["a", "a"]}, {"name": "w2", "cells": ["a", "b"]}],
+        "z": [{"name": n, "cells": [str(j), "a"]} for j, n in enumerate(names)],
+        "alpha": {"w1": names, "w2": names},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    argv = [*CMD, "oracle", str(path), "--delta", "0,1,2", "--budget", "1"]
+    probe = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, *argv], capture_output=True, text=True, timeout=120, env=ENV
+    )
+    code, seconds, rss_kib = json.loads(probe.stdout)
+    assert code == 5
+    assert seconds < 1
+    assert rss_kib < 100 * 1024
+
+
 def test_project_output_is_deterministic(ex2_file):
     r1 = run("project", ex2_file, "--prefix", "2", "--json")
     r2 = run("project", ex2_file, "--prefix", "2", "--json")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -95,6 +97,40 @@ def test_brute_greatest_walks_more_disturbances_than_the_recursion_limit():
     z = SignalFamily("trajectory", ("h",), (Signal(("0",) * 11),))
     a = Multifunction(Instance(g, omega, z), (frozenset({0}),) * 1200)
     assert brute_greatest(a, PrefixChain((Prefix(11),))).values == a.values
+
+
+# Minimal budgets on the full prefix chain and SHA-256 digests of the ordered
+# streams, recorded before the lazy walk replaced the precomputed search plan.
+PINNED_WALKS = {
+    "example1": (76, 17, "257ae990d1353d429018e4956b91bbc9e970d5a6ac262a8ddfd4c71ec99337e0"),
+    "example2": (8512, 8512, "b31f7d5090a3e9cf884fe5e4635b97bc1bd4b14ee3dd9a0781ff10fd6f24cd23"),
+    "random7": (5664, 21, "88c998485ffcaf47ea0839a39fb244da8c9ceb5549d69f26a53917215369c800"),
+}
+
+
+def _pinned_input(name):
+    if name == "example1":
+        return build_example1()[1]
+    if name == "example2":
+        return build_example2()[1]
+    return random_instance(7, 4, 5, 3, density=0.6)[1]
+
+
+@pytest.mark.parametrize("name", PINNED_WALKS)
+def test_visit_order_and_node_counts_are_pinned(name):
+    enum_nodes, brute_nodes, digest = PINNED_WALKS[name]
+    a = _pinned_input(name)
+    chain = full_prefix_chain(a.instance.grid)
+    stream = [
+        [tuple(sorted(v)) for v in z.values]
+        for z in enumerate_na_multiselectors(a, chain, EnumBudget(enum_nodes))
+    ]
+    assert hashlib.sha256(repr(stream).encode()).hexdigest() == digest
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_na_multiselectors(a, chain, EnumBudget(enum_nodes - 1)))
+    brute_greatest(a, chain, EnumBudget(brute_nodes))
+    with pytest.raises(BudgetExceededError):
+        brute_greatest(a, chain, EnumBudget(brute_nodes - 1))
 
 
 @given(small_instances())

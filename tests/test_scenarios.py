@@ -240,6 +240,32 @@ def test_recorded_digest_for_the_reference_seed(name):
     assert instance_digest(inst, mf) == RECORDED_DIGESTS[name]
 
 
+# Instance digests recorded while `random_instance` still built the exact power
+# alphabet**n_cells, and the signal pools it enumerates (one per family): 2**12
+# signals fit the pool path, 2**13 take the rejection draws.
+POOL_BOUNDARY = {
+    12: ("8c289a54f3551a4ad0bffbe0a59ddae713df31d5dd00d9caffc707ad5df3d9a2", 2),
+    13: ("58e623062dedc02b6b8a7990cc612b5f6322808e9f7b6221a414a67f4636acc1", 0),
+}
+
+
+@pytest.mark.parametrize("cells", POOL_BOUNDARY)
+def test_random_instance_pool_boundary(monkeypatch, cells):
+    digest, pools = POOL_BOUNDARY[cells]
+    built = []
+    product = scenarios.itertools.product
+
+    def counted(*a, **kw):
+        built.append(a)
+        return product(*a, **kw)
+
+    monkeypatch.setattr(scenarios.itertools, "product", counted)
+    assert instance_digest(*random_instance(5, 3, 4, cells, 2)) == digest
+    assert len(built) == pools
+    with pytest.raises(ValidationError, match="2 tokens over 2 cells cannot hold 5 distinct signals"):
+        random_instance(0, 5, 1, 2, 2)
+
+
 def test_density_extremes():
     inst, full = random_instance(9, 3, 4, 3, density=1.0)
     assert all(v == frozenset(range(4)) for v in full.values)
