@@ -67,7 +67,6 @@ from .signals import (
     RestrictionKey,
     Signal,
     SignalFamily,
-    equiv_class,
     signal_classes,
 )
 from .stepwise import (

@@ -21,14 +21,13 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .multifunction import is_total, mf_le
+from .multifunction import is_total, mf_le, mf_meet
 from .nonanticipation import (
     canonical_chain,
     compose_chain,
     greatest_na,
     is_chain_na,
     is_prefix_na,
-    meet_of_projections,
     project,
 )
 from .oracle import DEFAULT_BUDGET, EnumBudget, brute_greatest
@@ -37,9 +36,11 @@ from .stepwise import (
     InteractiveAdversary,
     ScriptedAdversary,
     StepTrace,
+    _compose,
+    _drive,
+    _trace_problems,
     run_exhaustive,
     run_stepwise,
-    validate_trace,
     verify_witness,
 )
 from .timebase import Partition, Prefix, full_partition, partition_to_chain
@@ -140,13 +141,6 @@ def cmd_simulate(args) -> int:
                 print(f"{name}: final={t['final']} consistent={'yes' if t['consistent'] else 'no'}")
         return 0
     if spec == "interactive":
-        adversary = InteractiveAdversary(inst)
-    elif spec.startswith("scripted:"):
-        w = inst.omega.index_of(spec.split(":", 1)[1])
-        adversary = ScriptedAdversary(inst.omega.signals[w])
-    else:
-        raise ValidationError(f"unknown adversary {spec!r}")
-    if spec == "interactive":
 
         def echo(step):
             key = inst.z.signals[step.h].cells[: len(step.revealed)]
@@ -157,13 +151,17 @@ def cmd_simulate(args) -> int:
             )
 
         trace = run_stepwise(
-            mf, delta, adversary, policy=args.policy, seed=args.seed, on_step=echo
+            mf, delta, InteractiveAdversary(inst), policy=args.policy, seed=args.seed, on_step=echo
         )
         print(json.dumps(_trace_doc(trace, inst), sort_keys=True))
         return 0
-    trace = run_stepwise(mf, delta, adversary, policy=args.policy, seed=args.seed)
+    if not spec.startswith("scripted:"):
+        raise ValidationError(f"unknown adversary {spec!r}")
+    adversary = ScriptedAdversary(inst.omega.signals[inst.omega.index_of(spec.split(":", 1)[1])])
+    chain, phi = _compose(mf, delta, args.policy, check=True)
+    trace = _drive(mf, delta, chain, phi, adversary, args.policy, args.seed, None)
     doc = _trace_doc(trace, inst)
-    problems = validate_trace(mf, trace)
+    problems = _trace_problems(mf, chain, phi, trace)
     if args.json:
         print(fileio.dumps(doc))
     else:
@@ -204,8 +202,8 @@ def cmd_scenario(args) -> int:
 def _check_lines(inst, mf) -> list[tuple[str, bool]]:
     out: list[tuple[str, bool]] = []
     out.append(("order-reflexive", mf_le(mf, mf)))
-    for p in inst.grid.prefixes():
-        g = project(mf, p)
+    projections = [project(mf, p) for p in inst.grid.prefixes()]
+    for p, g in zip(inst.grid.prefixes(), projections):
         out.append((f"project-nonexpansive@{p.len}", mf_le(g, mf)))
         out.append((f"project-idempotent@{p.len}", project(g, p).values == g.values))
         out.append((f"project-na@{p.len}", is_prefix_na(g, p).holds))
@@ -215,7 +213,7 @@ def _check_lines(inst, mf) -> list[tuple[str, bool]]:
     chain = partition_to_chain(inst.grid, full_partition(inst.grid))
     composed = compose_chain(mf, chain)
     out.append(("compose-chain-na", is_chain_na(composed, chain).holds))
-    out.append(("compose-below-meet", mf_le(composed, meet_of_projections(mf, chain))))
+    out.append(("compose-below-meet", mf_le(composed, mf_meet(projections))))
     top = greatest_na(mf)
     out.append(("greatest-fully-na", is_chain_na(top, chain).holds))
     bits = sum(len(v) for v in mf.values)

@@ -18,7 +18,7 @@ from typing import Any
 
 from .errors import ValidationError
 from .multifunction import Instance, Multifunction, dom, is_total, mf_to_names
-from .nonanticipation import _na_level, _walk
+from .nonanticipation import _na_reports
 from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, Signal, SignalFamily
 from .timebase import TimeGrid
 
@@ -183,8 +183,7 @@ def save(path: str, inst: Instance, mf: Multifunction, metadata: dict | None = N
 
 def na_flags(mf: Multifunction) -> dict[str, bool]:
     """Non-anticipativity at every grid prefix, keyed by length; longest first, so keysets coarsen."""
-    walk = _walk(mf.instance, mf.values, reversed(mf.instance.grid.prefixes()))
-    flags = {str(p.len): _na_level(mf.instance, p, level).holds for p, level in walk}
+    flags = {str(p.len): r.holds for p, r in _na_reports(mf, reversed(mf.instance.grid.prefixes()))}
     return dict(reversed(flags.items()))
 
 

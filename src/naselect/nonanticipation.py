@@ -104,6 +104,12 @@ def _na_level(inst: Instance, p: Prefix, level) -> NaReport:
     return NaReport(True)
 
 
+def _na_reports(a: Multifunction, prefixes):
+    """Each prefix, in the order given, with its `is_prefix_na` report; longest first coarsens keysets."""
+    for p, level in _walk(a.instance, a.values, prefixes):
+        yield p, _na_level(a.instance, p, level)
+
+
 def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
     """Check non-anticipativity at one prefix.
 
@@ -114,17 +120,14 @@ def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
     the smallest restriction key present on one side only.
     """
     a.instance.grid.check_prefix(p)
-    return _na_level(a.instance, *next(_walk(a.instance, a.values, [p])))
+    return next(_na_reports(a, [p]))[1]
 
 
 def is_chain_na(a: Multifunction, h: PrefixChain) -> NaReport:
-    """Non-anticipativity at every prefix of the chain; the first failing prefix is reported."""
+    """Non-anticipativity at every chain prefix, in one walk; the shortest failing prefix is reported."""
     a.instance.grid.check_prefix(h.prefixes[-1])
-    for p in h.prefixes:
-        report = is_prefix_na(a, p)
-        if not report.holds:
-            return report
-    return NaReport(True)
+    failing = [r for _, r in _na_reports(a, reversed(h.prefixes)) if not r.holds]
+    return failing[-1] if failing else NaReport(True)
 
 
 def project(a: Multifunction, p: Prefix) -> Multifunction:

@@ -150,12 +150,6 @@ class SignalFamily:
         return PrefixIndex(self)
 
 
-def equiv_class(fam: SignalFamily, idx: int, a: Prefix) -> frozenset[int]:
-    """Indices of all family members that agree with member `idx` on the prefix."""
-    key = fam.signals[idx].cells[: a.len]
-    return frozenset(i for i, s in enumerate(fam.signals) if s.cells[: a.len] == key)
-
-
 def signal_classes(fam: SignalFamily, a: Prefix) -> tuple[tuple[int, ...], ...]:
     """The partition of all indices by restriction at `a`, in first-appearance order."""
     return tuple(fam.prefix_index.classes(a.len).values())

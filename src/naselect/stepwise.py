@@ -25,7 +25,7 @@ from .errors import (
 )
 from .multifunction import Instance, Multifunction, is_total, mf_le
 from .nonanticipation import compose_chain
-from .signals import RestrictionKey, Signal, equiv_class, signal_classes
+from .signals import RestrictionKey, Signal, signal_classes
 from .timebase import Partition, partition_to_chain
 
 
@@ -219,9 +219,13 @@ def run_exhaustive(
 
 def validate_trace(a: Multifunction, trace: StepTrace) -> list[str]:
     """Re-derive every consistency condition of a finished trace; empty means valid."""
+    chain = partition_to_chain(a.instance.grid, trace.delta)
+    return _trace_problems(a, chain, compose_chain(a, chain), trace)
+
+
+def _trace_problems(a: Multifunction, chain, phi: Multifunction, trace: StepTrace) -> list[str]:
+    """Each step's conditions re-derived from raw cells, against the `phi` composed over `chain`."""
     inst = a.instance
-    chain = partition_to_chain(inst.grid, trace.delta)
-    phi = compose_chain(a, chain)
     problems: list[str] = []
     if len(trace.steps) != len(chain.prefixes):
         return [f"trace has {len(trace.steps)} steps for {len(chain.prefixes)} control steps"]
@@ -274,7 +278,8 @@ def enumerate_omega_delta(inst: Instance, delta: Partition) -> Iterator[tuple[in
         if i == 0:
             yield tup
         else:
-            stack.append((tup, iter(sorted(equiv_class(inst.omega, w, chain.prefixes[i - 1])))))
+            cls = inst.omega.prefix_index.members(inst.omega.signals[w].cells[: chain.prefixes[i - 1].len])
+            stack.append((tup, iter(cls)))
 
 
 @dataclass(frozen=True)

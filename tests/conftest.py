@@ -118,9 +118,9 @@ def counting(monkeypatch, name, modules):
     calls = []
     original = getattr(modules[0], name)
 
-    def counted(*a):
+    def counted(*a, **kw):
         calls.append(a)
-        return original(*a)
+        return original(*a, **kw)
 
     for mod in modules:
         monkeypatch.setattr(mod, name, counted)

@@ -124,6 +124,24 @@ def test_check_composes_three_times(tmp_path, monkeypatch, capsys):
     assert len(calls) == 3
 
 
+def test_check_projects_and_checks_each_prefix_once_per_multifunction(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "r.json")
+    assert cli.cli(["scenario", "random:4:30,60,6,2,80", "--emit", path]) == 0
+    projections = counting(monkeypatch, "project", [cli, nonanticipation])
+    na_checks = counting(monkeypatch, "is_prefix_na", [cli, nonanticipation])
+    assert cli.cli(["check", path]) == 0
+    # six prefixes: project mf and its projection, check mf and its projection;
+    # the meet and both chain checks reuse those projections and one walk each
+    assert (len(projections), len(na_checks)) == (12, 12)
+
+
+def test_scripted_simulate_validates_against_the_composition_it_drove(ex4_file, monkeypatch, capsys):
+    calls = counting(monkeypatch, "compose_chain", [cli, nonanticipation, stepwise])
+    argv = ["simulate", ex4_file, "--delta", "0,1,3", "--adversary", "scripted:v1"]
+    assert cli.cli(argv) == 0
+    assert len(calls) == 1
+
+
 def test_greatest_derives_the_canonical_chain_once(ex2_file, monkeypatch, capsys):
     calls = counting(monkeypatch, "canonical_chain", [cli, nonanticipation])
     assert cli.cli(["greatest", ex2_file]) == 0
@@ -465,8 +483,10 @@ def test_scenario_emit_then_reload_digest_is_stable(tmp_path):
 # input digest were still written by the `json` module; the 40x200x6 ones when
 # each projection still rebuilt its keysets from the value sets.  It has
 # classes of several members at several prefixes, so value sets narrowed in
-# different ways must still print the same.  The same inputs must keep giving
-# the same bytes.
+# different ways must still print the same.  The `check` pins were recorded
+# while `check` still took its meet from a second round of projections and
+# `is_chain_na` still walked each prefix on its own.  The same inputs must keep
+# giving the same bytes.
 _PINNED = {
     "random:7:6,12,4,3,60": {
         "scenario --emit": "ae6aa64844bcc8a129fd47bff8db22c0df13f73bba1b794e427de51eea8d8bfe",
@@ -483,6 +503,7 @@ _PINNED = {
         "oracle --json": "56b1ae3bd95ffb1e1af0411a97a02b7c64b840220d824c66f22b7be120ab6d66",
         "simulate exhaustive --json": "2a5c4dd7ec1fc6bc73351514388b5b789da4040b4fa4a53b1b8dbf602eff1e25",
         "simulate scripted --json": "dd3cdef55abcebe9ca291d37b6f91eac8d96a1f0467f95bef3f855fa5cc664da",
+        "check": "1dd794037805246760bee17c33798ea41c8d671f57724a32402544e00e26e366",
     },
     # too large for the brute-force oracle, so no oracle pins
     "random:11:40,200,6,3,50": {
@@ -498,6 +519,7 @@ _PINNED = {
         "greatest --json": "a7838187fb424561195cbcfbfff765f02c296fcaa0330292195b150dec662e23",
         "simulate exhaustive --json": "dcc9601894a2224ca0dbbdf96dc89f991633bb37171f377392aa8666d9102f3d",
         "simulate scripted --json": "8078179fd1b10dc58ba8ec9877b6a9d339c6e71fd69b8998d699d29de728024e",
+        "check": "6f43599d46f18d2184917aa40e666dd66bf3afaf290b5139c791718fdbb1f086",
     },
 }
 
@@ -527,6 +549,7 @@ def _pinned_outputs(spec, delta, capsys, tmp_path, with_oracle) -> dict:
     )
     full = ",".join(map(str, range(int(delta.split(",")[-1]) + 1)))
     got["simulate scripted --json"] = _sha_of_stdout(simulate + [full, "--adversary", "scripted:w1"], capsys)
+    got["check"] = _sha_of_stdout(["check", "r.json"], capsys)
     return got
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from naselect import (
     Instance,
     Multifunction,
+    NaReport,
     Partition,
     Prefix,
     PrefixChain,
@@ -364,6 +365,16 @@ def test_longer_prefix_na_survives_shorter_projection(data):
         if p_short.len >= p_long.len:
             break
         assert is_prefix_na(project(fixed, p_short), p_long).holds
+
+
+@given(instance_with_chain(max_omega=9, max_z=8))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_chain_report_is_the_first_failing_prefix_report(data):
+    _, a, h = data
+    # a projection passes at its own prefix, so the first failure moves along the chain
+    for b in (a, *(project(a, p) for p in h.prefixes), compose_chain(a, h)):
+        failing = [r for r in (is_prefix_na(b, p) for p in h.prefixes) if not r.holds]
+        assert is_chain_na(b, h) == (failing[0] if failing else NaReport(True))
 
 
 def test_meet_of_na_multiselectors_can_fail_na():

@@ -252,14 +252,7 @@ POOL_BOUNDARY = {
 @pytest.mark.parametrize("cells", POOL_BOUNDARY)
 def test_random_instance_pool_boundary(monkeypatch, cells):
     digest, pools = POOL_BOUNDARY[cells]
-    built = []
-    product = scenarios.itertools.product
-
-    def counted(*a, **kw):
-        built.append(a)
-        return product(*a, **kw)
-
-    monkeypatch.setattr(scenarios.itertools, "product", counted)
+    built = counting(monkeypatch, "product", [scenarios.itertools])
     assert instance_digest(*random_instance(5, 3, 4, cells, 2)) == digest
     assert len(built) == pools
     with pytest.raises(ValidationError, match="2 tokens over 2 cells cannot hold 5 distinct signals"):

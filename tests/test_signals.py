@@ -8,7 +8,6 @@ from naselect import (
     ValidationError,
     build_example1,
     build_example2,
-    equiv_class,
     random_instance,
     signal_classes,
 )
@@ -18,6 +17,13 @@ from conftest import small_instances
 
 def _names(inst, indices):
     return {inst.omega.names[i] for i in indices}
+
+
+def _class(fam, idx, p):
+    """The prefix index's class of member `idx` at `p`, checked to come in index order."""
+    members = fam.prefix_index.members(fam.signals[idx].cells[: p.len])
+    assert list(members) == sorted(members)
+    return frozenset(members)
 
 
 def test_ramp_disturbances_share_the_first_cell():
@@ -30,13 +36,13 @@ def test_ramp_disturbances_share_the_first_cell():
 def test_ramp_classes_at_one_cell_cover_everything():
     inst, _ = build_example2()
     for idx in range(len(inst.omega)):
-        assert equiv_class(inst.omega, idx, Prefix(1)) == frozenset(range(4))
+        assert _class(inst.omega, idx, Prefix(1)) == frozenset(range(4))
 
 
 def test_ramp_classes_at_two_cells():
     inst, _ = build_example2()
     by_name = {
-        name: _names(inst, equiv_class(inst.omega, inst.omega.index_of(name), Prefix(2)))
+        name: _names(inst, _class(inst.omega, inst.omega.index_of(name), Prefix(2)))
         for name in inst.omega.names
     }
     assert by_name["w11"] == {"w11"}
@@ -48,7 +54,7 @@ def test_ramp_classes_at_two_cells():
 def test_distinct_signals_are_alone_at_full_length():
     inst, _ = build_example2()
     for idx in range(len(inst.omega)):
-        assert equiv_class(inst.omega, idx, Prefix(3)) == frozenset({idx})
+        assert _class(inst.omega, idx, Prefix(3)) == frozenset({idx})
 
 
 def test_family_rejects_duplicates_and_mismatches():
@@ -95,7 +101,7 @@ def test_longer_prefixes_refine_classes(data):
     for idx in range(len(inst.omega)):
         previous = None
         for p in inst.grid.prefixes():
-            cls = equiv_class(inst.omega, idx, p)
+            cls = _class(inst.omega, idx, p)
             assert idx in cls
             if previous is not None:
                 assert cls <= previous
@@ -112,7 +118,7 @@ def test_classes_partition_the_family(data):
         assert sorted(flat) == list(range(len(inst.omega)))
         for cls in classes:
             for i in cls:
-                assert equiv_class(inst.omega, i, p) == frozenset(cls)
+                assert _class(inst.omega, i, p) == frozenset(cls)
 
 
 @given(small_instances())
@@ -123,4 +129,4 @@ def test_equal_restriction_means_same_class(data):
         for i, s in enumerate(inst.omega.signals):
             for j, t in enumerate(inst.omega.signals):
                 same = s.cells[: p.len] == t.cells[: p.len]
-                assert same == (j in equiv_class(inst.omega, i, p))
+                assert same == (j in _class(inst.omega, i, p))

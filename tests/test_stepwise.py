@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -74,6 +75,43 @@ def test_truncation_run_lands_in_the_admissible_set():
     trace = run_stepwise(a, delta, ScriptedAdversary(inst.omega.signals[1]))
     assert trace.final_h in a.values[1]
     assert validate_trace(a, trace) == []
+
+
+def _three_step_run():
+    """Two disturbances apart only at the last cell; the composition drops h1 at two cells.
+
+    h1 agrees with h0 on the first cell, so picking it at step 1 breaks only that step.
+    """
+    omega = SignalFamily("disturbance", ("w0", "w1"), (Signal(("a", "a", "a")), Signal(("a", "a", "b"))))
+    z = SignalFamily(
+        "trajectory",
+        ("h0", "h1", "h2"),
+        (Signal(("x", "x", "x")), Signal(("x", "y", "x")), Signal(("y", "y", "y"))),
+    )
+    inst = Instance(grid(0, 1, 2, 3), omega, z)
+    a = Multifunction(inst, (frozenset({0, 1, 2}), frozenset({0, 2})))
+    return a, run_stepwise(a, Partition((0, 1, 2, 3)), ScriptedAdversary(omega.signals[0]))
+
+
+def test_validate_trace_names_each_broken_condition():
+    a, trace = _three_step_run()
+    assert [(s.omega, s.h) for s in trace.steps] == [(0, 0)] * 3 and trace.final_h == 0
+    assert validate_trace(a, trace) == []
+
+    def with_step(i, **changes):
+        steps = list(trace.steps)
+        steps[i] = dataclasses.replace(steps[i], **changes)
+        return dataclasses.replace(trace, steps=tuple(steps), final_h=steps[-1].h)
+
+    broken = {
+        "trace has 2 steps for 3 control steps": dataclasses.replace(trace, steps=trace.steps[:2]),
+        "step 3: picked disturbance does not match the revealed prefix": with_step(2, omega=1),
+        "step 1: trajectory outside the selection multifunction": with_step(0, h=1),
+        "step 3: trajectory disagrees with the previous step": with_step(2, h=2),
+        "final trajectory differs from the last step's pick": dataclasses.replace(trace, final_h=2),
+    }
+    for message, bad in broken.items():
+        assert validate_trace(a, bad) == [message]
 
 
 def test_single_disturbance_runs_trivially():
