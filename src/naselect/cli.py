@@ -178,7 +178,7 @@ def cmd_oracle(args) -> int:
     budget = DEFAULT_BUDGET if args.budget is None else EnumBudget(args.budget)
     fast = compose_chain(mf, chain)
     slow = brute_greatest(mf, chain, budget)
-    match = fast.values == slow.values
+    match = fast == slow
     report = fileio.build_report(
         "oracle", inst, mf, {"delta": args.delta}, fast, {"match": match}
     )
@@ -205,10 +205,10 @@ def _check_lines(inst, mf) -> list[tuple[str, bool]]:
     projections = [project(mf, p) for p in inst.grid.prefixes()]
     for p, g in zip(inst.grid.prefixes(), projections):
         out.append((f"project-nonexpansive@{p.len}", mf_le(g, mf)))
-        out.append((f"project-idempotent@{p.len}", project(g, p).values == g.values))
+        out.append((f"project-idempotent@{p.len}", project(g, p) == g))
         out.append((f"project-na@{p.len}", is_prefix_na(g, p).holds))
         out.append(
-            (f"fixpoint-char@{p.len}", is_prefix_na(mf, p).holds == (g.values == mf.values))
+            (f"fixpoint-char@{p.len}", is_prefix_na(mf, p).holds == (g == mf))
         )
     chain = partition_to_chain(inst.grid, full_partition(inst.grid))
     composed = compose_chain(mf, chain)
@@ -216,9 +216,9 @@ def _check_lines(inst, mf) -> list[tuple[str, bool]]:
     out.append(("compose-below-meet", mf_le(composed, mf_meet(projections))))
     top = greatest_na(mf)
     out.append(("greatest-fully-na", is_chain_na(top, chain).holds))
-    bits = sum(len(v) for v in mf.values)
+    bits = sum(v.bit_count() for v in mf.bits)
     if bits <= 16:
-        out.append(("compose-vs-oracle", brute_greatest(mf, chain).values == composed.values))
+        out.append(("compose-vs-oracle", brute_greatest(mf, chain) == composed))
     delta = full_partition(inst.grid)
     ok = is_total(composed)
     witness_ok = verify_witness([composed] * delta.steps, delta, mf).ok

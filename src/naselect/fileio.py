@@ -18,7 +18,7 @@ from typing import Any
 
 from .errors import ValidationError
 from .multifunction import Instance, Multifunction, dom, is_total, mf_to_names
-from .nonanticipation import _na_reports
+from .nonanticipation import is_prefix_na
 from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, Signal, SignalFamily
 from .timebase import TimeGrid
 
@@ -107,17 +107,17 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
     raw_alpha = doc["alpha"]
     if not isinstance(raw_alpha, dict):
         raise ValidationError("alpha: expected an object keyed by omega names")
-    values = [frozenset()] * len(omega)
+    values = [0] * len(omega)
     for name, zs in raw_alpha.items():
         try:
             w = omega.index_of(name)
         except ValidationError:
             raise ValidationError(f"alpha: unknown omega name {name!r}") from None
         try:
-            entry = frozenset(map(z._index.__getitem__, zs)) if isinstance(zs, list) else None
+            entry = z.prefix_index.pack(map(z._index.__getitem__, zs)) if isinstance(zs, list) else None
         except (KeyError, TypeError):
             entry = None
-        if entry is None or len(entry) != len(zs):  # a shorter set means a duplicate name
+        if entry is None or entry.bit_count() != len(zs):  # fewer bits mean a duplicate name
             if not isinstance(zs, list) or not all(isinstance(x, str) for x in zs):
                 raise ValidationError(f"alpha[{name!r}]: expected an array of z names")
             if len(set(zs)) != len(zs):
@@ -147,10 +147,10 @@ def to_jsonable(inst: Instance, mf: Multifunction, metadata: dict | None = None)
 
 def instance_digest(inst: Instance, mf: Multifunction) -> str:
     """SHA-256 of `to_jsonable` as sorted compact JSON, fed piece by piece with each name escaped once."""
-    zn = list(map(_esc, inst.z.names))
-    alpha = sorted(zip(inst.omega.names, mf.values))
+    zn, z = list(map(_esc, inst.z.names)), inst.z.prefix_index
+    alpha = sorted(zip(inst.omega.names, mf.bits))
     h = hashlib.sha256(b'{"alpha":{')
-    h.update(",".join(f"{_esc(w)}:[{','.join(map(zn.__getitem__, sorted(v)))}]" for w, v in alpha).encode())
+    h.update(",".join(f"{_esc(w)}:[{','.join(z.select(zn, v))}]" for w, v in alpha).encode())
     h.update(f'}},"grid":[{",".join(_esc(str(s)) for s in inst.grid.stamps)}]'.encode())
     for key, fam, names in (("omega", inst.omega, map(_esc, inst.omega.names)), ("z", inst.z, zn)):
         signals = (f'{{"cells":[{",".join(map(_esc, s.cells))}],"name":{n}}}' for s, n in zip(fam.signals, names))
@@ -182,9 +182,8 @@ def save(path: str, inst: Instance, mf: Multifunction, metadata: dict | None = N
 
 
 def na_flags(mf: Multifunction) -> dict[str, bool]:
-    """Non-anticipativity at every grid prefix, keyed by length; longest first, so keysets coarsen."""
-    flags = {str(p.len): r.holds for p, r in _na_reports(mf, reversed(mf.instance.grid.prefixes()))}
-    return dict(reversed(flags.items()))
+    """Non-anticipativity at every grid prefix, keyed by length."""
+    return {str(p.len): is_prefix_na(mf, p).holds for p in mf.instance.grid.prefixes()}
 
 
 def build_report(

@@ -2,13 +2,15 @@
 
 A multifunction assigns each disturbance of an instance a (possibly empty)
 set of trajectory indices.  Entrywise inclusion is a partial order; the
-entrywise union and intersection are its join and meet.  Values are exact
-integer sets; cross-instance operations are hard errors, never coercions.
+entrywise union and intersection are its join and meet, `|` and `&` on the
+ints that hold the sets; cross-instance operations are hard errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .errors import InstanceMismatchError, ValidationError
@@ -36,28 +38,38 @@ class Instance:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Multifunction:
-    """One trajectory index set per disturbance of `instance`."""
+    """One trajectory index set per disturbance of `instance`: `bits[w]` is the set at w as one int,
+    laid out by the z family's `PrefixIndex`, and `values`, as frozensets, is built on first use."""
 
     instance: Instance
-    values: tuple[frozenset[int], ...]
+    bits: tuple[int, ...]
+
+    def __init__(self, instance: Instance, values: Iterable[Iterable[int]]) -> None:
+        self.__dict__.update(instance=instance, values=values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(frozenset(v) for v in self.values))
-        if len(self.values) != len(self.instance.omega):
+        values = self.__dict__["values"] = tuple(frozenset(v) for v in self.values)
+        if len(values) != len(self.instance.omega):
             raise ValidationError("multifunction needs exactly one value set per disturbance")
         n = len(self.instance.z)
-        for v in self.values:
+        for v in values:
             for j in v:
                 if not 0 <= j < n:
                     raise ValidationError(f"trajectory index {j} out of range 0..{n - 1}")
+        object.__setattr__(self, "bits", tuple(map(self.instance.z.prefix_index.pack, values)))
+
+    @cached_property
+    def values(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(self.instance.z.prefix_index.select(range(len(self.instance.z)), v)) for v in self.bits)
 
     @classmethod
-    def _trusted(cls, instance: Instance, values: tuple[frozenset[int], ...]) -> Multifunction:
-        """Wrap values the library built itself: one in-range frozenset per disturbance, unchecked."""
+    def _trusted(cls, instance: Instance, bits: tuple[int, ...]) -> Multifunction:
+        """Wrap sets the library built itself: one int of in-range bits per disturbance, unchecked."""
         out = object.__new__(cls)
-        out.__dict__.update(instance=instance, values=values)
+        out.__dict__.update(instance=instance, bits=bits)
         return out
 
 
@@ -69,7 +81,7 @@ def _same_instance(a: Multifunction, b: Multifunction) -> None:
 def mf_le(a: Multifunction, b: Multifunction) -> bool:
     """Entrywise inclusion: every value of `a` inside the matching value of `b`."""
     _same_instance(a, b)
-    return all(x <= y for x, y in zip(a.values, b.values))
+    return all(x & y == x for x, y in zip(a.bits, b.bits))
 
 
 def _entrywise(ms: Iterable[Multifunction], op, what: str) -> Multifunction:
@@ -77,31 +89,31 @@ def _entrywise(ms: Iterable[Multifunction], op, what: str) -> Multifunction:
     if not ms:
         raise ValidationError(f"{what} needs at least one multifunction")
     first = ms[0]
-    out = first.values
+    out = first.bits
     for m in ms[1:]:
         _same_instance(first, m)
-        out = tuple(map(op, out, m.values))
+        out = tuple(map(op, out, m.bits))
     return Multifunction._trusted(first.instance, out)
 
 
 def mf_join(ms: Iterable[Multifunction]) -> Multifunction:
     """Entrywise union; the supremum of a non-empty set of multifunctions."""
-    return _entrywise(ms, frozenset.union, "join")
+    return _entrywise(ms, or_, "join")
 
 
 def mf_meet(ms: Iterable[Multifunction]) -> Multifunction:
     """Entrywise intersection; the infimum of a non-empty set of multifunctions."""
-    return _entrywise(ms, frozenset.intersection, "meet")
+    return _entrywise(ms, and_, "meet")
 
 
 def dom(a: Multifunction) -> frozenset[int]:
     """Disturbance indices with non-empty value sets."""
-    return frozenset(i for i, v in enumerate(a.values) if v)
+    return frozenset(i for i, v in enumerate(a.bits) if v)
 
 
 def is_total(a: Multifunction) -> bool:
     """True when every disturbance keeps at least one trajectory."""
-    return all(a.values)
+    return all(a.bits)
 
 
 def full_multifunction(inst: Instance) -> Multifunction:
@@ -122,7 +134,5 @@ def mf_by_names(inst: Instance, mapping: Mapping[str, Iterable[str]]) -> Multifu
 def mf_to_names(a: Multifunction) -> dict[str, list[str]]:
     """Name-keyed view of the value sets, each list in trajectory index order."""
     inst = a.instance
-    return {
-        inst.omega.names[i]: list(map(inst.z.names.__getitem__, sorted(v)))
-        for i, v in enumerate(a.values)
-    }
+    names, z = inst.z.names, inst.z.prefix_index
+    return {w: list(z.select(names, v)) for w, v in zip(inst.omega.names, a.bits)}

@@ -21,15 +21,12 @@ signal surfaced by `dom`/`is_total`, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .multifunction import Instance, Multifunction, is_total, mf_meet
 from .signals import RestrictionKey
-from .timebase import (
-    Partition,
-    Prefix,
-    PrefixChain,
-    partition_to_chain,
-)
+from .timebase import Partition, Prefix, PrefixChain, partition_to_chain
 
 
 @dataclass(frozen=True)
@@ -58,60 +55,16 @@ class NaReport:
         return self.holds
 
 
-def _walk(inst: Instance, values, prefixes):
-    """Per prefix, longest first: the prefix and its classes of two or more disturbances with their keysets.
-
-    A keyset is the restriction set of a value set, as z key ids.  Classes
-    only merge as the prefix shortens, so a member of a class of two or more
-    either sat in one at the previous prefix, and its keyset there is
-    coarsened, or has sat alone so far and kept its value set, which is read.
-    A consumer that narrows `values[w]` puts its new keyset in the yielded
-    list before the walk resumes.
-    """
-    z = inst.z.prefix_index
-    prev_len, prev = 0, {}
-    for p in prefixes:
-        key_id, to_short = z.ids(p.len), z.coarsen(prev_len, p.len) if prev else None
-        level = [
-            (cls, [{key_id[j] for j in values[w]} if (keys := prev.get(w)) is None
-                   else {to_short[k] for k in keys} for w in cls])
-            for cls in inst.omega.prefix_index.classes(p.len).values()
-            if len(cls) > 1
-        ]
-        yield p, level
-        prev_len, prev = p.len, {w: keys for cls, keysets in level for w, keys in zip(cls, keysets)}
-
-
-def _project_level(values: list, level, key_id: list[int]) -> None:
-    """Narrow `values` in place to each class's core, the keys all members hold; it becomes their keyset."""
-    for cls, keysets in level:
-        core = set.intersection(*keysets)
-        for i, w in enumerate(cls):
-            if len(keysets[i]) != len(core):
-                values[w] = frozenset([j for j in values[w] if key_id[j] in core])
-                keysets[i] = core
-
-
-def _na_level(inst: Instance, p: Prefix, level) -> NaReport:
-    """Non-anticipativity at `p` from its level of `_walk`, with `is_prefix_na`'s witness."""
-    for cls, keysets in level:
-        r, ref = cls[0], keysets[0]
-        for w, keys in zip(cls[1:], keysets[1:]):
-            if keys != ref:
-                kid, z = min(ref ^ keys), inst.z.prefix_index
-                key = z.sorted_cells[z.starts(p.len)[kid]][: p.len]
-                return NaReport(False, NaWitness(p, r, w, key, r if kid in ref else w))
-    return NaReport(True)
-
-
-def _na_reports(a: Multifunction, prefixes):
-    """Each prefix, in the order given, with its `is_prefix_na` report; longest first coarsens keysets."""
-    for p, level in _walk(a.instance, a.values, prefixes):
-        yield p, _na_level(a.instance, p, level)
+def _keysets(inst: Instance, values, p: Prefix):
+    """Per class of two or more disturbances at `p`: the class and its members' keysets, as ints."""
+    f, g, _ = inst.z.prefix_index.masks(p.len)
+    for cls in inst.omega.prefix_index.classes(p.len).values():
+        if len(cls) > 1:
+            yield cls, [(values[w] + f) & g for w in cls]
 
 
 def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
-    """Check non-anticipativity at one prefix.
+    """Check non-anticipativity at one prefix, stopping at the first failing class.
 
     Every member of a class must share the restriction set of the class's
     first member.  On failure the witness is the lexicographically smallest
@@ -120,14 +73,24 @@ def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
     the smallest restriction key present on one side only.
     """
     a.instance.grid.check_prefix(p)
-    return next(_na_reports(a, [p]))[1]
+    return _na_level(a, p)
+
+
+def _na_level(a: Multifunction, p: Prefix) -> NaReport:
+    for cls, keysets in _keysets(a.instance, a.bits, p):
+        r, ref = cls[0], keysets[0]
+        for w, keys in zip(cls[1:], keysets[1:]):
+            if one_sided := ref ^ keys:
+                top = (one_sided & -one_sided).bit_length() - 1  # the run of the smallest such key id
+                key = a.instance.z.prefix_index.sorted_cells[top >> 1][: p.len]
+                return NaReport(False, NaWitness(p, r, w, key, r if ref >> top & 1 else w))
+    return NaReport(True)
 
 
 def is_chain_na(a: Multifunction, h: PrefixChain) -> NaReport:
-    """Non-anticipativity at every chain prefix, in one walk; the shortest failing prefix is reported."""
+    """Non-anticipativity at every chain prefix; the shortest failing prefix is reported."""
     a.instance.grid.check_prefix(h.prefixes[-1])
-    failing = [r for _, r in _na_reports(a, reversed(h.prefixes)) if not r.holds]
-    return failing[-1] if failing else NaReport(True)
+    return next((r for p in h.prefixes if not (r := _na_level(a, p))), NaReport(True))
 
 
 def project(a: Multifunction, p: Prefix) -> Multifunction:
@@ -139,23 +102,29 @@ def project(a: Multifunction, p: Prefix) -> Multifunction:
     reused for all members.
     """
     a.instance.grid.check_prefix(p)
-    out = list(a.values)
-    _, level = next(_walk(a.instance, out, [p]))
-    _project_level(out, level, a.instance.z.prefix_index.ids(p.len))
-    return Multifunction._trusted(a.instance, tuple(out))
+    return _narrowed(a, [p])
 
 
 def compose_chain(a: Multifunction, h: PrefixChain) -> Multifunction:
     """Project along the chain, largest prefix first: the greatest chain-non-anticipative multiselector.
 
     Exactly one projection pass per chain element; descending order is what
-    makes a single sweep sufficient.  Each pass coarsens the keysets the
-    previous one left.
+    makes a single sweep sufficient.
     """
     a.instance.grid.check_prefix(h.prefixes[-1])
-    out = list(a.values)
-    for p, level in _walk(a.instance, out, reversed(h.prefixes)):
-        _project_level(out, level, a.instance.z.prefix_index.ids(p.len))
+    return _narrowed(a, reversed(h.prefixes))
+
+
+def _narrowed(a: Multifunction, prefixes) -> Multifunction:
+    """`a` projected at each prefix in turn: per class, every value set keeps the runs all members meet."""
+    out = list(a.bits)
+    for p in prefixes:
+        for cls, keysets in _keysets(a.instance, out, p):
+            core = reduce(and_, keysets)
+            if keysets.count(core) < len(cls):
+                keep = a.instance.z.prefix_index.fill(core, p.len)
+                for w in cls:
+                    out[w] &= keep
     return Multifunction._trusted(a.instance, tuple(out))
 
 

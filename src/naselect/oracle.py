@@ -105,7 +105,7 @@ def enumerate_na_multiselectors(
     join saturates early.
     """
     walk = _walk(a.instance, h, a.values, budget)
-    return (Multifunction._trusted(a.instance, values) for values in walk)
+    return (Multifunction(a.instance, values) for values in walk)
 
 
 def brute_greatest(
@@ -122,7 +122,7 @@ def brute_greatest(
         join = [u | v for u, v in zip(join, values)]
         if tuple(join) == bound:
             break
-    return Multifunction._trusted(a.instance, tuple(join))
+    return Multifunction._trusted(a.instance, tuple(map(a.instance.z.prefix_index.pack, join)))
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def fixpoint_iterate(
         nxt = cur
         for p in order:
             nxt = project(nxt, p)
-        if nxt.values == cur.values:
+        if nxt == cur:
             return FixpointRun(cur, sweeps, changed)
         changed += 1
         cur = nxt

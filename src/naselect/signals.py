@@ -15,13 +15,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 from .timebase import Prefix
 
 Token = str
 RestrictionKey = tuple[Token, ...]
+_MIRROR = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte with its bits reversed
+_DIGIT = bytes.maketrans(b"01", b"\0\1")
 
 ROLE_DISTURBANCE = "disturbance"
 ROLE_TRAJECTORY = "trajectory"
@@ -48,6 +52,10 @@ class PrefixIndex:
     cells form a run, broken wherever two neighbours share fewer leading
     cells.  A member's run number is the key id of its restriction: ids
     ascend with the restriction, so the smallest id names the smallest key.
+
+    A set of members is one int, member i at bit 2·rank[i]: at each length a
+    run is a block of bits whose top (odd) bit no member uses, so `(v + F) & G`
+    (`masks`) is the keyset of v, the tops of the runs it meets.
     """
 
     def __init__(self, fam: SignalFamily):
@@ -61,7 +69,7 @@ class PrefixIndex:
         ]
         self._ids: dict[int, list[int]] = {}
         self._starts: dict[int, list[int]] = {}
-        self._coarsen: dict[tuple[int, int], list[int]] = {}
+        self._masks: dict[int, tuple[int, int, int]] = {}
         self._classes: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def ids(self, length: int) -> list[int]:
@@ -79,12 +87,49 @@ class PrefixIndex:
             self._starts[length] = [0, *breaks, len(self.order)]
         return self._starts[length]
 
-    def coarsen(self, longer: int, shorter: int) -> list[int]:
-        """Key id at `shorter` cells of each key id at `longer` cells, for `shorter <= longer`."""
-        if (longer, shorter) not in self._coarsen:
-            ids = self.ids(shorter)
-            self._coarsen[longer, shorter] = [ids[self.order[k]] for k in self.starts(longer)[:-1]]
-        return self._coarsen[longer, shorter]
+    def masks(self, length: int) -> tuple[int, int, int]:
+        """`(F, G, U)` at `length`: G holds each run's top bit, F every other bit, U is for `fill`."""
+        if length not in self._masks:
+            # base 4, most significant first: "2" at place p is bit 2p + 1, the top of a run ending at p
+            g = int("2" + "".join("2" if shared < length else "0" for shared in reversed(self.lcp)), 4)
+            everything = (1 << 2 * len(self.order)) - 1
+            self._masks[length] = everything ^ g, g, self._mirror(everything & ~(g << 1 | 1))
+        return self._masks[length]
+
+    def fill(self, keys: int, length: int) -> int:
+        """Every bit of the runs at `length` whose tops are in `keys`; mirrored, tops are bottoms and carry up U."""
+        up = self.masks(length)[2]
+        return self._mirror((self._mirror(keys) + up) ^ up)
+
+    def _mirror(self, v: int) -> int:  # v with its bits reversed over whole bytes
+        return int.from_bytes(v.to_bytes((len(self.order) + 3) // 4, "little").translate(_MIRROR), "big")
+
+    @cached_property
+    def rank(self) -> list[int]:
+        """Each member's place in `order`, by index: member i is bit 2·rank[i] of a set."""
+        return sorted(range(len(self.order)), key=self.order.__getitem__)
+
+    @cached_property
+    def _gather(self) -> itemgetter:
+        return itemgetter(*self.rank, 0)  # the spare 0 keeps a one-member family's result a tuple
+
+    def pack(self, members: Iterable[int]) -> int:
+        """The int of a set of member indices."""
+        digits = bytearray(b"0" * len(self.order))  # base 4, least significant first
+        for p in map(self.rank.__getitem__, members):
+            digits[p] = 49  # "1": bit 2p
+        return int(digits[::-1], 4)
+
+    def select(self, items: Sequence, v: int) -> Iterator:
+        """The items at the indices of the members in `v`, in index order."""
+        if v.bit_count() * 10 < len(self.order) + 40:  # below this, bit by bit beats one gather (measured)
+            found = []
+            while v:
+                found.append(self.order[(v & -v).bit_length() >> 1])
+                v &= v - 1
+            return map(items.__getitem__, sorted(found))
+        places = format(v | 1 << 2 * len(self.order) - 1, "b")[::-2].encode().translate(_DIGIT)  # 0/1 by place
+        return compress(items, self._gather(places))
 
     def classes(self, length: int) -> dict[int, tuple[int, ...]]:
         """Classes at `length` by key id, in first-appearance order, members in index order."""

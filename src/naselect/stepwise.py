@@ -150,7 +150,7 @@ def _compose(a: Multifunction, delta: Partition, policy: str, check: bool):
     chain = partition_to_chain(inst.grid, delta)
     phi = compose_chain(a, chain)
     if check and not is_total(phi):
-        empty = tuple(i for i, v in enumerate(phi.values) if not v)
+        empty = tuple(i for i, v in enumerate(phi.bits) if not v)
         names = ", ".join(inst.omega.names[i] for i in empty)
         raise InfeasibleError(
             f"conditions are infeasible: composed multiselector is empty at {names}",
@@ -162,7 +162,7 @@ def _compose(a: Multifunction, delta: Partition, policy: str, check: bool):
 
 def _drive(a, delta, chain, phi, adversary: Adversary, policy, seed, on_step) -> StepTrace:
     """One run against `adversary`, picking from the composed `phi` over `chain`."""
-    inst = a.instance
+    inst, z = a.instance, a.instance.z.prefix_index
     rng = random.Random(seed)
     revealed: RestrictionKey = ()
     steps: list[Step] = []
@@ -180,8 +180,10 @@ def _drive(a, delta, chain, phi, adversary: Adversary, policy, seed, on_step) ->
         if not matches:
             raise AdversaryError(f"step {i}: revealed prefix {revealed} matches no disturbance")
         w = matches[0]
-        omega_id, z_id = inst.omega.prefix_index.ids(prev_len), inst.z.prefix_index.ids(prev_len)
-        admissible = sorted(j for j in phi.values[w] if prev_h is None or z_id[j] == z_id[prev_h])
+        omega_id, z_id = inst.omega.prefix_index.ids(prev_len), z.ids(prev_len)
+        starts, k = z.starts(prev_len), 0 if prev_h is None else z_id[prev_h]  # the previous pick's run
+        run = (1 << 2 * starts[k + 1]) - (1 << 2 * starts[k])
+        admissible = list(z.select(range(len(inst.z)), phi.bits[w] & run))
         if not admissible:
             raise ProcedureStuckError(
                 f"step {i}: no admissible trajectory for {inst.omega.names[w]}", step=i, omega=w
@@ -189,7 +191,7 @@ def _drive(a, delta, chain, phi, adversary: Adversary, policy, seed, on_step) ->
         h = admissible[0] if policy == "lex" else rng.choice(admissible)
         omega_ok = prev_w is None or omega_id[w] == omega_id[prev_w]
         h_ok = prev_h is None or z_id[h] == z_id[prev_h]
-        step = Step(i, revealed, w, h, omega_ok, h_ok, h in phi.values[w] and h in a.values[w])
+        step = Step(i, revealed, w, h, omega_ok, h_ok, (phi.bits[w] & a.bits[w]) >> 2 * z.rank[h] & 1 == 1)
         steps.append(step)
         if on_step is not None:
             on_step(step)
@@ -225,7 +227,7 @@ def validate_trace(a: Multifunction, trace: StepTrace) -> list[str]:
 
 def _trace_problems(a: Multifunction, chain, phi: Multifunction, trace: StepTrace) -> list[str]:
     """Each step's conditions re-derived from raw cells, against the `phi` composed over `chain`."""
-    inst = a.instance
+    inst, rank = a.instance, a.instance.z.prefix_index.rank
     problems: list[str] = []
     if len(trace.steps) != len(chain.prefixes):
         return [f"trace has {len(trace.steps)} steps for {len(chain.prefixes)} control steps"]
@@ -234,9 +236,10 @@ def _trace_problems(a: Multifunction, chain, phi: Multifunction, trace: StepTrac
     for step, p in zip(trace.steps, chain.prefixes):
         if inst.omega.signals[step.omega].cells[: p.len] != step.revealed:
             problems.append(f"step {step.index}: picked disturbance does not match the revealed prefix")
-        if step.h not in phi.values[step.omega]:
+        at = 2 * rank[step.h] if 0 <= step.h < len(rank) else 1  # bit 1 is a run top: no trajectory
+        if not phi.bits[step.omega] >> at & 1:
             problems.append(f"step {step.index}: trajectory outside the selection multifunction")
-        if step.h not in a.values[step.omega]:
+        if not a.bits[step.omega] >> at & 1:
             problems.append(f"step {step.index}: trajectory outside the original multifunction")
         if prev is not None:
             if (
@@ -328,7 +331,7 @@ def verify_witness(phis: list[Multifunction], delta: Partition, a: Multifunction
                 False, WitnessViolation("not-multiselector", i, (), "entry not below the target")
             )
     for i, phi in enumerate(phis, start=1):
-        for w, v in enumerate(phi.values):
+        for w, v in enumerate(phi.bits):
             if not v:
                 return WitnessReport(
                     False,
@@ -343,15 +346,15 @@ def verify_witness(phis: list[Multifunction], delta: Partition, a: Multifunction
 
     for i in range(1, n):
         p = chain.prefixes[i - 1]
-        before, after = phis[i - 1].values, phis[i].values
-        key_id = inst.z.prefix_index.ids(p.len)
+        before, after = phis[i - 1].bits, phis[i].bits
+        f, g, _ = inst.z.prefix_index.masks(p.len)
         for cls in signal_classes(inst.omega, p):
             r = cls[0]
-            keys = {key_id[j] for j in after[r]}
+            keys = (after[r] + f) & g
             for x in cls:
-                if {key_id[j] for j in before[x]} != keys:
+                if (before[x] + f) & g != keys:
                     return mismatch(i, (x,) * i + (r,) * (n - i))
             for y in cls:
-                if {key_id[j] for j in after[y]} != keys:
+                if (after[y] + f) & g != keys:
                     return mismatch(i, (r,) * i + (y,) * (n - i))
     return WitnessReport(True)

@@ -15,6 +15,7 @@ from naselect import (
     project,
     random_instance,
 )
+from naselect import cli
 from naselect.fileio import (
     build_report,
     dumps,
@@ -127,6 +128,24 @@ def test_malformed_alpha_entries_are_reported(zs, message):
     with pytest.raises(ValidationError) as e:
         from_jsonable(doc)
     assert str(e.value) == f"alpha['w1']: {message}"
+
+
+@pytest.mark.parametrize(
+    "zs, message",
+    [
+        (["h1", "h2", "h1"], "duplicate z names"),
+        (["h1", "h9"], "unknown z name 'h9'"),
+        (["h1", 2], "expected an array of z names"),
+    ],
+    ids=["duplicate", "unknown", "non-string"],
+)
+def test_malformed_alpha_entries_exit_two_with_their_message(tmp_path, capsys, zs, message):
+    doc = _doc()
+    doc["alpha"]["w1"] = zs
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    assert cli.cli(["project", str(path), "--prefix", "1"]) == 2
+    assert capsys.readouterr().err == f"error: alpha['w1']: {message}\n"
 
 
 def test_parse_error_names_the_line(tmp_path):

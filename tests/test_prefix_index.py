@@ -3,8 +3,8 @@
 `edge_instances` draws the shapes a sorted index gets wrong first: one
 cell, a one-token alphabet, empty value sets and prefixes of full width.
 Mid-size random instances (30 disturbances, 120 trajectories, 6 or 7 cells)
-have classes of several members at several prefixes, so keysets are
-carried and coarsened across levels of a walk.
+have classes of several members at several prefixes, so one composition
+narrows the same value sets at several levels.
 """
 
 import random
@@ -149,41 +149,47 @@ def test_the_public_constructor_still_validates():
         Multifunction(inst, a.values + (frozenset(),))
 
 
-def _check_coarsen_and_starts(fam):
+def _check_starts_and_masks(fam):
     index = fam.prefix_index
     n, width = len(fam), fam.width
-    for longer in range(1, width + 1):
-        starts = index.starts(longer)
+    everything = (1 << 2 * n) - 1
+    assert [index.rank[i] for i in index.order] == list(range(n))
+    for length in range(1, width + 1):
+        starts = index.starts(length)
         assert starts[0] == 0 and starts[-1] == n
         by_key: dict[int, list[int]] = {}
-        for i, k in enumerate(index.ids(longer)):
+        for i, k in enumerate(index.ids(length)):
             by_key.setdefault(k, []).append(i)
         assert len(starts) == len(by_key) + 1
         for k, members in by_key.items():
             assert sorted(index.order[starts[k] : starts[k + 1]]) == members
-            assert {fam.signals[i].cells[:longer] for i in members} == {index.sorted_cells[starts[k]][:longer]}
-        for shorter in range(1, longer + 1):
-            table = index.coarsen(longer, shorter)
-            assert len(table) == len(by_key)
-            assert all(table[a] == b for a, b in zip(index.ids(longer), index.ids(shorter)))
+            assert {fam.signals[i].cells[:length] for i in members} == {index.sorted_cells[starts[k]][:length]}
+        f, g, _ = index.masks(length)
+        tops = [1 << 2 * end - 1 for end in starts[1:]]
+        assert f & g == 0 and f | g == everything and g == sum(tops)
+        for i, k in enumerate(index.ids(length)):
+            assert (index.pack([i]) + f) & g == tops[k]  # a member's keyset is its run's top
+        for k, top in enumerate(tops):
+            assert index.fill(top, length) == (1 << 2 * starts[k + 1]) - (1 << 2 * starts[k])
+        assert index.fill(g, length) == everything and index.fill(0, length) == 0
 
 
 @EDGE
 @given(edge_instances())
-def test_coarsening_and_run_starts_match_the_key_ids(data):
+def test_run_starts_and_masks_match_the_key_ids(data):
     inst, _ = data
-    _check_coarsen_and_starts(inst.omega)
-    _check_coarsen_and_starts(inst.z)
+    _check_starts_and_masks(inst.omega)
+    _check_starts_and_masks(inst.z)
 
 
 @pytest.mark.parametrize("alphabet, cells", [(2, 7), (3, 6)])  # 2**6 < 120 signals
-def test_coarsening_and_run_starts_on_a_mid_size_family(alphabet, cells):
+def test_run_starts_and_masks_on_a_mid_size_family(alphabet, cells):
     inst, _ = random_instance(alphabet, 2, 120, cells, alphabet)
-    _check_coarsen_and_starts(inst.z)
+    _check_starts_and_masks(inst.z)
 
 
-def _carried_levels(inst, chain) -> int:
-    """Chain prefixes, but the shortest, with a class of two or more: the walk carries its keysets on."""
+def _shared_levels(inst, chain) -> int:
+    """Chain prefixes, but the shortest, with a class of two or more disturbances."""
     index = inst.omega.prefix_index
     return sum(any(len(cls) > 1 for cls in index.classes(p.len).values()) for p in chain.prefixes[1:])
 
@@ -197,7 +203,7 @@ def test_composition_carries_keysets_like_naive_projections(seed):
     chains = [PrefixChain(everything)] + [
         PrefixChain(tuple(sorted(rng.sample(everything, rng.randint(2, 5))))) for _ in range(4)
     ]
-    assert _carried_levels(inst, chains[0]) >= 2
+    assert _shared_levels(inst, chains[0]) >= 2
     for chain in chains:
         composed = compose_chain(a, chain)
         assert composed.values == naive_compose(a, chain).values

@@ -189,6 +189,21 @@ def test_cost_table_matches_pairwise_integration(name):
         assert all(row[i] <= row[j] for i, j in zip(order, order[1:]))
 
 
+ORDER_SYSTEMS = {
+    "default": EX4,
+    **{f"quarters{k}": build_example4(random.Random(k).sample(QUARTERS, k)) for k in range(3, 10)},
+    **{f"ex3:{n}": example3_system(n) for n in range(1, 5)},
+}
+
+
+@pytest.mark.parametrize("name", ORDER_SYSTEMS)
+def test_response_orders_equal_the_stable_fraction_sort(name):
+    _, costs, orders = _responses(ORDER_SYSTEMS[name])
+    assert orders == [sorted(range(len(row)), key=row.__getitem__) for row in costs]
+    if name == "default":
+        assert any(len(set(row)) < len(row) for row in costs)  # ties, so stability shows
+
+
 def test_ex4_fills_one_cost_table_without_pairwise_quadrature(monkeypatch):
     integrations = counting(monkeypatch, "integrate", [scenarios])
     tables = counting(monkeypatch, "_responses", [scenarios])

@@ -38,6 +38,7 @@ from naselect import (
 from conftest import (
     counting,
     naive_consistent_tuples,
+    naive_replay,
     naive_tuple_violations,
     naive_verify_witness,
     small_instances,
@@ -112,6 +113,16 @@ def test_validate_trace_names_each_broken_condition():
     }
     for message, bad in broken.items():
         assert validate_trace(a, bad) == [message]
+
+
+def test_validate_trace_reports_a_negative_pick_outside_both_multifunctions():
+    a, trace = _three_step_run()
+    steps = (dataclasses.replace(trace.steps[0], h=-1),) + trace.steps[1:]
+    assert validate_trace(a, dataclasses.replace(trace, steps=steps)) == [
+        "step 1: trajectory outside the selection multifunction",
+        "step 1: trajectory outside the original multifunction",
+        "step 2: trajectory disagrees with the previous step",
+    ]
 
 
 def test_single_disturbance_runs_trivially():
@@ -221,6 +232,26 @@ def test_exhaustive_equals_one_scripted_run_per_disturbance(data):
                 }
             )
             assert _outcome(lambda: run_exhaustive(a, delta, policy, seed, check)) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_instances(max_omega=6, max_z=8), st.data())
+def test_every_pick_matches_a_linear_replay(data, draw):
+    """The admissible list handed to the policy is phi's run of the previous pick, in index order."""
+    inst, a = data
+    cuts = draw.draw(st.sets(st.integers(1, inst.grid.cells - 1)))
+    delta = Partition((0, *sorted(cuts), inst.grid.cells))
+    for policy, seed in [("lex", 0), ("random", 0), ("random", 7)]:
+        expected = naive_replay(a, delta, policy, seed)
+        stuck = [run[-1] for run in expected.values() if run[-1][0] == "stuck"]
+        if stuck:
+            with pytest.raises(ProcedureStuckError) as e:
+                run_exhaustive(a, delta, policy, seed, check=False)
+            assert ("stuck", e.value.step, e.value.omega) == stuck[0]
+            continue
+        traces = run_exhaustive(a, delta, policy, seed, check=False)
+        assert {w: [(s.omega, s.h) for s in t.steps] for w, t in traces.items()} == expected
+        assert all(t.consistent for t in traces.values())
 
 
 @pytest.mark.parametrize("check", [True, False])
