@@ -57,10 +57,10 @@ class NaReport:
 
 def _keysets(inst: Instance, values, p: Prefix):
     """Per class of two or more disturbances at `p`: the class and its members' keysets, as ints."""
-    f, g, _ = inst.z.prefix_index.masks(p.len)
-    for cls in inst.omega.prefix_index.classes(p.len).values():
+    keys, length = inst.z.prefix_index.keys, p.len
+    for cls in inst.omega.prefix_index.classes(length).values():
         if len(cls) > 1:
-            yield cls, [(values[w] + f) & g for w in cls]
+            yield cls, [keys(values[w], length) for w in cls]
 
 
 def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:

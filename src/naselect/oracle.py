@@ -6,7 +6,8 @@ disturbance subset assignments depth first, pruning a branch as soon as one
 prefix equivalence class is provably violated; the visited stream is exactly
 the set of chain-non-anticipative multiselectors.  Budgets cap the tried
 assignments, so they bound time, and are explicit errors, never silent
-truncation; memory is the instance plus one subset and its keysets per disturbance.
+truncation; memory is the instance, its members listed once, and one subset
+and its keysets per disturbance.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterator
 
 from .errors import BudgetExceededError, ValidationError
@@ -26,7 +28,8 @@ from .timebase import PrefixChain
 class EnumBudget:
     """Work cap: subset assignments tried during enumeration.
 
-    It bounds time; memory stays the instance plus one subset and its keysets per disturbance.
+    It bounds time; memory stays the instance, its members listed once, and one subset
+    and its keysets per disturbance.
     """
 
     max_multiselectors: int = 2**22
@@ -40,60 +43,65 @@ DEFAULT_BUDGET = EnumBudget()
 
 
 def _walk(
-    inst: Instance, h: PrefixChain, values: tuple[frozenset[int], ...], budget: EnumBudget
-) -> Iterator[tuple[frozenset[int], ...]]:
+    inst: Instance, h: PrefixChain, bits: tuple[int, ...], budget: EnumBudget
+) -> Iterator[tuple[int, ...]]:
     """Depth-first over disturbances with an explicit stack, so depth is not bounded by recursion.
 
     Disturbances are visited in lexicographic signal order, which makes every
     prefix class of the chain a contiguous run: a member only ever needs to
-    match the keyset (restriction key ids) of its run's first member, already
-    chosen.  Each position's subsets are generated when it is reached, larger
-    ones first; every subset tried counts against the budget, consistent or not.
+    match the keyset (the run-top int `keys` gives) of its run's first member,
+    already chosen.  Each position's subsets are generated when it is reached,
+    larger ones first, as combinations of its members in index order; a subset
+    becomes an int only when tried, and every subset tried counts against the
+    budget, consistent or not.
     """
     inst.grid.check_prefix(h.prefixes[-1])
+    z = inst.z.prefix_index
     perm = inst.omega.prefix_index.order
-    key_ids = [inst.z.prefix_index.ids(p.len).__getitem__ for p in h.prefixes]
-    # checks[k]: (run-first position, prefix slot) pairs that position k must match;
-    # leads[k]: the prefix slots at which position k is the first member of a run
+    # checks[k]: (run-first position, prefix length) pairs that position k must match;
+    # leads[k]: the prefix lengths at which position k is the first member of a run
     checks: list[list[tuple[int, int]]] = [[] for _ in perm]
     leads: list[list[int]] = [[] for _ in perm]
-    for slot, p in enumerate(h.prefixes):
+    for p in h.prefixes:
         starts = inst.omega.prefix_index.starts(p.len)
         for first, end in zip(starts, starts[1:]):
             if end - first > 1:
-                leads[first].append(slot)
+                leads[first].append(p.len)
                 for k in range(first + 1, end):
-                    checks[k].append((first, slot))
+                    checks[k].append((first, p.len))
+
+    # each position's members in index order, by bit place: member j is bit 2·rank[j]
+    places = [[2 * r for r in z.select(z.rank, bits[w])] for w in perm]
 
     def subsets(pos: int) -> Iterator[tuple[int, ...]]:
-        elems = sorted(values[perm[pos]])
-        sizes = range(len(elems), -1, -1)
-        return itertools.chain.from_iterable(itertools.combinations(elems, r) for r in sizes)
+        sizes = range(len(places[pos]), -1, -1)
+        return itertools.chain.from_iterable(itertools.combinations(places[pos], r) for r in sizes)
 
     where = sorted(range(len(perm)), key=perm.__getitem__)  # position of each disturbance
-    chosen: list[frozenset[int]] = [frozenset()] * len(perm)
-    keysets: list[dict[int, frozenset[int]]] = [{} for _ in perm]  # by prefix slot, at run-first positions
+    chosen = [0] * len(perm)
+    keysets: list[dict[int, int]] = [{} for _ in perm]  # by prefix length, at run-first positions
     untried = [subsets(0)]  # one subset stream per open position, so position k is len(untried) - 1
+    bit, keys, cap = (1).__lshift__, z.keys, budget.max_multiselectors
     nodes = 0
     while untried:
-        s = next(untried[-1], None)
-        if s is None:
-            untried.pop()
-            continue
-        nodes += 1
-        if nodes > budget.max_multiselectors:
-            raise BudgetExceededError(f"enumeration exceeded {budget.max_multiselectors} subset assignments")
         k = len(untried) - 1
-        for first, slot in checks[k]:
-            if frozenset(map(key_ids[slot], s)) != keysets[first][slot]:
-                break
-        else:
-            chosen[k] = frozenset(s)
-            keysets[k] = {slot: frozenset(map(key_ids[slot], s)) for slot in leads[k]}
-            if k + 1 == len(perm):
-                yield tuple(map(chosen.__getitem__, where))
+        for s in untried[k]:  # resumed where it stopped when the walk backs up to position k
+            nodes += 1
+            if nodes > cap:
+                raise BudgetExceededError(f"enumeration exceeded {cap} subset assignments")
+            v = sum(map(bit, s))
+            for first, length in checks[k]:
+                if keys(v, length) != keysets[first][length]:
+                    break
             else:
-                untried.append(subsets(k + 1))
+                chosen[k] = v
+                keysets[k] = {length: keys(v, length) for length in leads[k]}
+                if k + 1 < len(perm):
+                    untried.append(subsets(k + 1))
+                    break
+                yield tuple(map(chosen.__getitem__, where))
+        else:
+            untried.pop()
 
 
 def enumerate_na_multiselectors(
@@ -104,8 +112,8 @@ def enumerate_na_multiselectors(
     Per-disturbance subsets are tried with larger sets first, so a running
     join saturates early.
     """
-    walk = _walk(a.instance, h, a.values, budget)
-    return (Multifunction(a.instance, values) for values in walk)
+    walk = _walk(a.instance, h, a.bits, budget)
+    return (Multifunction._trusted(a.instance, bits) for bits in walk)
 
 
 def brute_greatest(
@@ -116,13 +124,13 @@ def brute_greatest(
     The meet of single-prefix projections bounds the join from above, so the
     walk stops as soon as the running join reaches it.
     """
-    bound = meet_of_projections(a, h).values
-    join = [frozenset()] * len(a.values)
-    for values in _walk(a.instance, h, a.values, budget):
-        join = [u | v for u, v in zip(join, values)]
-        if tuple(join) == bound:
+    bound = meet_of_projections(a, h).bits
+    join = (0,) * len(a.bits)
+    for bits in _walk(a.instance, h, a.bits, budget):
+        join = tuple(map(or_, join, bits))
+        if join == bound:
             break
-    return Multifunction._trusted(a.instance, tuple(map(a.instance.z.prefix_index.pack, join)))
+    return Multifunction._trusted(a.instance, join)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ class PrefixIndex:
 
     A set of members is one int, member i at bit 2·rank[i]: at each length a
     run is a block of bits whose top (odd) bit no member uses, so `(v + F) & G`
-    (`masks`) is the keyset of v, the tops of the runs it meets.
+    (`keys`, with `masks`) is the keyset of v, the tops of the runs it meets.
     """
 
     def __init__(self, fam: SignalFamily):
@@ -95,6 +95,14 @@ class PrefixIndex:
             everything = (1 << 2 * len(self.order)) - 1
             self._masks[length] = everything ^ g, g, self._mirror(everything & ~(g << 1 | 1))
         return self._masks[length]
+
+    def keys(self, v: int, length: int) -> int:
+        """The keyset of `v` at `length`: the top bit of each run it meets, so key id k is bit 2·starts[k + 1] - 1."""
+        try:  # one subscript, no second call: walks call this once per member per level
+            f, g, _ = self._masks[length]
+        except KeyError:
+            f, g, _ = self.masks(length)
+        return (v + f) & g
 
     def fill(self, keys: int, length: int) -> int:
         """Every bit of the runs at `length` whose tops are in `keys`; mirrored, tops are bottoms and carry up U."""

@@ -82,7 +82,8 @@ class InteractiveAdversary:
         line = line.strip()
         if line.startswith("#"):
             digits = line[1:]
-            k = int(digits) if digits.isascii() and digits.isdigit() else -1
+            number = digits.lstrip("0") or "0"  # int() refuses over 4300 digits; no option number needs them
+            k = int(number) if digits.isascii() and digits.isdigit() and len(number) <= len(str(len(opts))) else -1
             if not 0 <= k < len(opts):
                 raise AdversaryError(f"no extension option {line!r} at step {step}")
             return opts[k]
@@ -344,17 +345,17 @@ def verify_witness(phis: list[Multifunction], delta: Partition, a: Multifunction
         detail = f"restriction sets differ between steps {i} and {i + 1}"
         return WitnessReport(False, WitnessViolation("restriction-mismatch", i, tup, detail))
 
+    keys = inst.z.prefix_index.keys
     for i in range(1, n):
         p = chain.prefixes[i - 1]
         before, after = phis[i - 1].bits, phis[i].bits
-        f, g, _ = inst.z.prefix_index.masks(p.len)
         for cls in signal_classes(inst.omega, p):
             r = cls[0]
-            keys = (after[r] + f) & g
+            ref = keys(after[r], p.len)
             for x in cls:
-                if (before[x] + f) & g != keys:
+                if keys(before[x], p.len) != ref:
                     return mismatch(i, (x,) * i + (r,) * (n - i))
             for y in cls:
-                if (after[y] + f) & g != keys:
+                if keys(after[y], p.len) != ref:
                     return mismatch(i, (r,) * i + (y,) * (n - i))
     return WitnessReport(True)

@@ -266,6 +266,27 @@ def test_oracle_budget_bounds_memory(tmp_path):
     assert rss_kib < 100 * 1024
 
 
+def test_oracle_on_a_wide_value_set_stays_small(tmp_path):
+    # One disturbance holding 20 000 one-cell trajectories: the walk's first
+    # subset is the whole set, and it becomes one int without an int per member.
+    names = [f"h{j}" for j in range(20000)]
+    doc = {
+        "grid": ["0", "1"],
+        "omega": [{"name": "w", "cells": ["a"]}],
+        "z": [{"name": n, "cells": [f"t{j}"]} for j, n in enumerate(names)],
+        "alpha": {"w": names},
+    }
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps(doc))
+    argv = [*CMD, "oracle", str(path), "--delta", "0,1", "--budget", "1"]
+    probe = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, *argv], capture_output=True, text=True, timeout=120, env=ENV
+    )
+    code, _, rss_kib = json.loads(probe.stdout)
+    assert code == 0
+    assert rss_kib < 64 * 1024
+
+
 def test_project_output_is_deterministic(ex2_file):
     r1 = run("project", ex2_file, "--prefix", "2", "--json")
     r2 = run("project", ex2_file, "--prefix", "2", "--json")
@@ -390,7 +411,9 @@ def test_interactive_index_must_name_an_option(tmp_path, monkeypatch, capsys, li
     assert f"no extension option {line.strip()!r} at step 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["#1_0\n", "#+1\n", "# 2\n", "#\u0663\n"])
+@pytest.mark.parametrize(
+    "line", ["#1_0\n", "#+1\n", "# 2\n", "#\u0663\n", pytest.param("#" + "1" * 4301 + "\n", id="#1x4301")]
+)
 def test_interactive_index_is_ascii_digits_only(tmp_path, monkeypatch, capsys, line):
     # Twelve one-cell disturbances, so int() would read each of these as a listed option.
     doc = {

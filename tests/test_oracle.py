@@ -28,7 +28,9 @@ from naselect import (
     random_instance,
 )
 
-from conftest import bits_of, naive_enumerate_na, small_instances
+from naselect.signals import PrefixIndex
+
+from conftest import bits_of, counting, naive_enumerate_na, small_instances
 
 
 def test_all_empty_multifunction_enumerates_to_itself():
@@ -131,6 +133,19 @@ def test_visit_order_and_node_counts_are_pinned(name):
     brute_greatest(a, chain, EnumBudget(brute_nodes))
     with pytest.raises(BudgetExceededError):
         brute_greatest(a, chain, EnumBudget(brute_nodes - 1))
+
+
+@pytest.mark.parametrize("name", ["example2", "random7"])
+def test_the_oracle_converts_nothing(monkeypatch, name):
+    a = _pinned_input(name)
+    a = Multifunction._trusted(a.instance, a.bits)  # drop the values view the constructor left
+    chain = full_prefix_chain(a.instance.grid)
+    constructed = counting(monkeypatch, "__post_init__", [Multifunction])
+    packed = counting(monkeypatch, "pack", [PrefixIndex])
+    list(enumerate_na_multiselectors(a, chain))
+    brute_greatest(a, chain)
+    assert constructed == [] and packed == []
+    assert "values" not in a.__dict__
 
 
 @given(small_instances())

@@ -169,6 +169,11 @@ def _check_starts_and_masks(fam):
         assert f & g == 0 and f | g == everything and g == sum(tops)
         for i, k in enumerate(index.ids(length)):
             assert (index.pack([i]) + f) & g == tops[k]  # a member's keyset is its run's top
+        # keys(v) is the run tops of v's key ids: singletons, whole classes, every other member, all, none
+        sets = [[i] for i in range(n)] + list(by_key.values()) + [range(0, n, 2), range(n), []]
+        for members in sets:
+            ids = {index.ids(length)[j] for j in members}
+            assert index.keys(index.pack(members), length) == sum(tops[k] for k in ids)
         for k, top in enumerate(tops):
             assert index.fill(top, length) == (1 << 2 * starts[k + 1]) - (1 << 2 * starts[k])
         assert index.fill(g, length) == everything and index.fill(0, length) == 0
