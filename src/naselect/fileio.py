@@ -4,6 +4,9 @@ Rationals serialize as "p/q" strings so files stay language-neutral and
 exact; multifunction values are name-keyed so files survive reordering.
 Digests cover the canonical serialization of the mathematical content
 (grid, families, value sets), so a round-trip preserves them.
+Names cross in bulk: one `itemgetter` call places each `alpha` list at load,
+one permutation names every value set (`PrefixIndex.select_all`), and the
+writer joins a list of strings that need no escaping in one go.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import re
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _esc
+from operator import itemgetter
 from typing import Any
 
 from .errors import ValidationError
@@ -23,11 +27,15 @@ from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, Signal, SignalFamily
 from .timebase import TimeGrid
 
 
+_PLAIN = re.compile(r'[ !#-\[\]-~]*')  # text `_esc` only quotes: printable ASCII but `"` and `\`
+
+
 def dumps(obj: Any, pad: str = "\n") -> str:
     """Exactly `json.dumps(obj, sort_keys=True, indent=2)`, with `pad` opening each inner line.
 
-    Strings and lists of strings take one call of the C escaper; only
-    containers are walked in Python, and what is left goes to `json.dumps`.
+    Strings take one call of the C escaper, and a list of strings that need
+    no escaping is one join; only containers are walked in Python, and what
+    is left goes to `json.dumps`.
     """
     if type(obj) is str:
         return _esc(obj)
@@ -40,10 +48,12 @@ def dumps(obj: Any, pad: str = "\n") -> str:
         return "{" + inner + body + pad + "}" if body else "{}"
     if type(obj) in (list, tuple):
         try:
-            body = sep.join(map(_esc, obj))
+            plain = _PLAIN.fullmatch("".join(obj))
         except TypeError:
             body = sep.join([dumps(x, inner) for x in obj])
-        return "[" + inner + body + pad + "]" if body else "[]"
+        else:
+            body = '"' + f'"{sep}"'.join(obj) + '"' if plain else sep.join(map(_esc, obj))
+        return "[" + inner + body + pad + "]" if obj else "[]"
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
 
 
@@ -58,6 +68,7 @@ def _parse_stamp(text: Any, position: int) -> Fraction:
 
 # JSON may escape a lone UTF-16 surrogate such as "\ud800"; no UTF-8 output can hold one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_TAIL = object()  # a key no document holds
 
 
 def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily:
@@ -79,7 +90,7 @@ def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily
                 f"{field}[{k}].cells: expected {cells} tokens, got {len(body)}"
             )
         names.append(name)
-        signals.append(Signal(tuple(body)))
+        signals.append(Signal._trusted(tuple(body)))
     if _SURROGATE.search("".join(chain(names, *(s.cells for s in signals)))):
         k = next(k for k, (n, s) in enumerate(zip(names, signals)) if _SURROGATE.search(n + "".join(s.cells)))
         part = "name" if _SURROGATE.search(names[k]) else "cells"
@@ -108,13 +119,16 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
     if not isinstance(raw_alpha, dict):
         raise ValidationError("alpha: expected an object keyed by omega names")
     values = [0] * len(omega)
+    index = z.prefix_index
+    places = dict(zip(z.names, index.rank))  # each z name's place, and the tail key's spare one
+    places[_TAIL] = len(z)
     for name, zs in raw_alpha.items():
         try:
             w = omega.index_of(name)
         except ValidationError:
             raise ValidationError(f"alpha: unknown omega name {name!r}") from None
-        try:
-            entry = z.prefix_index.pack(map(z._index.__getitem__, zs)) if isinstance(zs, list) else None
+        try:  # two tail keys: itemgetter of one key returns a scalar, not a tuple
+            entry = index.pack_places(itemgetter(*zs, _TAIL, _TAIL)(places)) if isinstance(zs, list) else None
         except (KeyError, TypeError):
             entry = None
         if entry is None or entry.bit_count() != len(zs):  # fewer bits mean a duplicate name
@@ -147,10 +161,10 @@ def to_jsonable(inst: Instance, mf: Multifunction, metadata: dict | None = None)
 
 def instance_digest(inst: Instance, mf: Multifunction) -> str:
     """SHA-256 of `to_jsonable` as sorted compact JSON, fed piece by piece with each name escaped once."""
-    zn, z = list(map(_esc, inst.z.names)), inst.z.prefix_index
-    alpha = sorted(zip(inst.omega.names, mf.bits))
+    zn = list(map(_esc, inst.z.names))
+    alpha = sorted(zip(inst.omega.names, map(",".join, inst.z.prefix_index.select_all(zn, mf.bits))))
     h = hashlib.sha256(b'{"alpha":{')
-    h.update(",".join(f"{_esc(w)}:[{','.join(z.select(zn, v))}]" for w, v in alpha).encode())
+    h.update(",".join(f"{_esc(w)}:[{zs}]" for w, zs in alpha).encode())
     h.update(f'}},"grid":[{",".join(_esc(str(s)) for s in inst.grid.stamps)}]'.encode())
     for key, fam, names in (("omega", inst.omega, map(_esc, inst.omega.names)), ("z", inst.z, zn)):
         signals = (f'{{"cells":[{",".join(map(_esc, s.cells))}],"name":{n}}}' for s, n in zip(fam.signals, names))

@@ -63,7 +63,7 @@ class Multifunction:
 
     @cached_property
     def values(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(self.instance.z.prefix_index.select(range(len(self.instance.z)), v)) for v in self.bits)
+        return tuple(map(frozenset, self.instance.z.prefix_index.select_all(range(len(self.instance.z)), self.bits)))
 
     @classmethod
     def _trusted(cls, instance: Instance, bits: tuple[int, ...]) -> Multifunction:
@@ -134,5 +134,4 @@ def mf_by_names(inst: Instance, mapping: Mapping[str, Iterable[str]]) -> Multifu
 def mf_to_names(a: Multifunction) -> dict[str, list[str]]:
     """Name-keyed view of the value sets, each list in trajectory index order."""
     inst = a.instance
-    names, z = inst.z.names, inst.z.prefix_index
-    return {w: list(z.select(names, v)) for w, v in zip(inst.omega.names, a.bits)}
+    return dict(zip(inst.omega.names, map(list, inst.z.prefix_index.select_all(inst.z.names, a.bits))))

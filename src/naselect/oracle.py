@@ -40,6 +40,7 @@ class EnumBudget:
 
 
 DEFAULT_BUDGET = EnumBudget()
+READY = 32  # members a position holds as ints: more would be an int per member as wide as the family
 
 
 def _walk(
@@ -52,8 +53,8 @@ def _walk(
     match the keyset (the run-top int `keys` gives) of its run's first member,
     already chosen.  Each position's subsets are generated when it is reached,
     larger ones first, as combinations of its members in index order; a subset
-    becomes an int only when tried, and every subset tried counts against the
-    budget, consistent or not.
+    becomes an int, the sum of its members' ints, only when tried, and every
+    subset tried counts against the budget, consistent or not.
     """
     inst.grid.check_prefix(h.prefixes[-1])
     z = inst.z.prefix_index
@@ -70,26 +71,30 @@ def _walk(
                 for k in range(first + 1, end):
                     checks[k].append((first, p.len))
 
-    # each position's members in index order, by bit place: member j is bit 2·rank[j]
-    places = [[2 * r for r in z.select(z.rank, bits[w])] for w in perm]
+    # each position's members in index order: member j is the int 1 << 2·rank[j], held ready
+    # where the position has at most READY members, else as its place 2·rank[j]
+    members = [[2 * r for r in z.select(z.rank, bits[w])] for w in perm]
+    members = [[1 << p for p in ps] if len(ps) <= READY else ps for ps in members]
 
-    def subsets(pos: int) -> Iterator[tuple[int, ...]]:
-        sizes = range(len(places[pos]), -1, -1)
-        return itertools.chain.from_iterable(itertools.combinations(places[pos], r) for r in sizes)
+    def subsets(pos: int) -> Iterator[int]:
+        pool = members[pos]
+        combos = itertools.chain.from_iterable(itertools.combinations(pool, r) for r in range(len(pool), -1, -1))
+        if len(pool) <= READY:
+            return map(sum, combos)
+        return map(sum, map(map, itertools.repeat((1).__lshift__), combos))  # shift places when tried
 
     where = sorted(range(len(perm)), key=perm.__getitem__)  # position of each disturbance
     chosen = [0] * len(perm)
     keysets: list[dict[int, int]] = [{} for _ in perm]  # by prefix length, at run-first positions
     untried = [subsets(0)]  # one subset stream per open position, so position k is len(untried) - 1
-    bit, keys, cap = (1).__lshift__, z.keys, budget.max_multiselectors
+    keys, cap = z.keys, budget.max_multiselectors
     nodes = 0
     while untried:
         k = len(untried) - 1
-        for s in untried[k]:  # resumed where it stopped when the walk backs up to position k
+        for v in untried[k]:  # resumed where it stopped when the walk backs up to position k
             nodes += 1
             if nodes > cap:
                 raise BudgetExceededError(f"enumeration exceeded {cap} subset assignments")
-            v = sum(map(bit, s))
             for first, length in checks[k]:
                 if keys(v, length) != keysets[first][length]:
                     break

@@ -15,8 +15,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress
-from operator import itemgetter
+from itertools import accumulate, compress, count
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -44,6 +44,13 @@ class Signal:
             if not isinstance(c, str):
                 raise ValidationError(f"signal cells must be strings, got {type(c).__name__}")
 
+    @classmethod
+    def _trusted(cls, cells: tuple[Token, ...]) -> Signal:
+        """Wrap cells the caller has checked: a non-empty tuple of strings."""
+        out = object.__new__(cls)
+        out.__dict__["cells"] = cells
+        return out
+
 
 class PrefixIndex:
     """Prefix classes of one family, from its signals sorted once.
@@ -64,8 +71,7 @@ class PrefixIndex:
         self.sorted_cells = [cells[i] for i in self.order]
         # lcp[k]: leading cells shared by the k-th and (k+1)-th sorted signals
         self.lcp = [
-            next((k for k, (x, y) in enumerate(zip(s, t)) if x != y), len(s))
-            for s, t in zip(self.sorted_cells, self.sorted_cells[1:])
+            next(compress(count(), map(ne, s, t)), len(s)) for s, t in zip(self.sorted_cells, self.sorted_cells[1:])
         ]
         self._ids: dict[int, list[int]] = {}
         self._starts: dict[int, list[int]] = {}
@@ -119,25 +125,48 @@ class PrefixIndex:
 
     @cached_property
     def _gather(self) -> itemgetter:
-        return itemgetter(*self.rank, 0)  # the spare 0 keeps a one-member family's result a tuple
+        return itemgetter(*self.rank, len(self.order))  # the spare place keeps a one-member family's result a tuple
+
+    def _places(self, sets: Iterable[int]) -> bytes:
+        """One 0/1 byte per place of each set, row after row, each row ending in a spare 0."""
+        top = 1 << 2 * len(self.order) + 1  # past the spare place, so every row has the same length
+        return "".join(format(v | top, "b")[::-2] for v in sets).encode().translate(_DIGIT)
 
     def pack(self, members: Iterable[int]) -> int:
         """The int of a set of member indices."""
-        digits = bytearray(b"0" * len(self.order))  # base 4, least significant first
-        for p in map(self.rank.__getitem__, members):
+        return self.pack_places(map(self.rank.__getitem__, members))
+
+    def pack_places(self, places: Iterable[int]) -> int:
+        """The int of a set of places in `order`; the spare place `len(order)` is dropped."""
+        digits = bytearray(b"0" * (len(self.order) + 1))  # base 4, least significant first
+        for p in places:
             digits[p] = 49  # "1": bit 2p
-        return int(digits[::-1], 4)
+        return int(digits[-2::-1], 4)
 
     def select(self, items: Sequence, v: int) -> Iterator:
         """The items at the indices of the members in `v`, in index order."""
-        if v.bit_count() * 10 < len(self.order) + 40:  # below this, bit by bit beats one gather (measured)
-            found = []
-            while v:
-                found.append(self.order[(v & -v).bit_length() >> 1])
-                v &= v - 1
+        if v.bit_count() * 10 < len(self.order) + 40:  # below this, member by member beats one gather (measured)
+            order, found = self.order, []
+            while v:  # top member first: v shrinks to the next member's bit, one xor per member
+                b = v.bit_length() - 1
+                found.append(order[b >> 1])
+                v ^= 1 << b
             return map(items.__getitem__, sorted(found))
-        places = format(v | 1 << 2 * len(self.order) - 1, "b")[::-2].encode().translate(_DIGIT)  # 0/1 by place
-        return compress(items, self._gather(places))
+        return compress(items, self._gather(self._places((v,))))
+
+    def select_all(self, items: Sequence, sets: Sequence[int]) -> list[Iterator]:
+        """`select(items, v)` for each v of `sets`; sets of few members, on average, are taken one by one."""
+        if sum(map(int.bit_count, sets)) * 10 < len(sets) * (len(self.order) + 40):
+            return [self.select(items, v) for v in sets]
+        return [compress(items, row) for row in self._by_index(sets)]
+
+    def _by_index(self, sets: Sequence[int]) -> list[bytes]:
+        """Each set's 0/1 flags by member index, then a spare 0: the place flags, one row per set, are
+        sliced into columns, the columns gathered once by `rank`, and each row sliced back out."""
+        n, w = len(self.order) + 1, len(sets)
+        flags = self._places(sets)
+        by_index = b"".join(self._gather([flags[p::n] for p in range(n)]))
+        return [by_index[r::w] for r in range(w)]
 
     def classes(self, length: int) -> dict[int, tuple[int, ...]]:
         """Classes at `length` by key id, in first-appearance order, members in index order."""

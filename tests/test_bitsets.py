@@ -1,14 +1,16 @@
 """Value sets as ints against frozenset algebra and the naive pairwise definitions.
 
 Besides the hypothesis shapes, random instances at 3% and 97% density take
-both paths of `PrefixIndex.select` (finding a few members, gathering many),
-and one-trajectory families have a single two-bit run at every length.
+both paths of `PrefixIndex.select` and `select_all` (finding a few members,
+gathering or permuting many), and one-trajectory families have a single
+two-bit run at every length.
 """
 
 import functools
 import os
 import random
 import tempfile
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -110,7 +112,21 @@ def _check_against_naive(inst, a):
         assert compose_chain(a, chain).values == naive_compose(a, chain).values
 
 
-CHECKS = [_check_round_trip, _check_algebra, _check_equality_and_hash, _check_against_naive]
+def _check_naming(inst, a):
+    """Whole multifunctions named at once: the per-set path, the one permutation, and a bit scan agree."""
+    z, n = inst.z.prefix_index, len(inst.z)
+    full = z.pack(range(n))
+    for sets in [list(a.bits), [0], [full], [0, full, *a.bits], [full] * 3 + list(a.bits)]:
+        scanned = [[j for j in range(n) if v >> 2 * z.rank[j] & 1] for v in sets]
+        for items in (range(n), inst.z.names):
+            want = [[items[j] for j in js] for js in scanned]
+            assert [list(z.select(items, v)) for v in sets] == want
+            assert list(map(list, z.select_all(items, sets))) == want
+            assert [list(compress(items, row)) for row in z._by_index(sets)] == want
+            assert all(len(row) == n + 1 and row[-1] == 0 for row in z._by_index(sets))
+
+
+CHECKS = [_check_round_trip, _check_algebra, _check_equality_and_hash, _check_against_naive, _check_naming]
 
 
 @SHAPES

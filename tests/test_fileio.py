@@ -1,4 +1,5 @@
 import json
+from json.encoder import encode_basestring_ascii as _esc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from naselect import (
 )
 from naselect import cli
 from naselect.fileio import (
+    _PLAIN,
     build_report,
     dumps,
     from_jsonable,
@@ -148,6 +150,41 @@ def test_malformed_alpha_entries_exit_two_with_their_message(tmp_path, capsys, z
     assert capsys.readouterr().err == f"error: alpha['w1']: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "zs, message",
+    [
+        ([None], "expected an array of z names"),
+        ([["h1"]], "expected an array of z names"),
+        (["h2", "h2"], "duplicate z names"),
+        (["h2", "h9"], "unknown z name 'h9'"),
+    ],
+    ids=["null", "nested", "duplicate", "unknown"],
+)
+def test_lists_of_one_bad_name_exit_two_with_their_message(tmp_path, capsys, zs, message):
+    doc = _doc()
+    doc["alpha"]["w2"] = zs
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    assert cli.cli(["project", str(path), "--prefix", "1"]) == 2
+    assert capsys.readouterr().err == f"error: alpha['w2']: {message}\n"
+
+
+@pytest.mark.parametrize("zs", [[], ["h1"], ["h2"], ["h2", "h1"]])
+def test_lists_of_zero_or_one_name_load(zs):
+    doc = _doc()
+    doc["alpha"]["w2"] = zs
+    inst, mf = from_jsonable(doc)
+    assert mf.values[1] == frozenset(inst.z.index_of(x) for x in zs)
+
+
+def test_a_bare_string_is_not_a_list_of_its_letters():
+    doc = _doc()
+    doc["z"] = [{"name": "h", "cells": ["x", "y"]}, {"name": "1", "cells": ["x", "z"]}]
+    doc["alpha"] = {"w1": "h1"}
+    with pytest.raises(ValidationError, match=r"^alpha\['w1'\]: expected an array of z names$"):
+        from_jsonable(doc)
+
+
 def test_parse_error_names_the_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "grid": [,]\n}\n')
@@ -220,6 +257,33 @@ json_documents = st.recursive(
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_writer_matches_the_json_module(doc):
     assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [],
+        ["one"],
+        [""],
+        ["plain", "names", "h12", "~ !#[]"],
+        ['say "hi"'],
+        ["back\\slash", "plain"],
+        ["tab\t", "nul\x00", "unit\x1f"],
+        ["del\x7f"],
+        ["café", "漢字", "\U0001f600", "\ud800"],
+        ["plain", 'q"', 1, None, ["x"], {"k": ["v"]}, 2.5, True],
+        ("tuple", "of", "names"),
+    ],
+    ids=["empty", "one", "empty-string", "plain", "quote", "backslash", "control", "del", "non-ascii", "mixed", "tuple"],
+)
+def test_writer_matches_the_json_module_on_string_lists(items):
+    for doc in (items, {"k": items, "j": [items, items]}):
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_plain_text_is_exactly_what_the_escaper_leaves_alone():
+    for c in map(chr, [*range(0x800), *range(0xD7F0, 0xE010), 0xFFFF, 0x10000, 0x10FFFF]):
+        assert bool(_PLAIN.fullmatch(c)) == (_esc(c) == f'"{c}"'), hex(ord(c))
 
 
 @given(hostile_instances())

@@ -28,6 +28,7 @@ from naselect import (
     random_instance,
 )
 
+from naselect import oracle
 from naselect.signals import PrefixIndex
 
 from conftest import bits_of, counting, naive_enumerate_na, small_instances
@@ -133,6 +134,16 @@ def test_visit_order_and_node_counts_are_pinned(name):
     brute_greatest(a, chain, EnumBudget(brute_nodes))
     with pytest.raises(BudgetExceededError):
         brute_greatest(a, chain, EnumBudget(brute_nodes - 1))
+
+
+@pytest.mark.parametrize("name", PINNED_WALKS)
+def test_members_held_as_places_walk_like_ready_ints(monkeypatch, name):
+    a = _pinned_input(name)
+    chain = full_prefix_chain(a.instance.grid)
+    ready = [z.bits for z in enumerate_na_multiselectors(a, chain)]
+    monkeypatch.setattr(oracle, "READY", 0)  # every position lists its members as bit places
+    assert [z.bits for z in enumerate_na_multiselectors(a, chain)] == ready
+    assert len(ready) > 1
 
 
 @pytest.mark.parametrize("name", ["example2", "random7"])

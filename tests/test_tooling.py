@@ -2,12 +2,15 @@
 
 `perfbench/tracing.py` needs only the standard library, so these checks
 read it as source or load it by path; nothing else of the benchmark runs.
+The last check runs pytest itself under this project's settings.
 """
 
 import ast
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 from naselect import cli, fileio
 from naselect.scenarios import build_scenario
@@ -59,3 +62,28 @@ def test_a_traced_run_raises_nothing(tmp_path, capsys):
     assert codes == [0, 0, 0]
     assert [n for n in names if ".raised." in n] == []
     assert "nonanticipation.project.removed" in names
+
+
+FALSIFIED_AND_PASSING = """
+from hypothesis import given, settings, strategies as st
+
+
+@given(st.integers())
+@settings(database=None, derandomize=True)
+def test_falsified(x):
+    assert x < 5
+
+
+def test_passing():
+    pass
+"""
+
+
+def test_a_falsified_hypothesis_test_is_one_failure(tmp_path):
+    """With every warning an error, hypothesis's failure report must not end the session."""
+    (tmp_path / "test_given.py").write_text(FALSIFIED_AND_PASSING)
+    config = os.path.join(ROOT, "pyproject.toml")
+    argv = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", config, "--rootdir", str(tmp_path), "test_given.py"]
+    run = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
