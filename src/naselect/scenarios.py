@@ -390,9 +390,11 @@ def build_scenario(
     cells, value-set entries and random tokens would exceed
     MAX_SCENARIO_CELLS is rejected before anything is built.
     """
-    head, _, rest = name.partition(":")
+    head, sep, rest = name.partition(":")
     if rho is not None and head != "ex4":
         raise ValidationError("only ex4 scenarios take a rho level")
+    if sep and head in ("ex1", "ex2"):
+        raise ValidationError(f"{head} takes no arguments, got {rest!r}")
     meta: dict = {"scenario": name}
     tokens = 0
     if head == "ex1":
@@ -407,7 +409,7 @@ def build_scenario(
         shape, build = (n, n, n + 1), lambda: build_example3(n)
     elif head == "ex4":
         levels = EXAMPLE4_LEVELS
-        if rest:
+        if sep:
             try:
                 levels = tuple(Fraction(x) for x in rest.split(","))
             except (ValueError, ZeroDivisionError):

@@ -143,15 +143,28 @@ class PrefixIndex:
             digits[p] = 49  # "1": bit 2p
         return int(digits[-2::-1], 4)
 
-    def select(self, items: Sequence, v: int) -> Iterator:
-        """The items at the indices of the members in `v`, in index order."""
+    def indices(self, v: int) -> list[int]:
+        """The indices of the members in `v`, ascending."""
         if v.bit_count() * 10 < len(self.order) + 40:  # below this, member by member beats one gather (measured)
             order, found = self.order, []
             while v:  # top member first: v shrinks to the next member's bit, one xor per member
                 b = v.bit_length() - 1
                 found.append(order[b >> 1])
                 v ^= 1 << b
-            return map(items.__getitem__, sorted(found))
+            found.sort()
+            return found
+        return list(compress(range(len(self.order)), self._gather(self._places((v,)))))
+
+    def first(self, v: int) -> int:
+        """The smallest index of a member in `v`, which must not be empty."""
+        if v.bit_count() ** 2 > len(self.order):  # then a scan in index order hits early, listing no members (measured)
+            return next(i for i, r in enumerate(self.rank) if v >> 2 * r & 1)
+        return self.indices(v)[0]
+
+    def select(self, items: Sequence, v: int) -> Iterator:
+        """The items at the indices of the members in `v`, in index order."""
+        if v.bit_count() * 10 < len(self.order) + 40:
+            return map(items.__getitem__, self.indices(v))
         return compress(items, self._gather(self._places((v,))))
 
     def select_all(self, items: Sequence, sets: Sequence[int]) -> list[Iterator]:

@@ -7,7 +7,8 @@ that is admissible for that disturbance and agrees with its earlier picks.
 The selection multifunction for every step is the greatest chain-non-
 anticipative multiselector; its non-emptiness is exactly what keeps the
 procedure from getting stuck.  It depends only on the multifunction and the
-partition, so an exhaustive run composes it once and replays it per disturbance.
+partition, so an exhaustive run composes it once; a step depends only on the
+revealed prefix, so it computes one step per distinct revealed prefix.
 """
 
 from __future__ import annotations
@@ -161,14 +162,20 @@ def _compose(a: Multifunction, delta: Partition, policy: str, check: bool):
     return chain, phi
 
 
-def _drive(a, delta, chain, phi, adversary: Adversary, policy, seed, on_step) -> StepTrace:
-    """One run against `adversary`, picking from the composed `phi` over `chain`."""
+def _drive(a, delta, chain, phi, adversary: Adversary, policy, seed, on_step, walked=None) -> StepTrace:
+    """One run against `adversary`, picking from the composed `phi` over `chain`.
+
+    Runs sharing `walked` (revealed prefix → computed `Step` and option count)
+    take the steps found there and record those they compute.  A "random" run
+    builds its `Random(seed)` at its first computed step and first replays one
+    `choice` per step it took, so it picks as a run on its own would.
+    """
     inst, z = a.instance, a.instance.z.prefix_index
-    rng = random.Random(seed)
+    walked = {} if walked is None else walked
+    rng, taken = None, []
     revealed: RestrictionKey = ()
     steps: list[Step] = []
-    prev_w: int | None = None
-    prev_h: int | None = None
+    prev: Step | None = None
     prev_len = 0
     for i, p in enumerate(chain.prefixes, start=1):
         ext = adversary.extend(i, revealed, p.len)
@@ -177,28 +184,41 @@ def _drive(a, delta, chain, phi, adversary: Adversary, policy, seed, on_step) ->
                 f"step {i}: expected {p.len - len(revealed)} cells, got {len(ext)}"
             )
         revealed = revealed + tuple(ext)
-        matches = inst.omega.prefix_index.members(revealed)
-        if not matches:
-            raise AdversaryError(f"step {i}: revealed prefix {revealed} matches no disturbance")
-        w = matches[0]
-        omega_id, z_id = inst.omega.prefix_index.ids(prev_len), z.ids(prev_len)
-        starts, k = z.starts(prev_len), 0 if prev_h is None else z_id[prev_h]  # the previous pick's run
-        run = (1 << 2 * starts[k + 1]) - (1 << 2 * starts[k])
-        admissible = list(z.select(range(len(inst.z)), phi.bits[w] & run))
-        if not admissible:
-            raise ProcedureStuckError(
-                f"step {i}: no admissible trajectory for {inst.omega.names[w]}", step=i, omega=w
-            )
-        h = admissible[0] if policy == "lex" else rng.choice(admissible)
-        omega_ok = prev_w is None or omega_id[w] == omega_id[prev_w]
-        h_ok = prev_h is None or z_id[h] == z_id[prev_h]
-        step = Step(i, revealed, w, h, omega_ok, h_ok, (phi.bits[w] & a.bits[w]) >> 2 * z.rank[h] & 1 == 1)
+        found = walked.get(revealed)
+        if found is not None:
+            step, k = found
+            taken.append(k)
+        else:
+            matches = inst.omega.prefix_index.members(revealed)
+            if not matches:
+                raise AdversaryError(f"step {i}: revealed prefix {revealed} matches no disturbance")
+            w = matches[0]
+            omega_id, z_id = inst.omega.prefix_index.ids(prev_len), z.ids(prev_len)
+            starts, r = z.starts(prev_len), 0 if prev is None else z_id[prev.h]  # the previous pick's run
+            admissible = phi.bits[w] & ((1 << 2 * starts[r + 1]) - (1 << 2 * starts[r]))
+            k = admissible.bit_count()
+            if not k:
+                raise ProcedureStuckError(
+                    f"step {i}: no admissible trajectory for {inst.omega.names[w]}", step=i, omega=w
+                )
+            if policy == "lex":
+                h = z.first(admissible)
+            else:
+                if rng is None:
+                    rng = random.Random(seed)
+                    for n in taken:
+                        rng.choice(range(n))
+                h = rng.choice(z.indices(admissible))
+            omega_ok = prev is None or omega_id[w] == omega_id[prev.omega]
+            h_ok = prev is None or z_id[h] == z_id[prev.h]
+            step = Step(i, revealed, w, h, omega_ok, h_ok, (phi.bits[w] & a.bits[w]) >> 2 * z.rank[h] & 1 == 1)
+            walked[revealed] = step, k
         steps.append(step)
         if on_step is not None:
             on_step(step)
-        prev_w, prev_h, prev_len = w, h, p.len
-    assert prev_h is not None
-    return StepTrace(delta, tuple(steps), prev_h)
+        prev, prev_len = step, p.len
+    assert prev is not None
+    return StepTrace(delta, tuple(steps), prev.h)
 
 
 def run_exhaustive(
@@ -210,12 +230,14 @@ def run_exhaustive(
 ) -> dict[int, StepTrace]:
     """One scripted run per admissible disturbance; raises if any path gets stuck.
 
-    The selection multifunction is composed once and replayed for every
-    disturbance in index order; each run draws from its own `random.Random(seed)`.
+    The selection multifunction is composed once, and the runs, in index order,
+    share one table of computed steps keyed by the revealed prefix: one step per
+    node of the revelation tree, and each run's picks as if it ran alone.
     """
     chain, phi = _compose(a, delta, policy, check)
+    walked: dict[RestrictionKey, tuple[Step, int]] = {}
     return {
-        w: _drive(a, delta, chain, phi, ScriptedAdversary(s), policy, seed, None)
+        w: _drive(a, delta, chain, phi, ScriptedAdversary(s), policy, seed, None, walked)
         for w, s in enumerate(a.instance.omega.signals)
     }
 

@@ -1,9 +1,9 @@
 """Value sets as ints against frozenset algebra and the naive pairwise definitions.
 
 Besides the hypothesis shapes, random instances at 3% and 97% density take
-both paths of `PrefixIndex.select` and `select_all` (finding a few members,
-gathering or permuting many), and one-trajectory families have a single
-two-bit run at every length.
+both paths of `PrefixIndex.indices`, `first` and `select_all` (finding a few
+members, or gathering, scanning or permuting many), and one-trajectory
+families have a single two-bit run at every length.
 """
 
 import functools
@@ -118,6 +118,8 @@ def _check_naming(inst, a):
     full = z.pack(range(n))
     for sets in [list(a.bits), [0], [full], [0, full, *a.bits], [full] * 3 + list(a.bits)]:
         scanned = [[j for j in range(n) if v >> 2 * z.rank[j] & 1] for v in sets]
+        assert [z.indices(v) for v in sets] == scanned
+        assert [z.first(v) for v in sets if v] == [js[0] for js in scanned if js]
         for items in (range(n), inst.z.names):
             want = [[items[j] for j in js] for js in scanned]
             assert [list(z.select(items, v)) for v in sets] == want

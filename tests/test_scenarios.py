@@ -308,11 +308,27 @@ def test_scenario_ex4_records_the_level():
 
 
 def test_scenario_name_errors():
-    for name in ("ex9", "ex3:x", "random:1", "random:1:2", "ex4:zz"):
+    for name in ("ex9", "ex3:x", "random:1", "random:1:2", "ex4:zz", "ex1:junk", "ex2:5", "ex1:", "ex4:"):
         with pytest.raises(ValidationError):
             build_scenario(name)
     with pytest.raises(ValidationError):
         build_scenario("ex1", rho=Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("ex1:junk", "ex1 takes no arguments, got 'junk'"),
+        ("ex2:5", "ex2 takes no arguments, got '5'"),
+        ("ex4:", "bad level list ''"),
+        ("ex3:", "ex3 needs a truncation level, got ''"),
+    ],
+)
+def test_the_cli_rejects_arguments_a_scenario_would_ignore(tmp_path, capsys, name, message):
+    path = tmp_path / "out.json"
+    assert cli.cli(["scenario", name, "--emit", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not path.exists()
 
 
 def test_rho_is_rejected_before_a_non_ex4_scenario_is_built(monkeypatch):

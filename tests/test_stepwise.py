@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,10 +26,12 @@ from naselect import (
     compose_chain,
     enumerate_omega_delta,
     feasible,
+    full_partition,
     grid,
     is_total,
     legal_extensions,
     partition_to_chain,
+    random_instance,
     run_exhaustive,
     run_stepwise,
     validate_trace,
@@ -260,6 +263,106 @@ def test_exhaustive_composes_once(monkeypatch, check):
     calls = counting(monkeypatch, "compose_chain", [stepwise])
     assert len(run_exhaustive(a, Partition((0, 1, 3)), check=check)) == len(inst.omega) > 1
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive run walks the revelation tree: one step per revealed prefix
+
+
+def _revealed_prefixes(inst, delta):
+    lens = [p.len for p in partition_to_chain(inst.grid, delta).prefixes]
+    return {s.cells[:n] for s in inst.omega.signals for n in lens}
+
+
+def test_exhaustive_computes_one_step_per_revealed_prefix_on_ex4(monkeypatch):
+    inst, a = _ex4_at_optimum()
+    delta = Partition((0, 1, 3))
+    computed = counting(monkeypatch, "Step", [stepwise])
+    traces = run_exhaustive(a, delta)
+    # both disturbances reveal ("0",) first, so they share the first step
+    assert sum(len(t.steps) for t in traces.values()) == 4
+    assert len(computed) == len(_revealed_prefixes(inst, delta)) == 3
+    assert traces[0].steps[0] is traces[1].steps[0]
+
+
+def test_exhaustive_computes_one_step_per_revealed_prefix_on_a_stepwise_shaped_file(monkeypatch):
+    inst, a = random_instance(1, 100, 500, 8, alphabet=3, density=0.9)
+    delta = Partition((0, 2, 4, 6, 8))
+    expected = {
+        w: run_stepwise(a, delta, ScriptedAdversary(s), check=False) for w, s in enumerate(inst.omega.signals)
+    }
+    computed = counting(monkeypatch, "Step", [stepwise])
+    assert run_exhaustive(a, delta) == expected
+    assert sum(len(t.steps) for t in expected.values()) == 400
+    assert len(computed) == len(_revealed_prefixes(inst, delta)) == 260
+
+
+def _splitting_instance():
+    """Disturbances that share their first cells and then split; every trajectory is admissible."""
+    g = grid(0, 1, 2, 3)
+    cells = [("a", "a", "a"), ("a", "a", "b"), ("a", "b", "a"), ("b", "a", "a"), ("a", "b", "b")]
+    omega = SignalFamily("disturbance", tuple(f"w{i}" for i in range(5)), tuple(map(Signal, cells)))
+    paths = list(itertools.product("xyz", repeat=3))
+    z = SignalFamily("trajectory", tuple(f"h{j}" for j in range(27)), tuple(map(Signal, paths)))
+    inst = Instance(g, omega, z)
+    return inst, Multifunction(inst, [frozenset(range(27))] * 5)
+
+
+def test_random_runs_that_leave_the_shared_path_pick_as_they_would_alone(monkeypatch):
+    inst, a = _splitting_instance()
+    delta = Partition((0, 1, 2, 3))
+    computed = counting(monkeypatch, "Step", [stepwise])
+    finals = set()
+    for seed in range(21):
+        alone = {
+            w: run_stepwise(a, delta, ScriptedAdversary(s), "random", seed, check=False)
+            for w, s in enumerate(inst.omega.signals)
+        }
+        computed.clear()
+        assert run_exhaustive(a, delta, "random", seed) == alone
+        assert len(computed) == len(_revealed_prefixes(inst, delta)) == 10 < 15
+        finals.add(tuple(t.final_h for t in alone.values()))
+    assert len(finals) > 1  # the seeds do steer the picks
+
+
+def test_a_stuck_node_shared_by_two_disturbances_raises_as_the_first_scripted_run():
+    g = grid(0, 1, 2)
+    cells = [("b", "a"), ("a", "a"), ("b", "b"), ("a", "b")]
+    omega = SignalFamily("disturbance", ("w0", "w1", "w2", "w3"), tuple(map(Signal, cells)))
+    z = SignalFamily("trajectory", ("h0", "h1"), (Signal(("x", "x")), Signal(("y", "y"))))
+    inst = Instance(g, omega, z)
+    # w1 and w3 reveal ("a",) first but want trajectories that split there: no choice serves both
+    a = Multifunction(inst, [frozenset({0}), frozenset({0}), frozenset({0}), frozenset({1})])
+    delta = Partition((0, 1, 2))
+    for policy, seed in (("lex", 0), ("random", 0), ("random", 3)):
+        scripted = []
+        for s in inst.omega.signals:
+            try:
+                run_stepwise(a, delta, ScriptedAdversary(s), policy, seed, check=False)
+            except ProcedureStuckError as e:
+                scripted.append((str(e), e.step, e.omega))
+        # w1 and w3 both get stuck at step 1, at the class's first member
+        assert scripted == [("step 1: no admissible trajectory for w1", 1, 1)] * 2
+        with pytest.raises(ProcedureStuckError) as err:
+            run_exhaustive(a, delta, policy, seed)
+        assert (str(err.value), err.value.step, err.value.omega) == scripted[0]
+
+
+def test_random_walk_keeps_no_generator_state_per_node():
+    inst, a = random_instance(3, n_omega=2000, n_z=30, n_cells=8, alphabet=3, density=1.0)
+    delta = full_partition(inst.grid)
+    assert len(_revealed_prefixes(inst, delta)) > 4000
+    run_exhaustive(a, delta, "random", 5)  # warm-up: the prefix index's tables
+    peaks = {}
+    for policy in ("lex", "random"):
+        tracemalloc.start()
+        try:
+            run_exhaustive(a, delta, policy, 5)
+            peaks[policy] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one saved generator state is about 24 KB, so a state per node would need over 100 MB here
+    assert peaks["random"] < 1.5 * peaks["lex"]
 
 
 # ---------------------------------------------------------------------------
