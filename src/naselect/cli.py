@@ -25,6 +25,7 @@ from .multifunction import is_total, mf_le, mf_meet
 from .nonanticipation import (
     canonical_chain,
     compose_chain,
+    feasible,
     greatest_na,
     is_chain_na,
     is_prefix_na,
@@ -103,13 +104,8 @@ def cmd_compose(args) -> int:
 
 def cmd_feasible(args) -> int:
     inst, mf = fileio.load(args.file)
-    delta = _parse_delta(args.delta)
-    composed = compose_chain(mf, partition_to_chain(inst.grid, delta))
-    ok = is_total(composed)
-    report = fileio.build_report(
-        "feasible", inst, mf, {"delta": args.delta}, composed, {"feasible": ok}
-    )
-    _emit(report, args)
+    ok, composed = feasible(mf, _parse_delta(args.delta))
+    _emit(fileio.build_report("feasible", inst, mf, {"delta": args.delta}, composed, {"feasible": ok}), args)
     return 0 if ok else 3
 
 
@@ -290,6 +286,7 @@ def build_parser() -> _Parser:
 
 
 _parser: _Parser | None = None
+MESSAGE_LIMIT = 400  # characters of an error message shown; a note counts the rest
 
 
 def cli(argv: list[str]) -> int:
@@ -301,23 +298,26 @@ def cli(argv: list[str]) -> int:
         args = _parser.parse_args(argv)
         return globals()["cmd_" + args.command](args)  # looked up per call, so a rebound command runs
     except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
+        return _fail("usage error", e, 1)
     except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _fail("error", e, 2)
     except AdversaryError as e:
-        print(f"adversary error: {e}", file=sys.stderr)
-        return 2
+        return _fail("adversary error", e, 2)
     except (InfeasibleError, ProcedureStuckError) as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return 3
+        return _fail("infeasible", e, 3)
     except BudgetExceededError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 5
+        return _fail("budget exceeded", e, 5)
     except Exception as e:
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 6
+        return _fail("internal error", f"{type(e).__name__}: {e}", 6)
+
+
+def _fail(label: str, message: object, code: int) -> int:
+    """Print `label: message` on stderr, the message cut to MESSAGE_LIMIT characters, and return `code`."""
+    text = str(message)
+    if len(text) > MESSAGE_LIMIT:  # an argument echoed in full could fill the terminal
+        text = f"{text[:MESSAGE_LIMIT]}... [{len(text) - MESSAGE_LIMIT} more characters]"
+    print(f"{label}: {text}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

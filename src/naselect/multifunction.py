@@ -57,8 +57,8 @@ class Multifunction:
         n = len(self.instance.z)
         for v in values:
             for j in v:
-                if not 0 <= j < n:
-                    raise ValidationError(f"trajectory index {j} out of range 0..{n - 1}")
+                if type(j) is not int or not 0 <= j < n:  # bool, float and str indices are rejected too
+                    raise ValidationError(f"trajectory index {j!r} out of range 0..{n - 1}")
         object.__setattr__(self, "bits", tuple(map(self.instance.z.prefix_index.pack, values)))
 
     @cached_property

@@ -161,14 +161,12 @@ def greatest_na(a: Multifunction) -> Multifunction:
     return compose_chain(a, canonical_chain(a.instance))
 
 
-def feasible(a: Multifunction, delta: Partition) -> tuple[bool, Multifunction | None]:
+def feasible(a: Multifunction, delta: Partition) -> tuple[bool, Multifunction]:
     """Decide the step-by-step conditions of `a` under `delta`.
 
-    Returns (True, witness) with the greatest chain-non-anticipative
-    multiselector when it is non-empty-valued, else (False, None).  The
-    witness can serve as every step's selection multifunction.
+    Returns (is_total(g), g) with g the greatest chain-non-anticipative
+    multiselector.  When total, g can serve as every step's selection
+    multifunction; else it is the witness `InfeasibleError` carries.
     """
     g = compose_chain(a, partition_to_chain(a.instance.grid, delta))
-    if is_total(g):
-        return True, g
-    return False, None
+    return is_total(g), g

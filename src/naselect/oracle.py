@@ -73,7 +73,7 @@ def _walk(
 
     # each position's members in index order: member j is the int 1 << 2·rank[j], held ready
     # where the position has at most READY members, else as its place 2·rank[j]
-    members = [[2 * r for r in z.select(z.rank, bits[w])] for w in perm]
+    members = [[2 * z.rank[j] for j in z.indices(bits[w])] for w in perm]
     members = [[1 << p for p in ps] if len(ps) <= READY else ps for ps in members]
 
     def subsets(pos: int) -> Iterator[int]:

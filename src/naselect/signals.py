@@ -161,25 +161,16 @@ class PrefixIndex:
             return next(i for i, r in enumerate(self.rank) if v >> 2 * r & 1)
         return self.indices(v)[0]
 
-    def select(self, items: Sequence, v: int) -> Iterator:
-        """The items at the indices of the members in `v`, in index order."""
-        if v.bit_count() * 10 < len(self.order) + 40:
-            return map(items.__getitem__, self.indices(v))
-        return compress(items, self._gather(self._places((v,))))
-
     def select_all(self, items: Sequence, sets: Sequence[int]) -> list[Iterator]:
-        """`select(items, v)` for each v of `sets`; sets of few members, on average, are taken one by one."""
+        """The items at the indices of each set's members, in index order.  Sets of few members, on average,
+        are taken one by one; else the place flags, one row per set, are sliced into columns, the columns
+        gathered once by `rank`, and each row, by member index and then a spare 0, sliced back out."""
         if sum(map(int.bit_count, sets)) * 10 < len(sets) * (len(self.order) + 40):
-            return [self.select(items, v) for v in sets]
-        return [compress(items, row) for row in self._by_index(sets)]
-
-    def _by_index(self, sets: Sequence[int]) -> list[bytes]:
-        """Each set's 0/1 flags by member index, then a spare 0: the place flags, one row per set, are
-        sliced into columns, the columns gathered once by `rank`, and each row sliced back out."""
+            return [map(items.__getitem__, self.indices(v)) for v in sets]
         n, w = len(self.order) + 1, len(sets)
         flags = self._places(sets)
         by_index = b"".join(self._gather([flags[p::n] for p in range(n)]))
-        return [by_index[r::w] for r in range(w)]
+        return [compress(items, by_index[r::w]) for r in range(w)]
 
     def classes(self, length: int) -> dict[int, tuple[int, ...]]:
         """Classes at `length` by key id, in first-appearance order, members in index order."""

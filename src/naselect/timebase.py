@@ -49,9 +49,6 @@ class TimeGrid:
     def widths(self) -> tuple[Fraction, ...]:
         return tuple(b - a for a, b in zip(self.stamps, self.stamps[1:]))
 
-    def full_prefix(self) -> Prefix:
-        return Prefix(self.cells)
-
     def prefixes(self) -> tuple[Prefix, ...]:
         """Every prefix of this grid, shortest first."""
         return tuple(Prefix(k) for k in range(1, self.cells + 1))
@@ -98,12 +95,6 @@ class PrefixChain:
         for a, b in zip(self.prefixes, self.prefixes[1:]):
             if a.len >= b.len:
                 raise ValidationError("chain prefixes must strictly increase")
-
-    def __len__(self) -> int:
-        return len(self.prefixes)
-
-    def __iter__(self):
-        return iter(self.prefixes)
 
 
 def check_partition(g: TimeGrid, delta: Partition) -> None:

@@ -164,6 +164,49 @@ def test_unexpected_exceptions_exit_six(ex2_file, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: kaput\n"
 
 
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["compose", "{ex4}", "--delta", "0," + LONG], 2),
+        (["scenario", "random:1:" + LONG, "--emit", "{out}"], 2),
+        (["scenario", "ex3:" + LONG, "--emit", "{out}"], 2),
+        (["scenario", "ex4", "--rho", LONG, "--emit", "{out}"], 2),
+        (["project", "{ex4}", "--prefix", LONG], 1),
+        (["oracle", "{ex4}", "--delta", "0,1,2,3", "--budget", LONG], 1),
+        (["simulate", "{ex4}", "--delta", "0,1,2,3", "--adversary", LONG], 2),
+        (["simulate", "{ex4}", "--delta", "0,1,2,3", "--adversary", "scripted:" + LONG], 2),
+        (["check", "{long_name}"], 2),
+    ],
+    ids=["delta", "random-spec", "ex3-level", "rho", "prefix", "budget", "adversary", "scripted", "file-name"],
+)
+def test_an_oversized_argument_is_cut_from_the_error_message(ex4_file, tmp_path, capsys, argv, code):
+    paths = {"ex4": ex4_file, "out": str(tmp_path / "x.json"), "long_name": str(tmp_path / ("f" * 5000))}
+    assert cli.cli([a.format(**paths) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024 and "Traceback" not in err
+    assert err.endswith(" more characters]\n") and err.count("\n") == 1
+    assert not os.path.exists(paths["out"])
+
+
+@pytest.mark.parametrize("size", [1, cli.MESSAGE_LIMIT - 1, cli.MESSAGE_LIMIT, cli.MESSAGE_LIMIT + 1, 9999])
+def test_error_messages_up_to_the_limit_print_whole(ex2_file, monkeypatch, capsys, size):
+    message = "".join(str(k % 10) for k in range(size))
+
+    def refuse(args):
+        raise naselect.ValidationError(message)
+
+    monkeypatch.setattr(cli, "cmd_project", refuse)
+    assert cli.cli(["project", ex2_file, "--prefix", "1"]) == 2
+    dropped = size - cli.MESSAGE_LIMIT
+    if dropped <= 0:
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        assert capsys.readouterr().err == f"error: {message[: cli.MESSAGE_LIMIT]}... [{dropped} more characters]\n"
+
+
 def test_the_parser_is_built_once_per_process(ex2_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_parser", None)
     calls = counting(monkeypatch, "build_parser", [cli])
@@ -427,7 +470,10 @@ def test_interactive_index_is_ascii_digits_only(tmp_path, monkeypatch, capsys, l
     monkeypatch.setattr(sys, "stdin", io.StringIO(line))
     argv = ["simulate", str(path), "--delta", "0,1", "--adversary", "interactive"]
     assert cli.cli(argv) == 2
-    assert f"no extension option {line.strip()!r} at step 1" in capsys.readouterr().err
+    message = f"no extension option {line.strip()!r} at step 1"
+    if len(message) > cli.MESSAGE_LIMIT:  # the 4301-digit index is cut, and what was dropped is counted
+        message = f"{message[: cli.MESSAGE_LIMIT]}... [{len(message) - cli.MESSAGE_LIMIT} more characters]"
+    assert capsys.readouterr().err.endswith(f"adversary error: {message}\n")
 
 
 # Runs every subcommand in one child process and reports exit codes and output.

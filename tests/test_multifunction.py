@@ -159,6 +159,13 @@ def test_join_meet_match_direct_definitions(data):
         assert m.values[k] == expect
 
 
+@pytest.mark.parametrize("index", ["x", 1.0, True, None, -1, 3], ids=repr)
+def test_a_value_set_takes_only_int_indices_in_range(index):
+    inst, beta = build_example1()  # three trajectories
+    with pytest.raises(ValidationError, match=r"^trajectory index .* out of range 0\.\.2$"):
+        Multifunction(inst, ({index},) + beta.values[1:])
+
+
 def test_name_keyed_view_orders_by_index():
     _, beta = build_example1()
     assert mf_to_names(beta) == {

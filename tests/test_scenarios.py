@@ -15,6 +15,7 @@ from naselect import (
     build_example3,
     build_example4,
     build_scenario,
+    compose_chain,
     example3_system,
     feasible,
     full_multifunction,
@@ -24,6 +25,7 @@ from naselect import (
     is_total,
     mf_le,
     optimal_rho,
+    partition_to_chain,
     random_instance,
 )
 from naselect import cli, scenarios
@@ -224,8 +226,12 @@ def test_feasibility_fails_below_the_optimum():
     below = res.candidates[-1]
     assert below < res.rho_star
     _, a = alpha_rho(sys, below)
-    ok, _ = feasible(a, Partition((0, 1, 3)))
+    delta = Partition((0, 1, 3))
+    ok, g = feasible(a, delta)
     assert not ok
+    # the non-total composite comes back, as `InfeasibleError` carries it
+    assert g == compose_chain(a, partition_to_chain(a.instance.grid, delta))
+    assert not is_total(g)
 
 
 # ---------------------------------------------------------------------------

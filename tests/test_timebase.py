@@ -30,7 +30,6 @@ def test_grid_cells_and_widths():
     g = grid(0, 1, "4/3", "3/2", 2)
     assert g.cells == 4
     assert g.widths() == (Fraction(1), Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
-    assert g.full_prefix() == Prefix(4)
     assert [p.len for p in g.prefixes()] == [1, 2, 3, 4]
 
 
