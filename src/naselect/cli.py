@@ -39,6 +39,7 @@ from .stepwise import (
     StepTrace,
     _compose,
     _drive,
+    _exhaust,
     _trace_problems,
     run_exhaustive,
     run_stepwise,
@@ -206,8 +207,8 @@ def _check_lines(inst, mf) -> list[tuple[str, bool]]:
         out.append(
             (f"fixpoint-char@{p.len}", is_prefix_na(mf, p).holds == (g == mf))
         )
-    chain = partition_to_chain(inst.grid, full_partition(inst.grid))
-    composed = compose_chain(mf, chain)
+    delta = full_partition(inst.grid)
+    chain, composed = _compose(mf, delta, "lex", False)
     out.append(("compose-chain-na", is_chain_na(composed, chain).holds))
     out.append(("compose-below-meet", mf_le(composed, mf_meet(projections))))
     top = greatest_na(mf)
@@ -215,12 +216,11 @@ def _check_lines(inst, mf) -> list[tuple[str, bool]]:
     bits = sum(v.bit_count() for v in mf.bits)
     if bits <= 16:
         out.append(("compose-vs-oracle", brute_greatest(mf, chain) == composed))
-    delta = full_partition(inst.grid)
     ok = is_total(composed)
     witness_ok = verify_witness([composed] * delta.steps, delta, mf).ok
     out.append(("feasible-vs-witness", ok == witness_ok))
     try:
-        run_exhaustive(mf, delta, check=False)
+        _exhaust(mf, delta, chain, composed, "lex", 0)
         stepwise_ok = True
     except (ProcedureStuckError, InfeasibleError):
         stepwise_ok = False

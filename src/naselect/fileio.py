@@ -178,7 +178,7 @@ def load(path: str) -> tuple[Instance, Multifunction]:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e}") from None
+        raise ValidationError(f"cannot read {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: parse error at line {e.lineno}: {e.msg}") from None
     except (ValueError, RecursionError) as e:  # bad UTF-8, an over-long integer, deep nesting
@@ -192,7 +192,7 @@ def save(path: str, inst: Instance, mf: Multifunction, metadata: dict | None = N
         with open(path, "w", encoding="utf-8") as f:
             f.write(dumps(doc) + "\n")
     except OSError as e:
-        raise ValidationError(f"cannot write {path}: {e}") from None
+        raise ValidationError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def na_flags(mf: Multifunction) -> dict[str, bool]:

@@ -250,45 +250,62 @@ def build_example4(levels=EXAMPLE4_LEVELS) -> ControlSystem:
 
 
 def _control_family(sys: ControlSystem) -> SignalFamily:
-    cells = sys.grid.cells
-    combos = list(itertools.product(sys.levels, repeat=cells))
+    names = [str(x) for x in sys.levels]
+    combos = list(itertools.product(names, repeat=sys.grid.cells))
     return SignalFamily(
         ROLE_TRAJECTORY,
-        tuple("u(" + ",".join(str(x) for x in combo) + ")" for combo in combos),
-        tuple(Signal(tuple(str(x) for x in combo)) for combo in combos),
+        tuple("u(" + ",".join(combo) + ")" for combo in combos),
+        tuple(map(Signal._trusted, combos)),
     )
 
 
-def _areas(family: SignalFamily, widths: tuple[Fraction, ...]) -> list[Fraction]:
-    """Per signal, the sum over cells of value times width; each cell's distinct tokens parsed once."""
+def _weights(family: SignalFamily, widths: tuple[Fraction, ...]) -> list[dict[str, Fraction]]:
+    """Per cell, each distinct token's value times the cell width; each token parsed once."""
     columns = zip(zip(*(s.cells for s in family.signals)), widths)
-    weighted = [{tok: _cell_value(tok) * w for tok in dict.fromkeys(col)} for col, w in columns]
-    return [sum(map(dict.__getitem__, weighted, s.cells)) for s in family.signals]
+    return [{tok: _cell_value(tok) * w for tok in dict.fromkeys(col)} for col, w in columns]
 
 
-def _responses(sys: ControlSystem) -> tuple[Instance, list[list[Fraction]], list[list[int]]]:
-    """The instance over all controls, costs[v][j] = -|x0 + area(u_j) ± area(v)| (the terminal
-    state of u_j against v), and each row's control indices in ascending cost order."""
+def _areas(family: SignalFamily, weights: list[dict[str, Fraction]], d: int) -> list[int]:
+    """Per signal, d times the sum over cells of value times width; `d` must clear every weight's denominator."""
+    scaled = [{tok: x.numerator * (d // x.denominator) for tok, x in col.items()} for col in weights]
+    return [sum(map(dict.__getitem__, scaled, s.cells)) for s in family.signals]
+
+
+def _responses(sys: ControlSystem) -> tuple[Instance, list[list[int]], list[list[int]], int]:
+    """The instance over all controls, the cost table over one common denominator `d`, and each
+    row's control indices in ascending cost order.
+
+    `d` is the lcm of the denominators of `x0` and of every weighted cell value, so every
+    cost is an int over it: costs[v][j] / d = -|x0 + area(u_j) ± area(v)|, the negated
+    terminal state of u_j against v.  Ints over one positive denominator sort, tie and
+    compare exactly like the rationals they stand for.
+    """
     z = _control_family(sys)
     widths, sign = sys.grid.widths(), 1 if sys.dynamics == "u+v" else -1
-    area_u, area_v = _areas(z, widths), _areas(sys.disturbances, widths)
-    costs = [[-abs(base + a) for a in area_u] for base in [sys.x0 + sign * b for b in area_v]]
-    # Numerators over each row's common denominator sort exactly like the costs, and faster.
-    common = [lcm(*(c.denominator for c in row)) for row in costs]
-    keys = [[c.numerator * (d // c.denominator) for c in row] for row, d in zip(costs, common)]
-    orders = [sorted(range(len(k)), key=k.__getitem__) for k in keys]
-    return Instance(sys.grid, sys.disturbances, z), costs, orders
+    weights_u, weights_v = _weights(z, widths), _weights(sys.disturbances, widths)
+    d = lcm(sys.x0.denominator, *(x.denominator for col in weights_u + weights_v for x in col.values()))
+    x0 = sys.x0.numerator * (d // sys.x0.denominator)
+    area_u, area_v = _areas(z, weights_u, d), _areas(sys.disturbances, weights_v, d)
+    costs = [[-abs(base + a) for a in area_u] for base in [x0 + sign * b for b in area_v]]
+    orders = [sorted(range(len(row)), key=row.__getitem__) for row in costs]
+    return Instance(sys.grid, sys.disturbances, z), costs, orders, d
 
 
-def _within(inst: Instance, costs, orders, rho: Fraction) -> Multifunction:
-    cuts = [bisect_right(order, rho, key=row.__getitem__) for row, order in zip(costs, orders)]
+def _within(inst: Instance, costs, orders, d: int, rho: Fraction) -> Multifunction:
+    """Each row's controls with cost at most the rational `rho`.
+
+    A cost c stands for c / d with d > 0, and for an int c, c / d <= rho exactly
+    when c <= floor(rho · d), so each row is cut at that one int.
+    """
+    cut = rho.numerator * d // rho.denominator
+    cuts = [bisect_right(order, cut, key=row.__getitem__) for row, order in zip(costs, orders)]
     return Multifunction._trusted(inst, tuple(inst.z.prefix_index.pack(o[:k]) for o, k in zip(orders, cuts)))
 
 
 def alpha_rho(sys: ControlSystem, rho: Fraction) -> tuple[Instance, Multifunction]:
     """Responses achieving cost at most `rho`: keep controls with |terminal state| >= -rho."""
-    inst, costs, orders = _responses(sys)
-    return inst, _within(inst, costs, orders, rho)
+    inst, costs, orders, d = _responses(sys)
+    return inst, _within(inst, costs, orders, d, rho)
 
 
 def optimal_rho(sys: ControlSystem) -> RhoSearchResult:
@@ -301,17 +318,20 @@ def optimal_rho(sys: ControlSystem) -> RhoSearchResult:
     return _search(*_responses(sys))
 
 
-def _search(inst: Instance, costs, orders) -> RhoSearchResult:
-    """`optimal_rho` over a filled table, cutting each candidate's responses by bisection."""
-    candidates = sorted({c for row in costs for c in row} | {Fraction(0)}, reverse=True)
-    best: tuple[Fraction, Multifunction] | None = None
-    for k, rho in enumerate(candidates):
-        w = greatest_na(_within(inst, costs, orders, rho))
+def _search(inst: Instance, costs, orders, d: int) -> RhoSearchResult:
+    """`optimal_rho` over a filled table, cutting each candidate's responses by bisection.
+
+    Candidates stay ints over `d` until scanned; only the scanned ones become fractions.
+    """
+    levels = sorted({c for row in costs for c in row} | {0}, reverse=True)
+    best: tuple[int, Multifunction] | None = None
+    for k, c in enumerate(levels):
+        w = greatest_na(_within(inst, costs, orders, d, Fraction(c, d)))
         if not is_total(w):
             break
-        best = (rho, w)
+        best = (c, w)
     assert best is not None  # the zero candidate keeps every control
-    return RhoSearchResult(best[0], tuple(candidates[: k + 1]), best[1])
+    return RhoSearchResult(Fraction(best[0], d), tuple(Fraction(c, d) for c in levels[: k + 1]), best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +436,10 @@ def build_scenario(
                 raise ValidationError(f"bad level list {rest!r}") from None
 
         def build() -> tuple[Instance, Multifunction]:
-            inst, costs, orders = _responses(build_example4(levels))
-            level = _search(inst, costs, orders).rho_star if rho is None else rho
+            table = _responses(build_example4(levels))
+            level = _search(*table).rho_star if rho is None else rho
             meta["rho"] = str(level)
-            return inst, _within(inst, costs, orders, level)
+            return table[0], _within(*table, level)
 
         shape = (2, len(set(levels)) ** 3, 3)
     elif head == "random":

@@ -235,6 +235,11 @@ def run_exhaustive(
     node of the revelation tree, and each run's picks as if it ran alone.
     """
     chain, phi = _compose(a, delta, policy, check)
+    return _exhaust(a, delta, chain, phi, policy, seed)
+
+
+def _exhaust(a, delta, chain, phi, policy, seed) -> dict[int, StepTrace]:
+    """`run_exhaustive` over an already composed `phi`."""
     walked: dict[RestrictionKey, tuple[Step, int]] = {}
     return {
         w: _drive(a, delta, chain, phi, ScriptedAdversary(s), policy, seed, None, walked)

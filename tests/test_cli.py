@@ -1,5 +1,6 @@
 """Subprocess-level checks of the command surface and its exit-code contract."""
 
+import errno
 import hashlib
 import io
 import json
@@ -75,6 +76,15 @@ def test_emit_into_a_missing_directory_exits_two(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("verb, argv", [("read", ["check"]), ("write", ["scenario", "ex1", "--emit"])])
+def test_a_file_error_names_the_file_once(tmp_path, capsys, verb, argv):
+    path = str(tmp_path / "absent" / "x.json")
+    assert cli.cli(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot {verb} {path}: {os.strerror(errno.ENOENT)}\n"
+    assert err.count(path) == 1
+
+
 @pytest.mark.parametrize(
     "line, code",
     [
@@ -115,13 +125,13 @@ def test_feasible_composes_once_on_infeasible_input(tmp_path, monkeypatch, capsy
     assert "feasible: false" in capsys.readouterr().out
 
 
-def test_check_composes_three_times(tmp_path, monkeypatch, capsys):
+def test_check_composes_twice(tmp_path, monkeypatch, capsys):
     path = str(tmp_path / "r.json")
     assert cli.cli(["scenario", "random:4:4,6,3,2,50", "--emit", path]) == 0
     calls = counting(monkeypatch, "compose_chain", [cli, nonanticipation, stepwise])
     assert cli.cli(["check", path]) == 0
-    # its own, the exhaustive run's and greatest_na's
-    assert len(calls) == 3
+    # the full chain's, which the exhaustive run reuses, and greatest_na's
+    assert len(calls) == 2
 
 
 def test_check_projects_and_checks_each_prefix_once_per_multifunction(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,19 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naselect import (
     ControlSystem,
     Partition,
     Prefix,
     Signal,
+    SignalFamily,
+    TimeGrid,
     ValidationError,
     alpha_rho,
     build_example1,
@@ -31,6 +37,7 @@ from naselect import (
 from naselect import cli, scenarios
 from naselect.fileio import instance_digest
 from naselect.scenarios import _control_family, _responses, example3_grid
+from naselect.signals import ROLE_DISTURBANCE
 
 from conftest import counting, naive_alpha_rho, naive_optimal_rho
 
@@ -181,11 +188,13 @@ def test_rho_search_agrees_with_per_candidate_integration(name):
 @pytest.mark.parametrize("name", RHO_SYSTEMS)
 def test_cost_table_matches_pairwise_integration(name):
     sys = RHO_SYSTEMS[name]
-    _, costs, orders = _responses(sys)
+    _, costs, orders, d = _responses(sys)
     z = _control_family(sys).signals
     ref = [[-abs(integrate(sys, u, v)) for u in z] for v in sys.disturbances.signals]
-    assert costs == ref
-    assert [[str(c) for c in row] for row in costs] == [[str(c) for c in row] for row in ref]
+    table = [[Fraction(c, d) for c in row] for row in costs]
+    assert all(type(c) is int for row in costs for c in row)
+    assert table == ref
+    assert [[str(c) for c in row] for row in table] == [[str(c) for c in row] for row in ref]
     for row, order in zip(costs, orders):
         assert sorted(order) == list(range(len(z)))
         assert all(row[i] <= row[j] for i, j in zip(order, order[1:]))
@@ -200,10 +209,66 @@ ORDER_SYSTEMS = {
 
 @pytest.mark.parametrize("name", ORDER_SYSTEMS)
 def test_response_orders_equal_the_stable_fraction_sort(name):
-    _, costs, orders = _responses(ORDER_SYSTEMS[name])
-    assert orders == [sorted(range(len(row)), key=row.__getitem__) for row in costs]
+    _, costs, orders, d = _responses(ORDER_SYSTEMS[name])
+    table = [[Fraction(c, d) for c in row] for row in costs]
+    assert orders == [sorted(range(len(row)), key=row.__getitem__) for row in table]
     if name == "default":
-        assert any(len(set(row)) < len(row) for row in costs)  # ties, so stability shows
+        assert any(len(set(row)) < len(row) for row in table)  # ties, so stability shows
+
+
+WIDTHS = (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 5), Fraction(5, 4))
+# level denominators 3, 7 and 11 are pairwise coprime, so the common denominator is their product
+LEVELS = tuple(sorted({Fraction(k, q) for q in (1, 3, 7, 11) for k in range(-2, 3)}))
+PAYLOADS = tuple(sorted({Fraction(k, q) for q in (1, 5, 13) for k in (-3, -1, 0, 1, 2)}))
+STARTS = (Fraction(-5, 4), Fraction(1, 9), Fraction(2, 3), Fraction(-7, 13))
+
+
+@st.composite
+def control_systems(draw):
+    """Up to 27 controls on 1-4 uneven cells, 1-3 disturbances, a nonzero start and either dynamics."""
+    cells = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.sampled_from(WIDTHS), min_size=cells, max_size=cells))
+    levels = draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3 if cells < 4 else 2, unique=True))
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from(PAYLOADS), min_size=cells, max_size=cells).map(tuple),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    disturbances = SignalFamily(
+        ROLE_DISTURBANCE,
+        tuple(f"v{i}" for i in range(len(rows))),
+        tuple(Signal(tuple(map(str, row))) for row in rows),
+    )
+    return ControlSystem(
+        TimeGrid(tuple(itertools.accumulate(widths, initial=Fraction(0)))),
+        tuple(sorted(levels)),
+        disturbances,
+        draw(st.sampled_from(("u+v", "u-v"))),
+        x0=draw(st.sampled_from(STARTS)),
+    )
+
+
+@given(control_systems(), st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_the_int_cost_table_agrees_with_pairwise_integration_and_the_naive_search(sys, data):
+    _, costs, orders, d = _responses(sys)
+    z = _control_family(sys).signals
+    assert all(type(c) is int for row in costs for c in row)
+    table = [[Fraction(c, d) for c in row] for row in costs]
+    assert table == [[-abs(integrate(sys, u, v)) for u in z] for v in sys.disturbances.signals]
+    on = data.draw(st.sampled_from(sorted({c for row in table for c in row} | {Fraction(0)})))
+    # 17, 19 and 23 divide no denominator above, so off * d is no int and the cut takes a floor
+    step = Fraction(data.draw(st.integers(1, 3)), data.draw(st.sampled_from((17, 19, 23))))
+    off = on - step
+    assert off < 0 and (off * d).denominator != 1
+    for rho in (on, off, on + step, math.floor(on), min(min(r) for r in table) - step):
+        assert alpha_rho(sys, rho)[1].values == naive_alpha_rho(sys, rho)[1].values
+    res, ref = optimal_rho(sys), naive_optimal_rho(sys)
+    assert (res.rho_star, res.candidates) == (ref.rho_star, ref.candidates)
+    assert res.witness.values == ref.witness.values
 
 
 def test_ex4_fills_one_cost_table_without_pairwise_quadrature(monkeypatch):
