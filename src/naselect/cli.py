@@ -37,12 +37,9 @@ from .stepwise import (
     InteractiveAdversary,
     ScriptedAdversary,
     StepTrace,
-    _compose,
-    _drive,
-    _exhaust,
-    _trace_problems,
     run_exhaustive,
     run_stepwise,
+    validate_trace,
     verify_witness,
 )
 from .timebase import Partition, Prefix, full_partition, partition_to_chain
@@ -87,9 +84,7 @@ def _emit(report: dict, args) -> None:
 
 def cmd_project(args) -> int:
     inst, mf = fileio.load(args.file)
-    p = Prefix(args.prefix)
-    inst.grid.check_prefix(p)
-    result = project(mf, p)
+    result = project(mf, Prefix(args.prefix))
     _emit(fileio.build_report("project", inst, mf, {"prefix": args.prefix}, result), args)
     return 0
 
@@ -155,10 +150,9 @@ def cmd_simulate(args) -> int:
     if not spec.startswith("scripted:"):
         raise ValidationError(f"unknown adversary {spec!r}")
     adversary = ScriptedAdversary(inst.omega.signals[inst.omega.index_of(spec.split(":", 1)[1])])
-    chain, phi = _compose(mf, delta, args.policy, check=True)
-    trace = _drive(mf, delta, chain, phi, adversary, args.policy, args.seed, None)
+    trace = run_stepwise(mf, delta, adversary, policy=args.policy, seed=args.seed)
     doc = _trace_doc(trace, inst)
-    problems = _trace_problems(mf, chain, phi, trace)
+    problems = validate_trace(mf, trace)
     if args.json:
         print(fileio.dumps(doc))
     else:
@@ -208,7 +202,8 @@ def _check_lines(inst, mf) -> list[tuple[str, bool]]:
             (f"fixpoint-char@{p.len}", is_prefix_na(mf, p).holds == (g == mf))
         )
     delta = full_partition(inst.grid)
-    chain, composed = _compose(mf, delta, "lex", False)
+    chain = partition_to_chain(inst.grid, delta)
+    composed = compose_chain(mf, chain)
     out.append(("compose-chain-na", is_chain_na(composed, chain).holds))
     out.append(("compose-below-meet", mf_le(composed, mf_meet(projections))))
     top = greatest_na(mf)
@@ -220,9 +215,9 @@ def _check_lines(inst, mf) -> list[tuple[str, bool]]:
     witness_ok = verify_witness([composed] * delta.steps, delta, mf).ok
     out.append(("feasible-vs-witness", ok == witness_ok))
     try:
-        _exhaust(mf, delta, chain, composed, "lex", 0)
+        run_exhaustive(mf, delta)
         stepwise_ok = True
-    except (ProcedureStuckError, InfeasibleError):
+    except ProcedureStuckError:
         stepwise_ok = False
     out.append(("feasible-vs-stepwise", ok == stepwise_ok))
     return out

@@ -109,10 +109,15 @@ def compose_chain(a: Multifunction, h: PrefixChain) -> Multifunction:
     """Project along the chain, largest prefix first: the greatest chain-non-anticipative multiselector.
 
     Exactly one projection pass per chain element; descending order is what
-    makes a single sweep sufficient.
+    makes a single sweep sufficient.  `a` keeps each chain's result in its
+    `_composed` dict, outside equality, hash and repr, so a multifunction is
+    swept at most once per chain and the results go when `a` does.
     """
     a.instance.grid.check_prefix(h.prefixes[-1])
-    return _narrowed(a, reversed(h.prefixes))
+    composed = a.__dict__.setdefault("_composed", {})
+    if h not in composed:
+        composed[h] = _narrowed(a, reversed(h.prefixes))
+    return composed[h]
 
 
 def _narrowed(a: Multifunction, prefixes) -> Multifunction:

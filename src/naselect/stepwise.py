@@ -7,8 +7,10 @@ that is admissible for that disturbance and agrees with its earlier picks.
 The selection multifunction for every step is the greatest chain-non-
 anticipative multiselector; its non-emptiness is exactly what keeps the
 procedure from getting stuck.  It depends only on the multifunction and the
-partition, so an exhaustive run composes it once; a step depends only on the
-revealed prefix, so it computes one step per distinct revealed prefix.
+partition, and the multifunction keeps it once composed, so a run, an
+exhaustive run and the validation of a trace all select from one composition;
+a step depends only on the revealed prefix, so an exhaustive run computes one
+step per distinct revealed prefix.
 """
 
 from __future__ import annotations
@@ -235,11 +237,6 @@ def run_exhaustive(
     node of the revelation tree, and each run's picks as if it ran alone.
     """
     chain, phi = _compose(a, delta, policy, check)
-    return _exhaust(a, delta, chain, phi, policy, seed)
-
-
-def _exhaust(a, delta, chain, phi, policy, seed) -> dict[int, StepTrace]:
-    """`run_exhaustive` over an already composed `phi`."""
     walked: dict[RestrictionKey, tuple[Step, int]] = {}
     return {
         w: _drive(a, delta, chain, phi, ScriptedAdversary(s), policy, seed, None, walked)
@@ -248,37 +245,36 @@ def _exhaust(a, delta, chain, phi, policy, seed) -> dict[int, StepTrace]:
 
 
 def validate_trace(a: Multifunction, trace: StepTrace) -> list[str]:
-    """Re-derive every consistency condition of a finished trace; empty means valid."""
-    chain = partition_to_chain(a.instance.grid, trace.delta)
-    return _trace_problems(a, chain, compose_chain(a, chain), trace)
+    """Re-derive every consistency condition of a finished trace from raw cells; empty means valid.
 
-
-def _trace_problems(a: Multifunction, chain, phi: Multifunction, trace: StepTrace) -> list[str]:
-    """Each step's conditions re-derived from raw cells, against the `phi` composed over `chain`."""
+    An index outside its family names no signal and no value set, so every
+    condition that reads it fails, and it is never used to index.
+    """
     inst, rank = a.instance, a.instance.z.prefix_index.rank
-    problems: list[str] = []
+    chain = partition_to_chain(inst.grid, trace.delta)
+    phi = compose_chain(a, chain)
     if len(trace.steps) != len(chain.prefixes):
         return [f"trace has {len(trace.steps)} steps for {len(chain.prefixes)} control steps"]
+
+    def agree(fam, i: int, j: int, n: int) -> bool:
+        return 0 <= i < len(fam) and 0 <= j < len(fam) and fam.signals[i].cells[:n] == fam.signals[j].cells[:n]
+
+    problems: list[str] = []
     prev = None
     prev_len = 0
     for step, p in zip(trace.steps, chain.prefixes):
-        if inst.omega.signals[step.omega].cells[: p.len] != step.revealed:
+        w = step.omega if 0 <= step.omega < len(inst.omega) else None
+        if w is None or inst.omega.signals[w].cells[: p.len] != step.revealed:
             problems.append(f"step {step.index}: picked disturbance does not match the revealed prefix")
         at = 2 * rank[step.h] if 0 <= step.h < len(rank) else 1  # bit 1 is a run top: no trajectory
-        if not phi.bits[step.omega] >> at & 1:
+        if w is None or not phi.bits[w] >> at & 1:
             problems.append(f"step {step.index}: trajectory outside the selection multifunction")
-        if not a.bits[step.omega] >> at & 1:
+        if w is None or not a.bits[w] >> at & 1:
             problems.append(f"step {step.index}: trajectory outside the original multifunction")
         if prev is not None:
-            if (
-                inst.omega.signals[step.omega].cells[:prev_len]
-                != inst.omega.signals[prev.omega].cells[:prev_len]
-            ):
+            if not agree(inst.omega, step.omega, prev.omega, prev_len):
                 problems.append(f"step {step.index}: disturbance disagrees with the previous step")
-            if (
-                inst.z.signals[step.h].cells[:prev_len]
-                != inst.z.signals[prev.h].cells[:prev_len]
-            ):
+            if not agree(inst.z, step.h, prev.h, prev_len):
                 problems.append(f"step {step.index}: trajectory disagrees with the previous step")
         prev, prev_len = step, p.len
     if trace.steps and trace.final_h != trace.steps[-1].h:

@@ -97,13 +97,6 @@ class PrefixChain:
                 raise ValidationError("chain prefixes must strictly increase")
 
 
-def check_partition(g: TimeGrid, delta: Partition) -> None:
-    if delta.indices[-1] != g.cells:
-        raise ValidationError(
-            f"partition must end at the final stamp index {g.cells}, got {delta.indices[-1]}"
-        )
-
-
 def partition_to_chain(g: TimeGrid, delta: Partition) -> PrefixChain:
     """Prefixes ending at each partition stamp past the origin, shortest first.
 
@@ -111,7 +104,10 @@ def partition_to_chain(g: TimeGrid, delta: Partition) -> PrefixChain:
     partition of a grid yields every prefix and the coarsest partition yields
     only the full one.
     """
-    check_partition(g, delta)
+    if delta.indices[-1] != g.cells:
+        raise ValidationError(
+            f"partition must end at the final stamp index {g.cells}, got {delta.indices[-1]}"
+        )
     return PrefixChain(tuple(Prefix(i) for i in delta.indices[1:]))
 
 

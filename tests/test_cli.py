@@ -116,22 +116,44 @@ def test_feasible_exits_three_below_the_optimum(tmp_path):
     assert "empty at:" in r.stdout
 
 
+def counting_sweeps(monkeypatch):
+    """Record each composition `compose_chain` sweeps; a chain the multifunction already keeps sweeps none."""
+    sweeps = []
+    original = nonanticipation._narrowed
+
+    def counted(a, prefixes):
+        if sys._getframe(1).f_code.co_name == "compose_chain":
+            sweeps.append(a)
+        return original(a, prefixes)
+
+    monkeypatch.setattr(nonanticipation, "_narrowed", counted)
+    return sweeps
+
+
 def test_feasible_composes_once_on_infeasible_input(tmp_path, monkeypatch, capsys):
     path = tmp_path / "low.json"
     assert cli.cli(["scenario", "ex4", "--rho=-15/4", "--emit", str(path)]) == 0
     calls = counting(monkeypatch, "compose_chain", [cli, nonanticipation])
+    sweeps = counting_sweeps(monkeypatch)
     assert cli.cli(["feasible", str(path), "--delta", "0,1,3"]) == 3
-    assert len(calls) == 1
+    assert len(calls) == len(sweeps) == 1
     assert "feasible: false" in capsys.readouterr().out
 
 
-def test_check_composes_twice(tmp_path, monkeypatch, capsys):
+def test_check_sweeps_once_when_the_canonical_chain_is_the_full_chain(tmp_path, monkeypatch, capsys):
     path = str(tmp_path / "r.json")
     assert cli.cli(["scenario", "random:4:4,6,3,2,50", "--emit", path]) == 0
-    calls = counting(monkeypatch, "compose_chain", [cli, nonanticipation, stepwise])
+    sweeps = counting_sweeps(monkeypatch)
     assert cli.cli(["check", path]) == 0
-    # the full chain's, which the exhaustive run reuses, and greatest_na's
-    assert len(calls) == 2
+    # the canonical chain is (1, 2, 3): greatest_na and the exhaustive run reuse the full chain's
+    assert len(sweeps) == 1
+
+
+def test_check_sweeps_twice_when_the_canonical_chain_is_shorter(ex4_file, monkeypatch, capsys):
+    sweeps = counting_sweeps(monkeypatch)
+    assert cli.cli(["check", ex4_file]) == 0
+    # the full chain (1, 2, 3) and greatest_na's canonical (1, 3)
+    assert len(sweeps) == 2
 
 
 def test_check_projects_and_checks_each_prefix_once_per_multifunction(tmp_path, monkeypatch, capsys):
@@ -146,10 +168,18 @@ def test_check_projects_and_checks_each_prefix_once_per_multifunction(tmp_path, 
 
 
 def test_scripted_simulate_validates_against_the_composition_it_drove(ex4_file, monkeypatch, capsys):
-    calls = counting(monkeypatch, "compose_chain", [cli, nonanticipation, stepwise])
+    sweeps = counting_sweeps(monkeypatch)
     argv = ["simulate", ex4_file, "--delta", "0,1,3", "--adversary", "scripted:v1"]
     assert cli.cli(argv) == 0
-    assert len(calls) == 1
+    assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("adversary", ["exhaustive", "interactive"])
+def test_simulate_sweeps_once(ex4_file, monkeypatch, capsys, adversary):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("#0\n#0\n"))
+    sweeps = counting_sweeps(monkeypatch)
+    assert cli.cli(["simulate", ex4_file, "--delta", "0,1,3", "--adversary", adversary]) == 0
+    assert len(sweeps) == 1
 
 
 def test_greatest_derives_the_canonical_chain_once(ex2_file, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import itertools
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naselect import (
     Instance,
@@ -34,6 +35,7 @@ from naselect import (
 from conftest import (
     instance_with_chain,
     instance_with_prefix,
+    naive_compose,
     naive_is_prefix_na,
     naive_na_witness,
     naive_project,
@@ -375,6 +377,34 @@ def test_chain_report_is_the_first_failing_prefix_report(data):
     for b in (a, *(project(a, p) for p in h.prefixes), compose_chain(a, h)):
         failing = [r for r in (is_prefix_na(b, p) for p in h.prefixes) if not r.holds]
         assert is_chain_na(b, h) == (failing[0] if failing else NaReport(True))
+
+
+@st.composite
+def _interleaved_chains(draw):
+    """An instance, two or three distinct chains, and an order of calls that repeats each."""
+    inst, a = draw(small_instances(max_omega=6, max_z=8))
+    everything = full_prefix_chain(inst.grid).prefixes
+    picks = st.sets(st.sampled_from(everything), min_size=1).map(lambda ps: tuple(sorted(ps)))
+    chains = draw(st.lists(picks, min_size=2, max_size=3, unique=True))
+    order = draw(st.permutations(list(range(len(chains))) * 2))
+    return inst, a, chains, order
+
+
+@given(_interleaved_chains())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_a_multifunction_keeps_each_chain_composition(data):
+    inst, a, chains, order = data
+    before = (hash(a), repr(a))
+    first = {}
+    for k in order:
+        chain = PrefixChain(chains[k])  # a fresh but equal chain finds the kept result
+        g = compose_chain(a, chain)
+        assert first.setdefault(k, g) is g
+        assert g.values == naive_compose(a, chain).values
+        fresh = Multifunction(inst, g.values)
+        assert g == fresh and hash(g) == hash(fresh)
+    # what `a` keeps stays out of its equality, hash and repr
+    assert a == Multifunction(inst, a.values) and (hash(a), repr(a)) == before
 
 
 def test_meet_of_na_multiselectors_can_fail_na():

@@ -128,6 +128,30 @@ def test_validate_trace_reports_a_negative_pick_outside_both_multifunctions():
     ]
 
 
+_NO_MATCH = "step {i}: picked disturbance does not match the revealed prefix"
+_OUTSIDE = ["step {i}: trajectory outside the selection multifunction", "step {i}: trajectory outside the original multifunction"]
+
+
+@pytest.mark.parametrize(
+    "i, field, value, expected",
+    [
+        (3, "omega", -1, [_NO_MATCH, *_OUTSIDE, "step {i}: disturbance disagrees with the previous step"]),
+        (2, "omega", 4, [_NO_MATCH, *_OUTSIDE, "step {i}: disturbance disagrees with the previous step", "step 3: disturbance disagrees with the previous step"]),
+        (2, "h", 12, [*_OUTSIDE, "step {i}: trajectory disagrees with the previous step", "step 3: trajectory disagrees with the previous step"]),
+    ],
+    ids=["last-omega-minus-one", "omega-past-the-end", "h-past-the-end"],
+)
+def test_validate_trace_reports_an_index_outside_its_family(i, field, value, expected):
+    inst, a = build_example2()
+    trace = run_stepwise(a, Partition((0, 1, 2, 3)), ScriptedAdversary(inst.omega.signals[3]))
+    assert [(s.omega, s.h) for s in trace.steps] == [(0, 4), (1, 5), (3, 5)] and validate_trace(a, trace) == []
+    assert (len(inst.omega), len(inst.z)) == (4, 12)
+    steps = list(trace.steps)
+    steps[i - 1] = dataclasses.replace(steps[i - 1], **{field: value})
+    forged = dataclasses.replace(trace, steps=tuple(steps), final_h=steps[-1].h)
+    assert validate_trace(a, forged) == [line.format(i=i) for line in expected]
+
+
 def test_single_disturbance_runs_trivially():
     g = grid(0, 1, 2)
     omega = SignalFamily("disturbance", ("w1",), (Signal(("a", "b")),))
