@@ -6,7 +6,8 @@ Digests cover the canonical serialization of the mathematical content
 (grid, families, value sets), so a round-trip preserves them.
 Names cross in bulk: one `itemgetter` call places each `alpha` list at load,
 one permutation names every value set (`PrefixIndex.select_all`), and the
-writer joins a list of strings that need no escaping in one go.
+writer joins a list of strings that need no escaping in one go.  One family
+writer serves both the file `save` writes and the text the digest hashes.
 """
 
 from __future__ import annotations
@@ -142,34 +143,27 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
     return inst, Multifunction._trusted(inst, tuple(values))
 
 
-def to_jsonable(inst: Instance, mf: Multifunction, metadata: dict | None = None) -> dict:
-    doc = {
-        "grid": [str(s) for s in inst.grid.stamps],
-        "omega": [
-            {"name": n, "cells": list(s.cells)}
-            for n, s in zip(inst.omega.names, inst.omega.signals)
-        ],
-        "z": [
-            {"name": n, "cells": list(s.cells)} for n, s in zip(inst.z.names, inst.z.signals)
-        ],
-        "alpha": mf_to_names(mf),
-    }
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
+def _signals_text(fam: SignalFamily, pad: str | None) -> str:
+    """A family as the file lists it, one `{"cells": [...], "name": ...}` per signal: `dumps`'s
+    layout at `pad`, or sorted compact JSON (what `instance_digest` hashes) when `pad` is None.
+    Never `[]`: a family has a signal and a grid has a cell."""
+    outer, colon, step = ("", ":", "") if pad is None else (pad, ": ", "  ")
+    item, key, cell = outer + step, outer + 2 * step, outer + 3 * step
+    head, mid, tail = f'{{{key}"cells"{colon}[{cell}', f'{key}],{key}"name"{colon}', item + "}"
+    cells = ("," + cell).join
+    items = [f"{head}{cells(map(_esc, s.cells))}{mid}{_esc(n)}{tail}" for n, s in zip(fam.names, fam.signals)]
+    return "[" + item + ("," + item).join(items) + outer + "]"
 
 
 def instance_digest(inst: Instance, mf: Multifunction) -> str:
-    """SHA-256 of `to_jsonable` as sorted compact JSON, fed piece by piece with each name escaped once."""
+    """SHA-256 of the file's content but its metadata as sorted compact JSON, fed piece by piece
+    with each z name escaped once."""
     zn = list(map(_esc, inst.z.names))
     alpha = sorted(zip(inst.omega.names, map(",".join, inst.z.prefix_index.select_all(zn, mf.bits))))
     h = hashlib.sha256(b'{"alpha":{')
     h.update(",".join(f"{_esc(w)}:[{zs}]" for w, zs in alpha).encode())
     h.update(f'}},"grid":[{",".join(_esc(str(s)) for s in inst.grid.stamps)}]'.encode())
-    for key, fam, names in (("omega", inst.omega, map(_esc, inst.omega.names)), ("z", inst.z, zn)):
-        signals = (f'{{"cells":[{",".join(map(_esc, s.cells))}],"name":{n}}}' for s, n in zip(fam.signals, names))
-        h.update(f',"{key}":[{",".join(signals)}]'.encode())
-    h.update(b"}")
+    h.update(f',"omega":{_signals_text(inst.omega, None)},"z":{_signals_text(inst.z, None)}}}'.encode())
     return h.hexdigest()
 
 
@@ -187,10 +181,21 @@ def load(path: str) -> tuple[Instance, Multifunction]:
 
 
 def save(path: str, inst: Instance, mf: Multifunction, metadata: dict | None = None) -> None:
-    doc = to_jsonable(inst, mf, metadata)
+    """Write exactly `json.dumps(doc, sort_keys=True, indent=2)` and a newline for the file's
+    document `doc`: each family by `_signals_text`, the value sets, grid and metadata by `dumps`."""
+    pad = "\n  "
+    parts = {
+        "alpha": dumps(mf_to_names(mf), pad),
+        "grid": dumps([str(s) for s in inst.grid.stamps], pad),
+        "omega": _signals_text(inst.omega, pad),
+        "z": _signals_text(inst.z, pad),
+    }
+    if metadata:
+        parts["metadata"] = dumps(metadata, pad)
+    text = "{" + pad + ("," + pad).join(f'"{k}": {v}' for k, v in sorted(parts.items())) + "\n}\n"
     try:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(dumps(doc) + "\n")
+            f.write(text)
     except OSError as e:
         raise ValidationError(f"cannot write {path}: {e.strerror or e}") from None
 

@@ -313,20 +313,31 @@ def optimal_rho(sys: ControlSystem) -> RhoSearchResult:
 
     Candidates are the achievable values of -|terminal state| together with 0.
     Response sets only shrink as the candidate drops, so the first infeasible
-    candidate ends the scan.
+    candidate ends the scan, and each candidate's responses are the previous
+    ones less the controls that dropped out.
     """
     return _search(*_responses(sys))
 
 
 def _search(inst: Instance, costs, orders, d: int) -> RhoSearchResult:
-    """`optimal_rho` over a filled table, cutting each candidate's responses by bisection.
+    """`optimal_rho` over a filled table in one pass: an int candidate c cuts each row at c itself.
 
-    Candidates stay ints over `d` until scanned; only the scanned ones become fractions.
+    Row r keeps `bits[r]`, the set `orders[r][:kept[r]]`, across candidates, bisects only below
+    `kept[r]` and clears only the controls that drop out, so each control is packed at most twice
+    per row.  Only the scanned candidates become fractions.
     """
     levels = sorted({c for row in costs for c in row} | {0}, reverse=True)
+    pack = inst.z.prefix_index.pack
+    kept = list(map(len, orders))
+    bits = list(map(pack, orders))  # every cost is <= 0, so the first candidate, 0, keeps every control
     best: tuple[int, Multifunction] | None = None
     for k, c in enumerate(levels):
-        w = greatest_na(_within(inst, costs, orders, d, Fraction(c, d)))
+        for r, (row, order) in enumerate(zip(costs, orders)):
+            cut = bisect_right(order, c, hi=kept[r], key=row.__getitem__)
+            if cut < kept[r]:
+                bits[r] &= ~pack(order[cut : kept[r]])
+                kept[r] = cut
+        w = greatest_na(Multifunction._trusted(inst, tuple(bits)))
         if not is_total(w):
             break
         best = (c, w)

@@ -28,10 +28,10 @@ from naselect import (
     grid,
     greatest_na,
     is_total,
+    mf_to_names,
     partition_to_chain,
     random_instance,
 )
-from naselect.fileio import to_jsonable
 from naselect.scenarios import _control_family, integrate
 
 
@@ -318,6 +318,19 @@ def naive_optimal_rho(sys) -> RhoSearchResult:
             break
         best = (rho, w)
     return RhoSearchResult(best[0], tuple(tried), best[1])
+
+
+def to_jsonable(inst: Instance, mf: Multifunction, metadata: dict | None = None) -> dict:
+    """The instance file as a document, one dict per signal: the reference `save` and the digest are held to."""
+    doc = {
+        "grid": [str(s) for s in inst.grid.stamps],
+        "omega": [{"name": n, "cells": list(s.cells)} for n, s in zip(inst.omega.names, inst.omega.signals)],
+        "z": [{"name": n, "cells": list(s.cells)} for n, s in zip(inst.z.names, inst.z.signals)],
+        "alpha": mf_to_names(mf),
+    }
+    if metadata:
+        doc["metadata"] = metadata
+    return doc
 
 
 def naive_digest(inst: Instance, mf: Multifunction) -> str:

@@ -26,10 +26,9 @@ from naselect.fileio import (
     load,
     render_report,
     save,
-    to_jsonable,
 )
 
-from conftest import hostile_instances, hostile_text, naive_digest, small_instances
+from conftest import hostile_instances, hostile_text, naive_digest, small_instances, to_jsonable
 
 
 def _doc():
@@ -292,3 +291,14 @@ def test_digest_matches_the_json_module_on_hostile_names(data):
     inst, mf = data
     assert instance_digest(inst, mf) == naive_digest(inst, mf)
     assert from_jsonable(json.loads(json.dumps(to_jsonable(inst, mf)))) == (inst, mf)
+
+
+@given(hostile_instances(), st.dictionaries(hostile_text, hostile_text | st.integers(), max_size=3))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_save_writes_what_the_json_module_writes(tmp_path_factory, data, meta):
+    inst, mf = data
+    path = tmp_path_factory.mktemp("save") / "x.json"
+    for metadata in (None, meta, {"scenario": "ex4", "rho": "-7/2"}):
+        save(str(path), inst, mf, metadata)
+        expected = json.dumps(to_jsonable(inst, mf, metadata), sort_keys=True, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode()

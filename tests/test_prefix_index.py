@@ -28,7 +28,7 @@ from naselect import (
     run_exhaustive,
     signal_classes,
 )
-from naselect.fileio import from_jsonable, na_flags, to_jsonable
+from naselect.fileio import from_jsonable, na_flags
 
 from conftest import (
     edge_instances,
@@ -38,6 +38,7 @@ from conftest import (
     naive_na_witness,
     naive_project,
     naive_replay,
+    to_jsonable,
 )
 
 EDGE = settings(max_examples=150, deadline=None, derandomize=True)

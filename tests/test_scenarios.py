@@ -37,7 +37,7 @@ from naselect import (
 from naselect import cli, scenarios
 from naselect.fileio import instance_digest
 from naselect.scenarios import _control_family, _responses, example3_grid
-from naselect.signals import ROLE_DISTURBANCE
+from naselect.signals import ROLE_DISTURBANCE, PrefixIndex
 
 from conftest import counting, naive_alpha_rho, naive_optimal_rho
 
@@ -283,6 +283,27 @@ def test_ex4_fills_one_cost_table_without_pairwise_quadrature(monkeypatch):
     optimal_rho(EX4)
     alpha_rho(EX4, Fraction(-3))
     assert integrations == []
+
+
+def test_the_level_scan_packs_each_control_at_most_twice_per_row(monkeypatch):
+    table = _responses(build_example4([Fraction(k, 14) for k in range(-14, 15)]))
+    inst, costs, _, _ = table
+    places = []
+    pack_places = PrefixIndex.pack_places
+
+    def counted(self, ps):
+        ps = list(ps)
+        places.append(len(ps))
+        return pack_places(self, ps)
+
+    monkeypatch.setattr(PrefixIndex, "pack_places", counted)
+    res = scenarios._search(*table)
+    monkeypatch.undo()
+    assert sum(places) <= 2 * len(costs) * len(inst.z) and len(res.candidates) > 40
+    # the scan's sets against each candidate's own cut at both ends of the scan
+    assert res.witness.bits == greatest_na(scenarios._within(*table, res.rho_star)).bits
+    assert not is_total(greatest_na(scenarios._within(*table, res.candidates[-1])))
+    assert res.candidates[-2] == res.rho_star
 
 
 def test_feasibility_fails_below_the_optimum():
