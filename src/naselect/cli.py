@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 infeasible conditions,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -36,7 +35,6 @@ from .scenarios import build_scenario
 from .stepwise import (
     InteractiveAdversary,
     ScriptedAdversary,
-    StepTrace,
     run_exhaustive,
     run_stepwise,
     validate_trace,
@@ -56,26 +54,6 @@ def _parse_delta(text: str) -> Partition:
     except ValueError:
         raise ValidationError(f"bad partition {text!r}: expected comma-joined stamp indices") from None
     return Partition(indices)
-
-
-def _trace_doc(trace: StepTrace, inst) -> dict:
-    return {
-        "delta": list(trace.delta.indices),
-        "steps": [
-            {
-                "step": s.index,
-                "revealed": list(s.revealed),
-                "omega": inst.omega.names[s.omega],
-                "h": inst.z.names[s.h],
-                "omega_consistent": s.omega_consistent,
-                "h_consistent": s.h_consistent,
-                "h_admissible": s.h_admissible,
-            }
-            for s in trace.steps
-        ],
-        "final": inst.z.names[trace.final_h],
-        "consistent": trace.consistent,
-    }
 
 
 def _emit(report: dict, args) -> None:
@@ -120,17 +98,15 @@ def cmd_simulate(args) -> int:
     spec = args.adversary
     if spec == "exhaustive":
         traces = run_exhaustive(mf, delta, policy=args.policy, seed=args.seed, check=True)
-        doc = {
-            "command": "simulate",
-            "inputs": {"digest": fileio.instance_digest(inst, mf), "args": {"delta": args.delta}},
-            "traces": {inst.omega.names[w]: _trace_doc(t, inst) for w, t in sorted(traces.items())},
-        }
+        named = sorted((inst.omega.names[w], t) for w, t in traces.items())
         if args.json:
-            print(fileio.dumps(doc))
+            inputs = fileio.dumps({"args": {"delta": args.delta}, "digest": fileio.instance_digest(inst, mf)}, "\n  ")
+            pad, seen = "\n    ", {}  # each trace sits two levels in; the runs share steps
+            body = ("," + pad).join(f"{fileio.dumps(n)}: {fileio.trace_text(t, inst, pad, seen)}" for n, t in named)
+            print(f'{{\n  "command": "simulate",\n  "inputs": {inputs},\n  "traces": {{{pad}{body}\n  }}\n}}')
         else:
-            for name in sorted(doc["traces"]):
-                t = doc["traces"][name]
-                print(f"{name}: final={t['final']} consistent={'yes' if t['consistent'] else 'no'}")
+            for name, t in named:
+                print(f"{name}: final={inst.z.names[t.final_h]} consistent={'yes' if t.consistent else 'no'}")
         return 0
     if spec == "interactive":
 
@@ -145,20 +121,19 @@ def cmd_simulate(args) -> int:
         trace = run_stepwise(
             mf, delta, InteractiveAdversary(inst), policy=args.policy, seed=args.seed, on_step=echo
         )
-        print(json.dumps(_trace_doc(trace, inst), sort_keys=True))
+        print(fileio.trace_text(trace, inst, None))
         return 0
     if not spec.startswith("scripted:"):
         raise ValidationError(f"unknown adversary {spec!r}")
     adversary = ScriptedAdversary(inst.omega.signals[inst.omega.index_of(spec.split(":", 1)[1])])
     trace = run_stepwise(mf, delta, adversary, policy=args.policy, seed=args.seed)
-    doc = _trace_doc(trace, inst)
     problems = validate_trace(mf, trace)
     if args.json:
-        print(fileio.dumps(doc))
+        print(fileio.trace_text(trace, inst, "\n"))
     else:
-        for s in doc["steps"]:
-            print(f"step {s['step']}: omega={s['omega']} h={s['h']}")
-        print(f"final: {doc['final']}")
+        for s in trace.steps:
+            print(f"step {s.index}: omega={inst.omega.names[s.omega]} h={inst.z.names[s.h]}")
+        print(f"final: {inst.z.names[trace.final_h]}")
     return 0 if not problems else 4
 
 

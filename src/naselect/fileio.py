@@ -7,7 +7,9 @@ Digests cover the canonical serialization of the mathematical content
 Names cross in bulk: one `itemgetter` call places each `alpha` list at load,
 one permutation names every value set (`PrefixIndex.select_all`), and the
 writer joins a list of strings that need no escaping in one go.  One family
-writer serves both the file `save` writes and the text the digest hashes.
+writer serves both the file `save` writes and the text the digest hashes, and
+one trace writer prints every `simulate` trace from its steps, builds no
+per-step dict, and renders a step that runs share once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import ValidationError
 from .multifunction import Instance, Multifunction, dom, is_total, mf_to_names
 from .nonanticipation import is_prefix_na
 from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, Signal, SignalFamily
+from .stepwise import StepTrace
 from .timebase import TimeGrid
 
 
@@ -70,6 +73,7 @@ def _parse_stamp(text: Any, position: int) -> Fraction:
 # JSON may escape a lone UTF-16 surrogate such as "\ud800"; no UTF-8 output can hold one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _TAIL = object()  # a key no document holds
+_BOOL = ("false", "true")
 
 
 def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily:
@@ -153,6 +157,26 @@ def _signals_text(fam: SignalFamily, pad: str | None) -> str:
     cells = ("," + cell).join
     items = [f"{head}{cells(map(_esc, s.cells))}{mid}{_esc(n)}{tail}" for n, s in zip(fam.names, fam.signals)]
     return "[" + item + ("," + item).join(items) + outer + "]"
+
+
+def trace_text(trace: StepTrace, inst: Instance, pad: str | None, seen: dict | None = None) -> str:
+    """A trace as the report lists it: `dumps`'s layout at `pad`, or `json.dumps(..., sort_keys=True)`'s
+    one line when `pad` is None.  Each step fills one template; `seen`, shared by the traces of one report
+    at one `pad`, keeps each `Step` object's text, so steps the runs share are rendered once."""
+    ind = [""] * 5 if pad is None else [pad + "  " * d for d in range(5)]
+    sep = [", "] * 5 if pad is None else ["," + i for i in ind]
+    template = "{" + ind[3] + sep[3].join(['"h": %s', '"h_admissible": %s', '"h_consistent": %s', '"omega": %s',
+        '"omega_consistent": %s', f'"revealed": [{ind[4]}%s{ind[3]}]', '"step": %d']) + ind[2] + "}"
+    wn, zn, tokens = inst.omega.names, inst.z.names, sep[4].join
+    seen = {} if seen is None else seen
+    for s in trace.steps:
+        if id(s) not in seen:  # an id names one step while the traces holding it live
+            seen[id(s)] = template % (_esc(zn[s.h]), _BOOL[s.h_admissible], _BOOL[s.h_consistent], _esc(wn[s.omega]),
+                                      _BOOL[s.omega_consistent], tokens(map(_esc, s.revealed)), s.index)
+    steps = sep[2].join([seen[id(s)] for s in trace.steps])
+    return "{" + ind[1] + sep[1].join([
+        f'"consistent": {_BOOL[trace.consistent]}', f'"delta": [{ind[2]}{sep[2].join(map(str, trace.delta.indices))}{ind[1]}]',
+        f'"final": {_esc(zn[trace.final_h])}', f'"steps": [{ind[2]}{steps}{ind[1]}]']) + ind[0] + "}"
 
 
 def instance_digest(inst: Instance, mf: Multifunction) -> str:

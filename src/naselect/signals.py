@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, count
-from operator import itemgetter, ne
+from operator import attrgetter, itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -212,9 +212,10 @@ class SignalFamily:
         if len(index) != len(self.names):
             raise ValidationError("family names must be unique")
         object.__setattr__(self, "_index", index)
-        if len(set(self.signals)) != len(self.signals):
+        cells = list(map(attrgetter("cells"), self.signals))  # tuples hash and compare in C; a `Signal` does not
+        if len(set(cells)) != len(cells):
             raise ValidationError("duplicate signals are not allowed")
-        if len({len(s.cells) for s in self.signals}) != 1:
+        if len(set(map(len, cells))) != 1:
             raise ValidationError("all signals of a family must have the same length")
 
     def __len__(self) -> int:

@@ -333,6 +333,27 @@ def to_jsonable(inst: Instance, mf: Multifunction, metadata: dict | None = None)
     return doc
 
 
+def trace_doc(trace, inst: Instance) -> dict:
+    """A step trace as a document, one dict per step: the reference `trace_text` is held to."""
+    return {
+        "delta": list(trace.delta.indices),
+        "steps": [
+            {
+                "step": s.index,
+                "revealed": list(s.revealed),
+                "omega": inst.omega.names[s.omega],
+                "h": inst.z.names[s.h],
+                "omega_consistent": s.omega_consistent,
+                "h_consistent": s.h_consistent,
+                "h_admissible": s.h_admissible,
+            }
+            for s in trace.steps
+        ],
+        "final": inst.z.names[trace.final_h],
+        "consistent": trace.consistent,
+    }
+
+
 def naive_digest(inst: Instance, mf: Multifunction) -> str:
     """SHA-256 of the instance as sorted compact JSON, written by the `json` module."""
     blob = json.dumps(to_jsonable(inst, mf), sort_keys=True, separators=(",", ":")).encode()

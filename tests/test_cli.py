@@ -610,8 +610,11 @@ _PINNED = {
         "greatest --json": "b91f5c43c1a64301fabed3109762e804054ec3ea8cbf9feaa6d1c4a9afccc1b1",
         "oracle": "61281fb5c4d96c0d202f5f91d6595ef98388f4a49c93acbcc79f24c557f6fc20",
         "oracle --json": "56b1ae3bd95ffb1e1af0411a97a02b7c64b840220d824c66f22b7be120ab6d66",
+        "simulate exhaustive": "623715c8c5b34c06a63b7e53120a6a435dcf89cffab6649fc36d96892a2a6113",
         "simulate exhaustive --json": "2a5c4dd7ec1fc6bc73351514388b5b789da4040b4fa4a53b1b8dbf602eff1e25",
+        "simulate scripted": "9ecd861757d374cb81dd951b5da8c48015bcd4838bf21c1d7054044ab3fd459a",
         "simulate scripted --json": "dd3cdef55abcebe9ca291d37b6f91eac8d96a1f0467f95bef3f855fa5cc664da",
+        "simulate interactive": "5037424519625d1807dd1a320689497898ea63e1f599279d68d764d2a7b1ec8e",
         "check": "1dd794037805246760bee17c33798ea41c8d671f57724a32402544e00e26e366",
     },
     # too large for the brute-force oracle, so no oracle pins
@@ -626,8 +629,11 @@ _PINNED = {
         "feasible --json": "0db82e2bc4fc2b176c1dcc793c34dc430ce1f20d018ee9fd313808936fd49870",
         "greatest": "673ebe84aa7a121e043d2aea610df379fc81fe04be6bc6c854c4c0c7b3729a01",
         "greatest --json": "a7838187fb424561195cbcfbfff765f02c296fcaa0330292195b150dec662e23",
+        "simulate exhaustive": "763fe58565b15d92309f7040e4ef924f07542c9e3351bf5be9b05deb0f0613cd",
         "simulate exhaustive --json": "dcc9601894a2224ca0dbbdf96dc89f991633bb37171f377392aa8666d9102f3d",
+        "simulate scripted": "5c65d43043203a4c2e6fcc52a1860014b397694ff305f3119f952bdba49ab0c9",
         "simulate scripted --json": "8078179fd1b10dc58ba8ec9877b6a9d339c6e71fd69b8998d699d29de728024e",
+        "simulate interactive": "ac41c5e1960c4525df8e227a825476a83d29164ffd48c68343c9f7405761413f",
         "check": "6f43599d46f18d2184917aa40e666dd66bf3afaf290b5139c791718fdbb1f086",
     },
 }
@@ -638,7 +644,7 @@ def _sha_of_stdout(argv, capsys) -> str:
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-def _pinned_outputs(spec, delta, capsys, tmp_path, with_oracle) -> dict:
+def _pinned_outputs(spec, delta, capsys, monkeypatch, tmp_path, with_oracle) -> dict:
     got = {"scenario stdout": _sha_of_stdout(["scenario", spec, "--emit", "r.json"], capsys)}
     got["scenario --emit"] = hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest()
     commands = [
@@ -652,12 +658,15 @@ def _pinned_outputs(spec, delta, capsys, tmp_path, with_oracle) -> dict:
     for argv in commands:
         got[argv[0]] = _sha_of_stdout(argv, capsys)
         got[argv[0] + " --json"] = _sha_of_stdout(argv + ["--json"], capsys)
-    simulate = ["simulate", "r.json", "--json", "--delta"]
-    got["simulate exhaustive --json"] = _sha_of_stdout(
-        simulate + [delta, "--adversary", "exhaustive", "--policy", "random", "--seed", "3"], capsys
-    )
-    full = ",".join(map(str, range(int(delta.split(",")[-1]) + 1)))
-    got["simulate scripted --json"] = _sha_of_stdout(simulate + [full, "--adversary", "scripted:w1"], capsys)
+    exhaustive = ["simulate", "r.json", "--delta", delta, "--adversary", "exhaustive", "--policy", "random", "--seed", "3"]
+    got["simulate exhaustive"] = _sha_of_stdout(exhaustive, capsys)
+    got["simulate exhaustive --json"] = _sha_of_stdout(exhaustive + ["--json"], capsys)
+    cells = int(delta.split(",")[-1])
+    full = ["simulate", "r.json", "--delta", ",".join(map(str, range(cells + 1))), "--adversary"]
+    got["simulate scripted"] = _sha_of_stdout(full + ["scripted:w1"], capsys)
+    got["simulate scripted --json"] = _sha_of_stdout(full + ["scripted:w1", "--json"], capsys)
+    monkeypatch.setattr("sys.stdin", io.StringIO("#0\n" * cells))
+    got["simulate interactive"] = _sha_of_stdout(full + ["interactive"], capsys)
     got["check"] = _sha_of_stdout(["check", "r.json"], capsys)
     return got
 
@@ -665,7 +674,7 @@ def _pinned_outputs(spec, delta, capsys, tmp_path, with_oracle) -> dict:
 def test_outputs_keep_their_pinned_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     got = {
-        "random:7:6,12,4,3,60": _pinned_outputs("random:7:6,12,4,3,60", "0,2,4", capsys, tmp_path, True),
-        "random:11:40,200,6,3,50": _pinned_outputs("random:11:40,200,6,3,50", "0,2,4,6", capsys, tmp_path, False),
+        "random:7:6,12,4,3,60": _pinned_outputs("random:7:6,12,4,3,60", "0,2,4", capsys, monkeypatch, tmp_path, True),
+        "random:11:40,200,6,3,50": _pinned_outputs("random:11:40,200,6,3,50", "0,2,4,6", capsys, monkeypatch, tmp_path, False),
     }
     assert got == _PINNED

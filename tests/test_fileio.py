@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 from json.encoder import encode_basestring_ascii as _esc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naselect import (
+    InfeasibleError,
+    InteractiveAdversary,
+    Partition,
+    ScriptedAdversary,
     ValidationError,
     build_example2,
     build_scenario,
@@ -15,6 +22,8 @@ from naselect import (
     greatest_na,
     project,
     random_instance,
+    run_exhaustive,
+    run_stepwise,
 )
 from naselect import cli
 from naselect.fileio import (
@@ -28,7 +37,7 @@ from naselect.fileio import (
     save,
 )
 
-from conftest import hostile_instances, hostile_text, naive_digest, small_instances, to_jsonable
+from conftest import hostile_instances, hostile_text, naive_digest, small_instances, to_jsonable, trace_doc
 
 
 def _doc():
@@ -302,3 +311,43 @@ def test_save_writes_what_the_json_module_writes(tmp_path_factory, data, meta):
         save(str(path), inst, mf, metadata)
         expected = json.dumps(to_jsonable(inst, mf, metadata), sort_keys=True, indent=2) + "\n"
         assert path.read_bytes() == expected.encode()
+
+
+def _simulate(argv, stdin=""):
+    """Run `simulate` in process on `stdin`; its exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), mock.patch("sys.stdin", io.StringIO(stdin)):
+        code = cli.cli(["simulate", *argv])
+    return code, out.getvalue()
+
+
+@given(hostile_instances(), st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_simulate_prints_what_the_json_module_writes(tmp_path_factory, data, draw):
+    inst, mf = data
+    path = str(tmp_path_factory.mktemp("simulate") / "x.json")
+    save(path, inst, mf)
+    cells = inst.grid.cells
+    delta = Partition((0, *sorted(draw.draw(st.sets(st.integers(1, cells - 1)))), cells))
+    w = draw.draw(st.integers(0, len(inst.omega) - 1))
+    policy = draw.draw(st.sampled_from(["lex", "random"]))
+    argv = [path, "--delta", ",".join(map(str, delta.indices)), "--policy", policy, "--seed", "3", "--adversary"]
+    exhaustive, scripted, interactive = ["exhaustive", "--json"], ["scripted:" + inst.omega.names[w], "--json"], ["interactive"]
+    picks = "#0\n" * delta.steps
+    try:
+        traces = run_exhaustive(mf, delta, policy, 3, check=True)
+    except InfeasibleError:
+        for adversary, stdin in ((exhaustive, ""), (scripted, ""), (interactive, picks)):
+            assert _simulate(argv + adversary, stdin)[0] == 3
+        return
+    doc = {
+        "command": "simulate",
+        "inputs": {"digest": naive_digest(inst, mf), "args": {"delta": argv[2]}},
+        "traces": {inst.omega.names[v]: trace_doc(t, inst) for v, t in traces.items()},
+    }
+    assert _simulate(argv + exhaustive) == (0, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    trace = run_stepwise(mf, delta, ScriptedAdversary(inst.omega.signals[w]), policy, 3)
+    assert _simulate(argv + scripted) == (0, json.dumps(trace_doc(trace, inst), sort_keys=True, indent=2) + "\n")
+    trace = run_stepwise(mf, delta, InteractiveAdversary(inst, io.StringIO(picks), io.StringIO()), policy, 3)
+    code, out = _simulate(argv + interactive, picks)
+    assert code == 0 and out.endswith("\n" + json.dumps(trace_doc(trace, inst), sort_keys=True) + "\n")
