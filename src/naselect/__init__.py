@@ -65,7 +65,6 @@ from .scenarios import (
 )
 from .signals import (
     RestrictionKey,
-    Signal,
     SignalFamily,
     signal_classes,
 )

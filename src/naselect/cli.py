@@ -111,7 +111,7 @@ def cmd_simulate(args) -> int:
     if spec == "interactive":
 
         def echo(step):
-            key = inst.z.signals[step.h].cells[: len(step.revealed)]
+            key = inst.z.signals[step.h][: len(step.revealed)]
             print(
                 f"step {step.index}: h={inst.z.names[step.h]} "
                 f"h|{len(step.revealed)}={','.join(key)}",

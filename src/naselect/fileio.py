@@ -26,7 +26,7 @@ from typing import Any
 from .errors import ValidationError
 from .multifunction import Instance, Multifunction, dom, is_total, mf_to_names
 from .nonanticipation import is_prefix_na
-from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, Signal, SignalFamily
+from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, SignalFamily
 from .stepwise import StepTrace
 from .timebase import TimeGrid
 
@@ -80,7 +80,7 @@ def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily
     if not isinstance(items, list) or not items:
         raise ValidationError(f"{field}: expected a non-empty array of signals")
     names: list[str] = []
-    signals: list[Signal] = []
+    signals: list[tuple[str, ...]] = []
     for k, item in enumerate(items):
         if not isinstance(item, dict) or "name" not in item or "cells" not in item:
             raise ValidationError(f"{field}[{k}]: expected an object with name and cells")
@@ -95,9 +95,9 @@ def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily
                 f"{field}[{k}].cells: expected {cells} tokens, got {len(body)}"
             )
         names.append(name)
-        signals.append(Signal._trusted(tuple(body)))
-    if _SURROGATE.search("".join(chain(names, *(s.cells for s in signals)))):
-        k = next(k for k, (n, s) in enumerate(zip(names, signals)) if _SURROGATE.search(n + "".join(s.cells)))
+        signals.append(tuple(body))
+    if _SURROGATE.search("".join(chain(names, *signals))):
+        k = next(k for k, (n, s) in enumerate(zip(names, signals)) if _SURROGATE.search(n + "".join(s)))
         part = "name" if _SURROGATE.search(names[k]) else "cells"
         raise ValidationError(f"{field}[{k}].{part}: lone surrogate, not valid Unicode text")
     try:
@@ -155,7 +155,7 @@ def _signals_text(fam: SignalFamily, pad: str | None) -> str:
     item, key, cell = outer + step, outer + 2 * step, outer + 3 * step
     head, mid, tail = f'{{{key}"cells"{colon}[{cell}', f'{key}],{key}"name"{colon}', item + "}"
     cells = ("," + cell).join
-    items = [f"{head}{cells(map(_esc, s.cells))}{mid}{_esc(n)}{tail}" for n, s in zip(fam.names, fam.signals)]
+    items = [f"{head}{cells(map(_esc, s))}{mid}{_esc(n)}{tail}" for n, s in zip(fam.names, fam.signals)]
     return "[" + item + ("," + item).join(items) + outer + "]"
 
 

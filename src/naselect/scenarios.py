@@ -23,7 +23,7 @@ from typing import Callable
 from .errors import ValidationError
 from .multifunction import Instance, Multifunction, is_total, mf_by_names
 from .nonanticipation import greatest_na
-from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, Signal, SignalFamily
+from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, SignalFamily
 from .timebase import TimeGrid, grid
 
 
@@ -72,14 +72,14 @@ def _cell_value(token: str) -> Fraction:
         raise ValidationError(f"cell token {token!r} carries no rational payload") from None
 
 
-def integrate(sys: ControlSystem, u: Signal, v: Signal) -> Fraction:
-    """Exact terminal state from cell-wise quadrature of the chosen dynamics."""
+def integrate(sys: ControlSystem, u: tuple[str, ...], v: tuple[str, ...]) -> Fraction:
+    """Exact terminal state from cell-wise quadrature of the chosen dynamics; `u` and `v` are cell tuples."""
     widths = sys.grid.widths()
-    if len(u.cells) != len(widths) or len(v.cells) != len(widths):
+    if len(u) != len(widths) or len(v) != len(widths):
         raise ValidationError("signals do not fit the system grid")
     sign = 1 if sys.dynamics == "u+v" else -1
     x = sys.x0
-    for uc, vc, w in zip(u.cells, v.cells, widths):
+    for uc, vc, w in zip(u, v, widths):
         x += (_cell_value(uc) + sign * _cell_value(vc)) * w
     return x
 
@@ -99,12 +99,12 @@ def build_example1() -> tuple[Instance, Multifunction]:
     omega = SignalFamily(
         ROLE_DISTURBANCE,
         ("w1", "w2", "w3"),
-        (Signal(("p", "q", "r")), Signal(("p", "s", "t")), Signal(("p", "s", "u"))),
+        (("p", "q", "r"), ("p", "s", "t"), ("p", "s", "u")),
     )
     z = SignalFamily(
         ROLE_TRAJECTORY,
         ("h1", "h2", "h3"),
-        (Signal(("a", "b", "x")), Signal(("a", "c", "y")), Signal(("d", "e", "z"))),
+        (("a", "b", "x"), ("a", "c", "y"), ("d", "e", "z")),
     )
     inst = Instance(g, omega, z)
     beta = mf_by_names(
@@ -148,7 +148,7 @@ def build_example2() -> tuple[Instance, Multifunction]:
         ROLE_DISTURBANCE,
         tuple(f"w{i}{j}" for i in (1, 2) for j in (1, 2)),
         tuple(
-            Signal(_piecewise_linear_cells(omega_fn(i, j), g.stamps))
+            _piecewise_linear_cells(omega_fn(i, j), g.stamps)
             for i in (1, 2)
             for j in (1, 2)
         ),
@@ -157,7 +157,7 @@ def build_example2() -> tuple[Instance, Multifunction]:
         ROLE_TRAJECTORY,
         tuple(f"h{i}{j}" for i in (1, 2, 3, 4) for j in (0, 1, 2)),
         tuple(
-            Signal(_piecewise_linear_cells(z_fn(i, j), g.stamps))
+            _piecewise_linear_cells(z_fn(i, j), g.stamps)
             for i in (1, 2, 3, 4)
             for j in (0, 1, 2)
         ),
@@ -190,7 +190,7 @@ def example3_system(n: int) -> ControlSystem:
         ROLE_DISTURBANCE,
         tuple(f"v{j}" for j in range(1, n + 1)),
         tuple(
-            Signal(tuple("1" if c >= n + 2 - j else "0" for c in range(cells)))
+            tuple("1" if c >= n + 2 - j else "0" for c in range(cells))
             for j in range(1, n + 1)
         ),
     )
@@ -214,7 +214,7 @@ def build_example3(n: int) -> tuple[Instance, Multifunction]:
         ROLE_TRAJECTORY,
         tuple(f"u{i}" for i in range(1, n + 1)),
         tuple(
-            Signal(("0",) + (str(1 - Fraction(1, i)),) * (cells - 1))
+            ("0",) + (str(1 - Fraction(1, i)),) * (cells - 1)
             for i in range(1, n + 1)
         ),
     )
@@ -244,31 +244,31 @@ def build_example4(levels=EXAMPLE4_LEVELS) -> ControlSystem:
     disturbances = SignalFamily(
         ROLE_DISTURBANCE,
         ("v1", "v2"),
-        (Signal(("0", "1", "0")), Signal(("0", "-1", "-1"))),
+        (("0", "1", "0"), ("0", "-1", "-1")),
     )
     return ControlSystem(g, lv, disturbances, "u+v")
 
 
 def _control_family(sys: ControlSystem) -> SignalFamily:
     names = [str(x) for x in sys.levels]
-    combos = list(itertools.product(names, repeat=sys.grid.cells))
+    combos = tuple(itertools.product(names, repeat=sys.grid.cells))
     return SignalFamily(
         ROLE_TRAJECTORY,
         tuple("u(" + ",".join(combo) + ")" for combo in combos),
-        tuple(map(Signal._trusted, combos)),
+        combos,
     )
 
 
 def _weights(family: SignalFamily, widths: tuple[Fraction, ...]) -> list[dict[str, Fraction]]:
     """Per cell, each distinct token's value times the cell width; each token parsed once."""
-    columns = zip(zip(*(s.cells for s in family.signals)), widths)
+    columns = zip(zip(*family.signals), widths)
     return [{tok: _cell_value(tok) * w for tok in dict.fromkeys(col)} for col, w in columns]
 
 
 def _areas(family: SignalFamily, weights: list[dict[str, Fraction]], d: int) -> list[int]:
     """Per signal, d times the sum over cells of value times width; `d` must clear every weight's denominator."""
     scaled = [{tok: x.numerator * (d // x.denominator) for tok, x in col.items()} for col in weights]
-    return [sum(map(dict.__getitem__, scaled, s.cells)) for s in family.signals]
+    return [sum(map(dict.__getitem__, scaled, s)) for s in family.signals]
 
 
 def _responses(sys: ControlSystem) -> tuple[Instance, list[list[int]], list[list[int]], int]:
@@ -391,7 +391,7 @@ def random_instance(
         return SignalFamily(
             role,
             tuple(f"{prefix}{i + 1}" for i in range(count)),
-            tuple(Signal(c) for c in chosen),
+            tuple(chosen),
         )
 
     omega = draw_family(n_omega, ROLE_DISTURBANCE, "w")

@@ -1,6 +1,6 @@
 """Finite families of cell-valued signals, their prefix index and equivalence classes.
 
-A signal carries one opaque token per grid cell.  Restricting it to a prefix
+A signal is a tuple of one opaque token per grid cell.  Restricting it to a prefix
 keeps the leading tokens; two signals are equivalent at a prefix when their
 restrictions coincide.  Each family builds one `PrefixIndex` on first use,
 so every layer names restrictions by small key ids instead of hashing token
@@ -15,8 +15,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress, count
-from operator import attrgetter, itemgetter, ne
+from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -29,27 +29,6 @@ _DIGIT = bytes.maketrans(b"01", b"\0\1")
 
 ROLE_DISTURBANCE = "disturbance"
 ROLE_TRAJECTORY = "trajectory"
-
-
-@dataclass(frozen=True)
-class Signal:
-    """One token per grid cell."""
-
-    cells: tuple[Token, ...]
-
-    def __post_init__(self) -> None:
-        if not self.cells:
-            raise ValidationError("a signal needs at least one cell")
-        for c in self.cells:
-            if not isinstance(c, str):
-                raise ValidationError(f"signal cells must be strings, got {type(c).__name__}")
-
-    @classmethod
-    def _trusted(cls, cells: tuple[Token, ...]) -> Signal:
-        """Wrap cells the caller has checked: a non-empty tuple of strings."""
-        out = object.__new__(cls)
-        out.__dict__["cells"] = cells
-        return out
 
 
 class PrefixIndex:
@@ -66,9 +45,8 @@ class PrefixIndex:
     """
 
     def __init__(self, fam: SignalFamily):
-        cells = [s.cells for s in fam.signals]
-        self.order = sorted(range(len(cells)), key=cells.__getitem__)
-        self.sorted_cells = [cells[i] for i in self.order]
+        self.order = sorted(range(len(fam)), key=fam.signals.__getitem__)
+        self.sorted_cells = list(map(fam.signals.__getitem__, self.order))
         # lcp[k]: leading cells shared by the k-th and (k+1)-th sorted signals
         self.lcp = [
             next(compress(count(), map(ne, s, t)), len(s)) for s, t in zip(self.sorted_cells, self.sorted_cells[1:])
@@ -191,14 +169,14 @@ class PrefixIndex:
 
 @dataclass(frozen=True)
 class SignalFamily:
-    """Indexed, duplicate-free signals of equal length; `role` tags the modelled side.
+    """Indexed, duplicate-free signals of equal length, each a tuple of string tokens; `role` tags the modelled side.
 
     Duplicate signals are rejected rather than merged so indices stay stable.
     """
 
     role: str
     names: tuple[str, ...]
-    signals: tuple[Signal, ...]
+    signals: tuple[tuple[Token, ...], ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -208,22 +186,30 @@ class SignalFamily:
             raise ValidationError("a signal family must not be empty")
         if len(self.names) != len(self.signals):
             raise ValidationError("family needs exactly one name per signal")
+        if not all(map(isinstance, self.names, repeat(str))):
+            raise ValidationError("family names must be strings")
         index = {n: i for i, n in enumerate(self.names)}
         if len(index) != len(self.names):
             raise ValidationError("family names must be unique")
         object.__setattr__(self, "_index", index)
-        cells = list(map(attrgetter("cells"), self.signals))  # tuples hash and compare in C; a `Signal` does not
-        if len(set(cells)) != len(cells):
-            raise ValidationError("duplicate signals are not allowed")
-        if len(set(map(len, cells))) != 1:
+        # each check is one pass in C, and each runs only on what the checks before it allow
+        if not all(map(isinstance, self.signals, repeat(tuple))):
+            raise ValidationError("each signal must be a tuple of cells")
+        if len(set(map(len, self.signals))) != 1:
             raise ValidationError("all signals of a family must have the same length")
+        if not self.signals[0]:
+            raise ValidationError("a signal needs at least one cell")
+        if not all(map(isinstance, chain.from_iterable(self.signals), repeat(str))):
+            raise ValidationError("signal cells must be strings")
+        if len(set(self.signals)) != len(self.signals):
+            raise ValidationError("duplicate signals are not allowed")
 
     def __len__(self) -> int:
         return len(self.signals)
 
     @property
     def width(self) -> int:
-        return len(self.signals[0].cells)
+        return len(self.signals[0])
 
     def index_of(self, name: str) -> int:
         try:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .multifunction import Instance, Multifunction, is_total, mf_le
 from .nonanticipation import compose_chain
-from .signals import RestrictionKey, Signal, signal_classes
+from .signals import RestrictionKey, signal_classes
 from .timebase import Partition, partition_to_chain
 
 
@@ -45,19 +45,22 @@ class Adversary(Protocol):
 
 @dataclass(frozen=True)
 class ScriptedAdversary:
-    """Plays one fixed disturbance."""
+    """Plays one fixed disturbance, given as its cells."""
 
-    signal: Signal
+    signal: tuple[str, ...]
 
     def extend(self, step: int, revealed: RestrictionKey, new_len: int) -> RestrictionKey:
-        return self.signal.cells[len(revealed) : new_len]
+        return self.signal[len(revealed) : new_len]
 
 
 def legal_extensions(inst: Instance, revealed: RestrictionKey, new_len: int) -> tuple[RestrictionKey, ...]:
     """Sorted distinct extensions realizable by some admissible disturbance."""
     cut = slice(len(revealed), new_len)
-    found = {inst.omega.signals[w].cells[cut] for w in inst.omega.prefix_index.members(revealed)}
+    found = {inst.omega.signals[w][cut] for w in inst.omega.prefix_index.members(revealed)}
     return tuple(sorted(found))
+
+
+ANSWER_MARGIN = 8192  # characters an answer line may hold past the longest answer: whitespace, leading zeros
 
 
 @dataclass
@@ -67,6 +70,8 @@ class InteractiveAdversary:
     Each step prints the legal extensions (one `#k  tokens` line each) to
     `err` and reads one line from `infile`: either `#k` picking an option or
     the literal comma-joined tokens, which must match exactly one option.
+    A read takes at most the longest such answer plus `ANSWER_MARGIN`
+    characters; a line that does not end within them is rejected unread.
     """
 
     instance: Instance
@@ -75,13 +80,17 @@ class InteractiveAdversary:
 
     def extend(self, step: int, revealed: RestrictionKey, new_len: int) -> RestrictionKey:
         opts = legal_extensions(self.instance, revealed, new_len)
+        texts = list(map(",".join, opts))
         self.err.write(f"step {step}: extend the disturbance to {new_len} cells\n")
-        for k, o in enumerate(opts):
-            self.err.write(f"  #{k}  {','.join(o)}\n")
+        for k, text in enumerate(texts):
+            self.err.write(f"  #{k}  {text}\n")
         self.err.flush()
-        line = self.infile.readline()
+        limit = max([len(f"#{len(opts) - 1}"), *map(len, texts)]) + ANSWER_MARGIN
+        line = self.infile.readline(limit)
         if not line:
             raise AdversaryError(f"input ended before step {step}")
+        if len(line) == limit and not line.endswith("\n"):
+            raise AdversaryError(f"line of {limit} or more characters at step {step}; no answer is that long")
         line = line.strip()
         if line.startswith("#"):
             digits = line[1:]
@@ -90,7 +99,7 @@ class InteractiveAdversary:
             if not 0 <= k < len(opts):
                 raise AdversaryError(f"no extension option {line!r} at step {step}")
             return opts[k]
-        hits = [k for k, o in enumerate(opts) if ",".join(o) == line]
+        hits = [k for k, text in enumerate(texts) if text == line]
         if len(hits) == 1:
             return opts[hits[0]]
         if hits:
@@ -257,14 +266,14 @@ def validate_trace(a: Multifunction, trace: StepTrace) -> list[str]:
         return [f"trace has {len(trace.steps)} steps for {len(chain.prefixes)} control steps"]
 
     def agree(fam, i: int, j: int, n: int) -> bool:
-        return 0 <= i < len(fam) and 0 <= j < len(fam) and fam.signals[i].cells[:n] == fam.signals[j].cells[:n]
+        return 0 <= i < len(fam) and 0 <= j < len(fam) and fam.signals[i][:n] == fam.signals[j][:n]
 
     problems: list[str] = []
     prev = None
     prev_len = 0
     for step, p in zip(trace.steps, chain.prefixes):
         w = step.omega if 0 <= step.omega < len(inst.omega) else None
-        if w is None or inst.omega.signals[w].cells[: p.len] != step.revealed:
+        if w is None or inst.omega.signals[w][: p.len] != step.revealed:
             problems.append(f"step {step.index}: picked disturbance does not match the revealed prefix")
         at = 2 * rank[step.h] if 0 <= step.h < len(rank) else 1  # bit 1 is a run top: no trajectory
         if w is None or not phi.bits[w] >> at & 1:
@@ -305,7 +314,7 @@ def enumerate_omega_delta(inst: Instance, delta: Partition) -> Iterator[tuple[in
         if i == 0:
             yield tup
         else:
-            cls = inst.omega.prefix_index.members(inst.omega.signals[w].cells[: chain.prefixes[i - 1].len])
+            cls = inst.omega.prefix_index.members(inst.omega.signals[w][: chain.prefixes[i - 1].len])
             stack.append((tup, iter(cls)))
 
 

@@ -22,7 +22,6 @@ from naselect import (
     Prefix,
     PrefixChain,
     RhoSearchResult,
-    Signal,
     SignalFamily,
     full_prefix_chain,
     grid,
@@ -63,7 +62,7 @@ def edge_instances(draw):
         most = min(most, len(space))
         cells = draw(st.lists(st.sampled_from(space), min_size=1, max_size=most, unique=True))
         names = tuple(f"{prefix}{i}" for i in range(len(cells)))
-        return SignalFamily(role, names, tuple(Signal(c) for c in cells))
+        return SignalFamily(role, names, tuple(cells))
 
     omega = family("disturbance", "w", 7)
     z = family("trajectory", "h", 8)
@@ -85,13 +84,13 @@ hostile_text = st.text(st.sampled_from('"\\\x00\x1f\n\t\u2028\u00e9\u4e2d\U0001f
 def hostile_instances(draw):
     """A small random instance with every name and token renamed to hostile text."""
     inst, mf = draw(small_instances())
-    tokens = sorted({t for fam in (inst.omega, inst.z) for s in fam.signals for t in s.cells})
+    tokens = sorted({t for fam in (inst.omega, inst.z) for s in fam.signals for t in s})
     sizes = [len(inst.omega), len(inst.z), len(tokens)]
     new = [draw(st.lists(hostile_text, min_size=n, max_size=n, unique=True)) for n in sizes]
     rename = dict(zip(tokens, new[2]))
 
     def family(fam, names):
-        signals = tuple(Signal(tuple(map(rename.get, s.cells))) for s in fam.signals)
+        signals = tuple(tuple(map(rename.get, s)) for s in fam.signals)
         return SignalFamily(fam.role, tuple(names), signals)
 
     hostile = Instance(inst.grid, family(inst.omega, new[0]), family(inst.z, new[1]))
@@ -137,10 +136,10 @@ def naive_is_prefix_na(a: Multifunction, p: Prefix) -> bool:
     n = len(inst.omega)
     for i in range(n):
         for j in range(n):
-            if inst.omega.signals[i].cells[: p.len] != inst.omega.signals[j].cells[: p.len]:
+            if inst.omega.signals[i][: p.len] != inst.omega.signals[j][: p.len]:
                 continue
-            left = {inst.z.signals[h].cells[: p.len] for h in a.values[i]}
-            right = {inst.z.signals[h].cells[: p.len] for h in a.values[j]}
+            left = {inst.z.signals[h][: p.len] for h in a.values[i]}
+            right = {inst.z.signals[h][: p.len] for h in a.values[j]}
             if left != right:
                 return False
     return True
@@ -158,14 +157,14 @@ def naive_project(a: Multifunction, p: Prefix) -> Multifunction:
         cls = [
             j
             for j in range(len(inst.omega))
-            if inst.omega.signals[j].cells[: p.len] == inst.omega.signals[i].cells[: p.len]
+            if inst.omega.signals[j][: p.len] == inst.omega.signals[i][: p.len]
         ]
         keysets = [
-            {inst.z.signals[h].cells[: p.len] for h in a.values[j]} for j in cls
+            {inst.z.signals[h][: p.len] for h in a.values[j]} for j in cls
         ]
         core = set.intersection(*keysets)
         out.append(
-            frozenset(h for h in a.values[i] if inst.z.signals[h].cells[: p.len] in core)
+            frozenset(h for h in a.values[i] if inst.z.signals[h][: p.len] in core)
         )
     return Multifunction(inst, tuple(out))
 
@@ -194,13 +193,13 @@ def naive_replay(a: Multifunction, delta: Partition, policy: str = "lex", seed: 
         picks = []
         prev_h, prev_len = None, 0
         for i, p in enumerate(chain.prefixes, start=1):
-            revealed = signal.cells[: p.len]
-            w = [v for v, s in enumerate(inst.omega.signals) if s.cells[: p.len] == revealed][0]
+            revealed = signal[: p.len]
+            w = [v for v, s in enumerate(inst.omega.signals) if s[: p.len] == revealed][0]
             admissible = sorted(
                 j
                 for j in phi.values[w]
                 if prev_h is None
-                or inst.z.signals[j].cells[:prev_len] == inst.z.signals[prev_h].cells[:prev_len]
+                or inst.z.signals[j][:prev_len] == inst.z.signals[prev_h][:prev_len]
             )
             if not admissible:
                 picks.append(("stuck", i, w))
@@ -217,9 +216,9 @@ def naive_legal_extensions(inst, revealed, new_len):
     return tuple(
         sorted(
             {
-                s.cells[len(revealed) : new_len]
+                s[len(revealed) : new_len]
                 for s in inst.omega.signals
-                if s.cells[: len(revealed)] == revealed
+                if s[: len(revealed)] == revealed
             }
         )
     )
@@ -247,8 +246,8 @@ def naive_consistent_tuples(inst, chain: PrefixChain) -> list[tuple[int, ...]]:
         t
         for t in itertools.product(range(len(omega)), repeat=n)
         if all(
-            omega[t[i]].cells[: chain.prefixes[i].len]
-            == omega[t[i + 1]].cells[: chain.prefixes[i].len]
+            omega[t[i]][: chain.prefixes[i].len]
+            == omega[t[i + 1]][: chain.prefixes[i].len]
             for i in range(n - 1)
         )
     ]
@@ -263,8 +262,8 @@ def naive_tuple_violations(phis, chain: PrefixChain, t: tuple[int, ...]) -> set[
             out.add(("empty-value", i + 1))
     for i in range(len(t) - 1):
         p = chain.prefixes[i]
-        left = {z[h].cells[: p.len] for h in phis[i].values[t[i]]}
-        right = {z[h].cells[: p.len] for h in phis[i + 1].values[t[i + 1]]}
+        left = {z[h][: p.len] for h in phis[i].values[t[i]]}
+        right = {z[h][: p.len] for h in phis[i + 1].values[t[i + 1]]}
         if left != right:
             out.add(("restriction-mismatch", i + 1))
     return out
@@ -285,10 +284,10 @@ def naive_na_witness(a: Multifunction, p: Prefix):
     n = len(inst.omega)
     for i in range(n):
         for j in range(i + 1, n):
-            if inst.omega.signals[i].cells[: p.len] != inst.omega.signals[j].cells[: p.len]:
+            if inst.omega.signals[i][: p.len] != inst.omega.signals[j][: p.len]:
                 continue
-            left = {inst.z.signals[h].cells[: p.len] for h in a.values[i]}
-            right = {inst.z.signals[h].cells[: p.len] for h in a.values[j]}
+            left = {inst.z.signals[h][: p.len] for h in a.values[i]}
+            right = {inst.z.signals[h][: p.len] for h in a.values[j]}
             if left != right:
                 key = min(left ^ right)
                 return i, j, key, i if key in left else j
@@ -324,8 +323,8 @@ def to_jsonable(inst: Instance, mf: Multifunction, metadata: dict | None = None)
     """The instance file as a document, one dict per signal: the reference `save` and the digest are held to."""
     doc = {
         "grid": [str(s) for s in inst.grid.stamps],
-        "omega": [{"name": n, "cells": list(s.cells)} for n, s in zip(inst.omega.names, inst.omega.signals)],
-        "z": [{"name": n, "cells": list(s.cells)} for n, s in zip(inst.z.names, inst.z.signals)],
+        "omega": [{"name": n, "cells": list(s)} for n, s in zip(inst.omega.names, inst.omega.signals)],
+        "z": [{"name": n, "cells": list(s)} for n, s in zip(inst.z.names, inst.z.signals)],
         "alpha": mf_to_names(mf),
     }
     if metadata:

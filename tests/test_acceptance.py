@@ -199,7 +199,7 @@ def test_criterion_4_guaranteed_result_search():
             entry = w.values[inst.omega.index_of(name)]
             assert entry
             for j in entry:
-                cells = inst.z.signals[j].cells
+                cells = inst.z.signals[j]
                 assert cells[0] == "1/2"
                 assert all(c == tail for c in cells[1:])
         below = res.candidates[-1]

@@ -158,7 +158,7 @@ def _most_runs_cleared(inst, a) -> int:
     for p in inst.grid.prefixes():
         cut = p.len
         for cls in signal_classes(inst.omega, p):
-            keys = [{inst.z.signals[j].cells[:cut] for j in a.values[w]} for w in cls]
+            keys = [{inst.z.signals[j][:cut] for j in a.values[w]} for w in cls]
             core = set.intersection(*keys)
             most = max(most, *(len(k - core) for k in keys))
     return most

@@ -516,6 +516,18 @@ def test_interactive_index_is_ascii_digits_only(tmp_path, monkeypatch, capsys, l
     assert capsys.readouterr().err.endswith(f"adversary error: {message}\n")
 
 
+def test_interactive_read_stops_at_the_longest_answer_and_a_margin(tmp_path, monkeypatch, capsys):
+    path = _comma_tokens_file(tmp_path)
+    stdin = io.StringIO("x" * 10**6 + "\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    argv = ["simulate", path, "--delta", "0,2", "--adversary", "interactive"]
+    assert cli.cli(argv) == 2
+    bound = len("a,b,c") + stepwise.ANSWER_MARGIN  # the longest answer beats "#1"
+    assert stdin.tell() <= bound
+    message = f"line of {bound} or more characters at step 1; no answer is that long"
+    assert capsys.readouterr().err.endswith(f"adversary error: {message}\n")
+
+
 # Runs every subcommand in one child process and reports exit codes and output.
 _ALL_COMMANDS = """
 import contextlib, io, json, sys

@@ -10,7 +10,6 @@ from naselect import (
     Partition,
     Prefix,
     PrefixChain,
-    Signal,
     SignalFamily,
     build_example1,
     build_example2,
@@ -228,8 +227,8 @@ def test_canonical_chain_matches_naive_pairwise_agreement():
         lens = set()
         for i in range(n_omega):
             for j in range(i, n_omega):
-                si = inst.omega.signals[i].cells
-                sj = inst.omega.signals[j].cells
+                si = inst.omega.signals[i]
+                sj = inst.omega.signals[j]
                 n = 0
                 while n < len(si) and si[n] == sj[n]:
                     n += 1
@@ -250,8 +249,8 @@ def test_canonical_chain_of_the_push_pull_discretization():
 
 def test_canonical_chain_of_single_disturbance_is_full_prefix():
     g = grid(0, 1, 2)
-    fam = SignalFamily("disturbance", ("w1",), (Signal(("a", "b")),))
-    z = SignalFamily("trajectory", ("h1",), (Signal(("x", "y")),))
+    fam = SignalFamily("disturbance", ("w1",), (("a", "b"),))
+    z = SignalFamily("trajectory", ("h1",), (("x", "y"),))
     inst = Instance(g, fam, z)
     assert [p.len for p in canonical_chain(inst).prefixes] == [2]
 
@@ -411,9 +410,9 @@ def test_meet_of_na_multiselectors_can_fail_na():
     # two one-prefix-na multiselectors whose meet is not one-prefix-na
     g = grid(0, 1, 2)
     omega = SignalFamily(
-        "disturbance", ("w1", "w2"), (Signal(("p", "q")), Signal(("p", "r")))
+        "disturbance", ("w1", "w2"), (("p", "q"), ("p", "r"))
     )
-    z = SignalFamily("trajectory", ("h1", "h2"), (Signal(("k", "s")), Signal(("k", "t"))))
+    z = SignalFamily("trajectory", ("h1", "h2"), (("k", "s"), ("k", "t")))
     inst = Instance(g, omega, z)
     z1 = Multifunction(inst, (frozenset({0}), frozenset({1})))
     z2 = Multifunction(inst, (frozenset({1}), frozenset({1})))

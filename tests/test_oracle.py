@@ -10,7 +10,6 @@ from naselect import (
     Multifunction,
     Prefix,
     PrefixChain,
-    Signal,
     SignalFamily,
     ValidationError,
     brute_greatest,
@@ -95,9 +94,9 @@ def test_brute_greatest_walks_more_disturbances_than_the_recursion_limit():
     omega = SignalFamily(
         "disturbance",
         tuple(f"w{k}" for k in range(1200)),
-        tuple(Signal(tuple(f"{k:011b}")) for k in range(1200)),
+        tuple(tuple(f"{k:011b}") for k in range(1200)),
     )
-    z = SignalFamily("trajectory", ("h",), (Signal(("0",) * 11),))
+    z = SignalFamily("trajectory", ("h",), (("0",) * 11,))
     a = Multifunction(Instance(g, omega, z), (frozenset({0}),) * 1200)
     assert brute_greatest(a, PrefixChain((Prefix(11),))).values == a.values
 

@@ -96,9 +96,9 @@ def test_classes_and_extensions_match_a_scan_of_every_disturbance(data):
     for p in inst.grid.prefixes():
         first_seen: dict[tuple, list[int]] = {}
         for i, s in enumerate(inst.omega.signals):
-            first_seen.setdefault(s.cells[: p.len], []).append(i)
+            first_seen.setdefault(s[: p.len], []).append(i)
         assert signal_classes(inst.omega, p) == tuple(map(tuple, first_seen.values()))
-    revealed = {s.cells[:r] for s in inst.omega.signals for r in range(m + 1)}
+    revealed = {s[:r] for s in inst.omega.signals for r in range(m + 1)}
     revealed.add(("zz",) * m)  # matches no disturbance
     for prefix in revealed:
         for new_len in range(len(prefix), m + 1):
@@ -164,7 +164,7 @@ def _check_starts_and_masks(fam):
         assert len(starts) == len(by_key) + 1
         for k, members in by_key.items():
             assert sorted(index.order[starts[k] : starts[k + 1]]) == members
-            assert {fam.signals[i].cells[:length] for i in members} == {index.sorted_cells[starts[k]][:length]}
+            assert {fam.signals[i][:length] for i in members} == {index.sorted_cells[starts[k]][:length]}
         f, g, _ = index.masks(length)
         tops = [1 << 2 * end - 1 for end in starts[1:]]
         assert f & g == 0 and f | g == everything and g == sum(tops)

@@ -11,7 +11,6 @@ from naselect import (
     ControlSystem,
     Partition,
     Prefix,
-    Signal,
     SignalFamily,
     TimeGrid,
     ValidationError,
@@ -52,13 +51,13 @@ def test_integrate_on_the_catch_up_game():
 
 def test_integrate_of_silence_returns_the_start():
     sys = example3_system(3)
-    zero = Signal(("0",) * sys.grid.cells)
+    zero = ("0",) * sys.grid.cells
     assert integrate(sys, zero, zero) == sys.x0 == 0
 
 
 def test_integrate_on_the_push_pull_system():
     sys = build_example4()
-    u = Signal(("1/2", "1", "1"))
+    u = ("1/2", "1", "1")
     v1 = sys.disturbances.signals[0]
     assert integrate(sys, u, v1) == Fraction(7, 2)
 
@@ -66,10 +65,10 @@ def test_integrate_on_the_push_pull_system():
 def test_integrate_is_linear_per_argument():
     sys = build_example4()
     v1, v2 = sys.disturbances.signals
-    u_a = Signal(("1/2", "0", "-1"))
-    u_b = Signal(("-1", "1", "1/2"))
-    u_sum = Signal(tuple(str(Fraction(x) + Fraction(y)) for x, y in zip(u_a.cells, u_b.cells)))
-    zero = Signal(("0",) * 3)
+    u_a = ("1/2", "0", "-1")
+    u_b = ("-1", "1", "1/2")
+    u_sum = tuple(str(Fraction(x) + Fraction(y)) for x, y in zip(u_a, u_b))
+    zero = ("0",) * 3
     assert integrate(sys, u_sum, zero) == integrate(sys, u_a, zero) + integrate(sys, u_b, zero)
     assert integrate(sys, u_a, v1) == integrate(sys, u_a, zero) + integrate(sys, zero, v1)
     assert integrate(sys, u_a, v2) == integrate(sys, u_a, zero) + integrate(sys, zero, v2)
@@ -78,7 +77,7 @@ def test_integrate_is_linear_per_argument():
 def test_integrate_rejects_symbolic_cells():
     sys = build_example4()
     with pytest.raises(ValidationError):
-        integrate(sys, Signal(("high", "0", "0")), sys.disturbances.signals[0])
+        integrate(sys, ("high", "0", "0"), sys.disturbances.signals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,7 @@ def test_optimal_level_with_default_grid():
     inst = w.instance
     for name, tail in (("v1", "1"), ("v2", "-1")):
         for j in w.values[inst.omega.index_of(name)]:
-            cells = inst.z.signals[j].cells
+            cells = inst.z.signals[j]
             assert cells[0] == "1/2"
             assert all(c == tail for c in cells[1:])
 
@@ -240,7 +239,7 @@ def control_systems(draw):
     disturbances = SignalFamily(
         ROLE_DISTURBANCE,
         tuple(f"v{i}" for i in range(len(rows))),
-        tuple(Signal(tuple(map(str, row))) for row in rows),
+        tuple(tuple(map(str, row)) for row in rows),
     )
     return ControlSystem(
         TimeGrid(tuple(itertools.accumulate(widths, initial=Fraction(0)))),

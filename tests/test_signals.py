@@ -3,7 +3,6 @@ from hypothesis import given, settings
 
 from naselect import (
     Prefix,
-    Signal,
     SignalFamily,
     ValidationError,
     build_example1,
@@ -21,7 +20,7 @@ def _names(inst, indices):
 
 def _class(fam, idx, p):
     """The prefix index's class of member `idx` at `p`, checked to come in index order."""
-    members = fam.prefix_index.members(fam.signals[idx].cells[: p.len])
+    members = fam.prefix_index.members(fam.signals[idx][: p.len])
     assert list(members) == sorted(members)
     return frozenset(members)
 
@@ -30,7 +29,7 @@ def test_ramp_disturbances_share_the_first_cell():
     inst, _ = build_example2()
     w11 = inst.omega.index_of("w11")
     w22 = inst.omega.index_of("w22")
-    assert inst.omega.signals[w11].cells[:1] == inst.omega.signals[w22].cells[:1]
+    assert inst.omega.signals[w11][:1] == inst.omega.signals[w22][:1]
 
 
 def test_ramp_classes_at_one_cell_cover_everything():
@@ -59,15 +58,24 @@ def test_distinct_signals_are_alone_at_full_length():
 
 def test_family_rejects_duplicates_and_mismatches():
     with pytest.raises(ValidationError):
-        SignalFamily("disturbance", ("a", "b"), (Signal(("x",)), Signal(("x",))))
+        SignalFamily("disturbance", ("a", "b"), (("x",), ("x",)))
     with pytest.raises(ValidationError):
-        SignalFamily("disturbance", ("a", "a"), (Signal(("x",)), Signal(("y",))))
+        SignalFamily("disturbance", ("a", "a"), (("x",), ("y",)))
     with pytest.raises(ValidationError):
-        SignalFamily("disturbance", ("a",), (Signal(("x",)), Signal(("y",))))
+        SignalFamily("disturbance", ("a",), (("x",), ("y",)))
     with pytest.raises(ValidationError):
-        SignalFamily("disturbance", ("a", "b"), (Signal(("x",)), Signal(("y", "z"))))
+        SignalFamily("disturbance", ("a", "b"), (("x",), ("y", "z")))
     with pytest.raises(ValidationError):
-        SignalFamily("elsewhere", ("a",), (Signal(("x",)),))
+        SignalFamily("elsewhere", ("a",), (("x",),))
+    with pytest.raises(ValidationError, match="^each signal must be a tuple of cells$"):
+        SignalFamily("disturbance", ("a",), (["x"],))
+    with pytest.raises(ValidationError, match="^a signal needs at least one cell$"):
+        SignalFamily("disturbance", ("a",), ((),))
+    with pytest.raises(ValidationError, match="^signal cells must be strings$"):
+        SignalFamily("disturbance", ("a", "b"), (("x", "y"), ("x", 1)))
+    for name in (1, ["a"]):
+        with pytest.raises(ValidationError, match="^family names must be strings$"):
+            SignalFamily("disturbance", (name,), (("x",),))
 
 
 def test_index_of_agrees_with_the_name_order():
@@ -128,5 +136,5 @@ def test_equal_restriction_means_same_class(data):
     for p in inst.grid.prefixes():
         for i, s in enumerate(inst.omega.signals):
             for j, t in enumerate(inst.omega.signals):
-                same = s.cells[: p.len] == t.cells[: p.len]
+                same = s[: p.len] == t[: p.len]
                 assert same == (j in _class(inst.omega, i, p))
