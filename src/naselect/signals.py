@@ -182,6 +182,8 @@ class SignalFamily:
     def __post_init__(self) -> None:
         if self.role not in (ROLE_DISTURBANCE, ROLE_TRAJECTORY):
             raise ValidationError(f"unknown family role {self.role!r}")
+        if not (isinstance(self.names, tuple) and isinstance(self.signals, tuple)):  # hash() needs tuples
+            raise ValidationError("family names and signals must be tuples")
         if not self.signals:
             raise ValidationError("a signal family must not be empty")
         if len(self.names) != len(self.signals):

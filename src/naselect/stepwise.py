@@ -8,9 +8,9 @@ The selection multifunction for every step is the greatest chain-non-
 anticipative multiselector; its non-emptiness is exactly what keeps the
 procedure from getting stuck.  It depends only on the multifunction and the
 partition, and the multifunction keeps it once composed, so a run, an
-exhaustive run and the validation of a trace all select from one composition;
-a step depends only on the revealed prefix, so an exhaustive run computes one
-step per distinct revealed prefix.
+exhaustive run and the validation of a trace all select from one composition.
+A step depends only on the revealed prefix, so an exhaustive run walks the
+revelation tree in one pass over the sorted disturbances, one step per node.
 """
 
 from __future__ import annotations
@@ -151,12 +151,28 @@ def run_stepwise(
     admissible trajectories: "lex" for the smallest index, "random" for a
     seeded draw.  `on_step` is called with each finished `Step`.
     """
-    chain, phi = _compose(a, delta, policy, check)
-    return _drive(a, delta, chain, phi, adversary, policy, seed, on_step)
+    chain, phi, pick, _ = _compose(a, delta, policy, seed, check)
+    revealed: RestrictionKey = ()
+    steps: list[Step] = []
+    for i, p in enumerate(chain.prefixes, start=1):
+        ext = adversary.extend(i, revealed, p.len)
+        if len(ext) != p.len - len(revealed):
+            raise AdversaryError(
+                f"step {i}: expected {p.len - len(revealed)} cells, got {len(ext)}"
+            )
+        revealed = revealed + tuple(ext)
+        matches = a.instance.omega.prefix_index.members(revealed)
+        if not matches:
+            raise AdversaryError(f"step {i}: revealed prefix {revealed} matches no disturbance")
+        steps.append(_step(a, phi, pick, i, revealed, matches[0], steps[-1] if steps else None))
+        if on_step is not None:
+            on_step(steps[-1])
+    return StepTrace(delta, tuple(steps), steps[-1].h)
 
 
-def _compose(a: Multifunction, delta: Partition, policy: str, check: bool):
-    """Validate `policy` and compose the selection multifunction; with `check`, require it total."""
+def _compose(a: Multifunction, delta: Partition, policy: str, seed: int, check: bool):
+    """Validate `policy`, compose the selection multifunction (with `check`, require it total) and make the pick:
+    of a non-empty set, the smallest index under "lex", a draw from the returned `Random(seed)` under "random"."""
     if policy not in ("lex", "random"):
         raise ValidationError(f"unknown selector policy {policy!r}")
     inst = a.instance
@@ -170,66 +186,25 @@ def _compose(a: Multifunction, delta: Partition, policy: str, check: bool):
             empty_omegas=empty,
             witness=phi,
         )
-    return chain, phi
+    z = inst.z.prefix_index
+    rng = random.Random(seed) if policy == "random" else None
+    return chain, phi, z.first if rng is None else lambda v: rng.choice(z.indices(v)), rng
 
 
-def _drive(a, delta, chain, phi, adversary: Adversary, policy, seed, on_step, walked=None) -> StepTrace:
-    """One run against `adversary`, picking from the composed `phi` over `chain`.
-
-    Runs sharing `walked` (revealed prefix → computed `Step` and option count)
-    take the steps found there and record those they compute.  A "random" run
-    builds its `Random(seed)` at its first computed step and first replays one
-    `choice` per step it took, so it picks as a run on its own would.
-    """
+def _step(a: Multifunction, phi: Multifunction, pick, i: int, revealed: RestrictionKey, w: int, prev: Step | None) -> Step:
+    """Step i at `revealed`, for its class's first member `w`: `pick` from phi(w)'s run of `prev`'s pick at the
+    previous prefix, or raise `ProcedureStuckError` if that run is empty."""
     inst, z = a.instance, a.instance.z.prefix_index
-    walked = {} if walked is None else walked
-    rng, taken = None, []
-    revealed: RestrictionKey = ()
-    steps: list[Step] = []
-    prev: Step | None = None
-    prev_len = 0
-    for i, p in enumerate(chain.prefixes, start=1):
-        ext = adversary.extend(i, revealed, p.len)
-        if len(ext) != p.len - len(revealed):
-            raise AdversaryError(
-                f"step {i}: expected {p.len - len(revealed)} cells, got {len(ext)}"
-            )
-        revealed = revealed + tuple(ext)
-        found = walked.get(revealed)
-        if found is not None:
-            step, k = found
-            taken.append(k)
-        else:
-            matches = inst.omega.prefix_index.members(revealed)
-            if not matches:
-                raise AdversaryError(f"step {i}: revealed prefix {revealed} matches no disturbance")
-            w = matches[0]
-            omega_id, z_id = inst.omega.prefix_index.ids(prev_len), z.ids(prev_len)
-            starts, r = z.starts(prev_len), 0 if prev is None else z_id[prev.h]  # the previous pick's run
-            admissible = phi.bits[w] & ((1 << 2 * starts[r + 1]) - (1 << 2 * starts[r]))
-            k = admissible.bit_count()
-            if not k:
-                raise ProcedureStuckError(
-                    f"step {i}: no admissible trajectory for {inst.omega.names[w]}", step=i, omega=w
-                )
-            if policy == "lex":
-                h = z.first(admissible)
-            else:
-                if rng is None:
-                    rng = random.Random(seed)
-                    for n in taken:
-                        rng.choice(range(n))
-                h = rng.choice(z.indices(admissible))
-            omega_ok = prev is None or omega_id[w] == omega_id[prev.omega]
-            h_ok = prev is None or z_id[h] == z_id[prev.h]
-            step = Step(i, revealed, w, h, omega_ok, h_ok, (phi.bits[w] & a.bits[w]) >> 2 * z.rank[h] & 1 == 1)
-            walked[revealed] = step, k
-        steps.append(step)
-        if on_step is not None:
-            on_step(step)
-        prev, prev_len = step, p.len
-    assert prev is not None
-    return StepTrace(delta, tuple(steps), prev.h)
+    prev_len = 0 if prev is None else len(prev.revealed)
+    omega_id, z_id = inst.omega.prefix_index.ids(prev_len), z.ids(prev_len)
+    starts, r = z.starts(prev_len), 0 if prev is None else z_id[prev.h]
+    admissible = phi.bits[w] & ((1 << 2 * starts[r + 1]) - (1 << 2 * starts[r]))
+    if not admissible:
+        raise ProcedureStuckError(f"step {i}: no admissible trajectory for {inst.omega.names[w]}", step=i, omega=w)
+    h = pick(admissible)
+    omega_ok = prev is None or omega_id[w] == omega_id[prev.omega]
+    h_ok = prev is None or z_id[h] == z_id[prev.h]
+    return Step(i, revealed, w, h, omega_ok, h_ok, (phi.bits[w] & a.bits[w]) >> 2 * z.rank[h] & 1 == 1)
 
 
 def run_exhaustive(
@@ -239,18 +214,42 @@ def run_exhaustive(
     seed: int = 0,
     check: bool = False,
 ) -> dict[int, StepTrace]:
-    """One scripted run per admissible disturbance; raises if any path gets stuck.
+    """One run per disturbance, each picking as a scripted run of it alone would.
 
-    The selection multifunction is composed once, and the runs, in index order,
-    share one table of computed steps keyed by the revealed prefix: one step per
-    node of the revelation tree, and each run's picks as if it ran alone.
+    One composition, then one pass over the disturbances in sorted order walks
+    the revelation tree: a run keeps the previous run's steps at the prefixes
+    within their common leading cells and computes the rest, one `Step` per
+    node.  Under "random" a node the next run shares saves the generator's
+    state after its draw in its level's slot.  A stuck node strands every run
+    through it, and the pass raises as the first stuck run in index order.
     """
-    chain, phi = _compose(a, delta, policy, check)
-    walked: dict[RestrictionKey, tuple[Step, int]] = {}
-    return {
-        w: _drive(a, delta, chain, phi, ScriptedAdversary(s), policy, seed, None, walked)
-        for w, s in enumerate(a.instance.omega.signals)
-    }
+    chain, phi, pick, rng = _compose(a, delta, policy, seed, check)
+    index = a.instance.omega.prefix_index
+    levels = [(i, p.len, index.classes(p.len), index.ids(p.len)) for i, p in enumerate(chain.prefixes, start=1)]
+    saved = [rng and rng.getstate()] * (len(levels) + 1)  # saved[d]: the state after the path's d-th step
+    traces: list = [None] * len(index.order)  # a run's trace, or the error of the node it is stuck at
+    path: list[Step] = []
+    for w, cells, shared in zip(index.order, index.sorted_cells, [0, *index.lcp]):
+        if traces[w] is not None:
+            continue
+        while path and len(path[-1].revealed) > shared:
+            path.pop()
+        if rng is not None:
+            rng.setstate(saved[len(path)])
+        try:
+            for i, n, classes, ids in levels[len(path) :]:
+                cls = classes[ids[w]]
+                path.append(_step(a, phi, pick, i, cells[:n], cls[0], path[-1] if path else None))
+                if rng is not None and len(cls) > 1:
+                    saved[i] = rng.getstate()
+            traces[w] = StepTrace(delta, tuple(path), path[-1].h)
+        except ProcedureStuckError as e:
+            for x in cls:
+                traces[x] = e
+    stuck = [t for t in traces if not isinstance(t, StepTrace)]
+    if stuck:
+        raise stuck[0]
+    return dict(enumerate(traces))
 
 
 def validate_trace(a: Multifunction, trace: StepTrace) -> list[str]:

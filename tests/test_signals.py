@@ -76,6 +76,9 @@ def test_family_rejects_duplicates_and_mismatches():
     for name in (1, ["a"]):
         with pytest.raises(ValidationError, match="^family names must be strings$"):
             SignalFamily("disturbance", (name,), (("x",),))
+    for names, signals in ((["a"], (("x",),)), (("a",), [("x",)])):
+        with pytest.raises(ValidationError, match="^family names and signals must be tuples$"):
+            SignalFamily("disturbance", names, signals)
 
 
 def test_index_of_agrees_with_the_name_order():

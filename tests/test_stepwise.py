@@ -257,7 +257,10 @@ def test_exhaustive_equals_one_scripted_run_per_disturbance(data):
                     for w, s in enumerate(inst.omega.signals)
                 }
             )
-            assert _outcome(lambda: run_exhaustive(a, delta, policy, seed, check)) == expected
+            got = _outcome(lambda: run_exhaustive(a, delta, policy, seed, check))
+            assert got == expected
+            if isinstance(got, dict):  # the runs share one Step per node of the revelation tree
+                assert len({id(s) for t in got.values() for s in t.steps}) == len(_revealed_prefixes(inst, delta))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -318,6 +321,18 @@ def test_exhaustive_computes_one_step_per_revealed_prefix_on_a_stepwise_shaped_f
     assert run_exhaustive(a, delta) == expected
     assert sum(len(t.steps) for t in expected.values()) == 400
     assert len(computed) == len(_revealed_prefixes(inst, delta)) == 260
+    # deep paths: 120 binary cells split 20 disturbances within 7 cells, so nearly every node is one run's own
+    inst, a = random_instance(1, 20, 50, 120, alphabet=2, density=0.9)
+    delta = full_partition(inst.grid)
+    for policy in ("lex", "random"):
+        expected = {
+            w: run_stepwise(a, delta, ScriptedAdversary(s), policy, 5, check=False)
+            for w, s in enumerate(inst.omega.signals)
+        }
+        computed.clear()
+        assert run_exhaustive(a, delta, policy, 5) == expected
+        assert sum(len(t.steps) for t in expected.values()) == 2400
+        assert len(computed) == len(_revealed_prefixes(inst, delta)) == 2335
 
 
 def _splitting_instance():
