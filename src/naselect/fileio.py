@@ -4,12 +4,13 @@ Rationals serialize as "p/q" strings so files stay language-neutral and
 exact; multifunction values are name-keyed so files survive reordering.
 Digests cover the canonical serialization of the mathematical content
 (grid, families, value sets), so a round-trip preserves them.
-Names cross in bulk: one `itemgetter` call places each `alpha` list at load,
-one permutation names every value set (`PrefixIndex.select_all`), and the
-writer joins a list of strings that need no escaping in one go.  One family
-writer serves both the file `save` writes and the text the digest hashes, and
-one trace writer prints every `simulate` trace from its steps, builds no
-per-step dict, and renders a step that runs share once.
+Names cross in bulk: a family loads in whole-family C passes (an item loop
+only words an error), one `itemgetter` call places each `alpha` list, and one
+value-set writer names every value set once, straight from its bits, for the
+file's `alpha`, the digest and a report's `result` (`PrefixIndex.select_all`).
+One family writer serves both the file `save` writes and the text the digest
+hashes, and one trace writer prints every `simulate` trace from its steps,
+builds no per-step dict, and renders a step that runs share once.
 """
 
 from __future__ import annotations
@@ -18,28 +19,24 @@ import hashlib
 import json
 import re
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii as _esc
 from operator import itemgetter
-from typing import Any
+from typing import Any, Iterator, Sequence
 
 from .errors import ValidationError
-from .multifunction import Instance, Multifunction, dom, is_total, mf_to_names
+from .multifunction import Instance, Multifunction, dom, is_total
 from .nonanticipation import is_prefix_na
 from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, SignalFamily
 from .stepwise import StepTrace
 from .timebase import TimeGrid
 
 
-_PLAIN = re.compile(r'[ !#-\[\]-~]*')  # text `_esc` only quotes: printable ASCII but `"` and `\`
-
-
 def dumps(obj: Any, pad: str = "\n") -> str:
     """Exactly `json.dumps(obj, sort_keys=True, indent=2)`, with `pad` opening each inner line.
 
-    Strings take one call of the C escaper, and a list of strings that need
-    no escaping is one join; only containers are walked in Python, and what
-    is left goes to `json.dumps`.
+    Strings take one call of the C escaper; only containers are walked in
+    Python, and what is left goes to `json.dumps`.
     """
     if type(obj) is str:
         return _esc(obj)
@@ -51,13 +48,7 @@ def dumps(obj: Any, pad: str = "\n") -> str:
         body = sep.join(f"{_esc(k)}: {dumps(v, inner)}" for k, v in sorted(obj.items()))
         return "{" + inner + body + pad + "}" if body else "{}"
     if type(obj) in (list, tuple):
-        try:
-            plain = _PLAIN.fullmatch("".join(obj))
-        except TypeError:
-            body = sep.join([dumps(x, inner) for x in obj])
-        else:
-            body = '"' + f'"{sep}"'.join(obj) + '"' if plain else sep.join(map(_esc, obj))
-        return "[" + inner + body + pad + "]" if obj else "[]"
+        return "[" + inner + sep.join([dumps(x, inner) for x in obj]) + pad + "]" if obj else "[]"
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
 
 
@@ -79,8 +70,16 @@ _BOOL = ("false", "true")
 def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily:
     if not isinstance(items, list) or not items:
         raise ValidationError(f"{field}: expected a non-empty array of signals")
-    names: list[str] = []
-    signals: list[tuple[str, ...]] = []
+    try:  # whole-family passes in C; on any doubt the item loop below finds and words the error
+        if all(map(dict.__instancecheck__, items)):
+            bodies = list(map(itemgetter("cells"), items))
+            if all(map(list.__instancecheck__, bodies)) and set(map(len, bodies)) == {cells}:
+                names, signals = tuple(map(itemgetter("name"), items)), tuple(map(tuple, bodies))
+                if not _SURROGATE.search("".join(chain(names, *signals))):
+                    return SignalFamily(role, names, signals)
+    except (KeyError, TypeError, ValidationError):
+        pass
+    names, signals = [], []  # the same family, item by item
     for k, item in enumerate(items):
         if not isinstance(item, dict) or "name" not in item or "cells" not in item:
             raise ValidationError(f"{field}[{k}]: expected an object with name and cells")
@@ -96,10 +95,10 @@ def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily
             )
         names.append(name)
         signals.append(tuple(body))
-    if _SURROGATE.search("".join(chain(names, *signals))):
-        k = next(k for k, (n, s) in enumerate(zip(names, signals)) if _SURROGATE.search(n + "".join(s)))
-        part = "name" if _SURROGATE.search(names[k]) else "cells"
-        raise ValidationError(f"{field}[{k}].{part}: lone surrogate, not valid Unicode text")
+    for k, (name, body) in enumerate(zip(names, signals)):
+        if _SURROGATE.search(name + "".join(body)):
+            part = "name" if _SURROGATE.search(name) else "cells"
+            raise ValidationError(f"{field}[{k}].{part}: lone surrogate, not valid Unicode text")
     try:
         return SignalFamily(role, tuple(names), tuple(signals))
     except ValidationError as e:
@@ -179,14 +178,34 @@ def trace_text(trace: StepTrace, inst: Instance, pad: str | None, seen: dict | N
         f'"final": {_esc(zn[trace.final_h])}', f'"steps": [{ind[2]}{steps}{ind[1]}]']) + ind[0] + "}"
 
 
+def _rows(mf: Multifunction, names: Sequence[str], sep: str, order: Sequence[int]) -> Iterator[str]:
+    """Value sets in `order`, each as `names` at its z indices joined by `sep`; one `select_all`, rows joined as taken."""
+    return map(sep.join, mf.instance.z.prefix_index.select_all(names, [mf.bits[w] for w in order]))
+
+
+def _sets_text(mf: Multifunction, pad: str | None) -> str:
+    """The value sets as the file keys them by omega name: `dumps`'s layout at `pad`, or sorted compact JSON (what
+    `instance_digest` hashes) when `pad` is None.  One join copies each row once; an escaped name is never empty."""
+    outer, colon, step = ("", ":", "") if pad is None else (pad, ": ", "  ")
+    key, name = outer + step, outer + 2 * step
+    wn, order = zip(*sorted(zip(mf.instance.omega.names, count())))  # by raw name, as `sort_keys` orders them
+    pieces = []
+    for w, r in zip(map(_esc, wn), _rows(mf, list(map(_esc, mf.instance.z.names)), "," + name, order)):
+        pieces += ("," + key, w, colon, "[" + name, r, key + "]") if r else ("," + key, w, colon, "[]")
+    return "".join(["{" + key, *pieces[1:], outer + "}"])
+
+
+def _members(parts: dict[str, str]) -> str:
+    """A document from its members' texts in `dumps`'s layout one level in, in one join that copies each text once."""
+    pieces = [t for k, v in sorted(parts.items()) for t in (",\n  ", _esc(k), ": ", v)]
+    return "".join(["{\n  ", *pieces[1:], "\n}"])
+
+
 def instance_digest(inst: Instance, mf: Multifunction) -> str:
-    """SHA-256 of the file's content but its metadata as sorted compact JSON, fed piece by piece
-    with each z name escaped once."""
-    zn = list(map(_esc, inst.z.names))
-    alpha = sorted(zip(inst.omega.names, map(",".join, inst.z.prefix_index.select_all(zn, mf.bits))))
-    h = hashlib.sha256(b'{"alpha":{')
-    h.update(",".join(f"{_esc(w)}:[{zs}]" for w, zs in alpha).encode())
-    h.update(f'}},"grid":[{",".join(_esc(str(s)) for s in inst.grid.stamps)}]'.encode())
+    """SHA-256 of the file's content but its metadata as sorted compact JSON, fed piece by piece."""
+    h = hashlib.sha256(b'{"alpha":')
+    h.update(_sets_text(mf, None).encode())
+    h.update(f',"grid":[{",".join(_esc(str(s)) for s in inst.grid.stamps)}]'.encode())
     h.update(f',"omega":{_signals_text(inst.omega, None)},"z":{_signals_text(inst.z, None)}}}'.encode())
     return h.hexdigest()
 
@@ -206,20 +225,19 @@ def load(path: str) -> tuple[Instance, Multifunction]:
 
 def save(path: str, inst: Instance, mf: Multifunction, metadata: dict | None = None) -> None:
     """Write exactly `json.dumps(doc, sort_keys=True, indent=2)` and a newline for the file's
-    document `doc`: each family by `_signals_text`, the value sets, grid and metadata by `dumps`."""
+    document `doc`: each family by `_signals_text`, the value sets by `_sets_text`, grid and metadata by `dumps`."""
     pad = "\n  "
     parts = {
-        "alpha": dumps(mf_to_names(mf), pad),
+        "alpha": _sets_text(mf, pad),
         "grid": dumps([str(s) for s in inst.grid.stamps], pad),
         "omega": _signals_text(inst.omega, pad),
         "z": _signals_text(inst.z, pad),
     }
     if metadata:
         parts["metadata"] = dumps(metadata, pad)
-    text = "{" + pad + ("," + pad).join(f'"{k}": {v}' for k, v in sorted(parts.items())) + "\n}\n"
     try:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            print(_members(parts), file=f)  # the newline apart, so the text is not copied for it
     except OSError as e:
         raise ValidationError(f"cannot write {path}: {e.strerror or e}") from None
 
@@ -237,13 +255,13 @@ def build_report(
     result: Multifunction | None = None,
     extra: dict | None = None,
 ) -> dict:
-    """Report document: command, input digest, result values and flags, extras."""
+    """Report document: command, input digest, the result multifunction and its flags, extras."""
     report: dict = {
         "command": command,
         "inputs": {"digest": instance_digest(inst, source), "args": args or {}},
     }
     if result is not None:
-        report["result"] = mf_to_names(result)
+        report["result"] = result
         report["flags"] = {"total": is_total(result), "na": na_flags(result)}
         empty = sorted(set(range(len(inst.omega))) - dom(result))
         if empty:
@@ -254,8 +272,10 @@ def build_report(
 
 
 def render_report(report: dict, as_json: bool) -> str:
+    """The report as `dumps` writes it with `result` named, or as text lines; either way `_rows` names each value set once."""
+    result = report.get("result")
     if as_json:
-        return dumps(report)
+        return _members({k: _sets_text(v, "\n  ") if k == "result" else dumps(v, "\n  ") for k, v in report.items()})
     lines = [report["command"]]
     args = report.get("inputs", {}).get("args", {})
     for k in sorted(args):
@@ -263,9 +283,9 @@ def render_report(report: dict, as_json: bool) -> str:
     digest = report.get("inputs", {}).get("digest")
     if digest:
         lines.append(f"digest: {digest}")
-    if "result" in report:
-        for name in report["result"]:
-            lines.append(f"{name}: " + " ".join(report["result"][name]))
+    if result is not None:
+        rows = _rows(result, result.instance.z.names, " ", range(len(result.bits)))  # in omega index order
+        lines += map("{}: {}".format, result.instance.omega.names, rows)
         flags = report["flags"]
         lines.append("total: " + ("yes" if flags["total"] else "no"))
         lines.append(

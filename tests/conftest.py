@@ -81,12 +81,12 @@ hostile_text = st.text(st.sampled_from('"\\\x00\x1f\n\t\u2028\u00e9\u4e2d\U0001f
 
 
 @st.composite
-def hostile_instances(draw):
-    """A small random instance with every name and token renamed to hostile text."""
-    inst, mf = draw(small_instances())
+def hostile_instances(draw, text=hostile_text, **kwargs):
+    """A small random instance with every name and token renamed to `text`, hostile by default."""
+    inst, mf = draw(small_instances(**kwargs))
     tokens = sorted({t for fam in (inst.omega, inst.z) for s in fam.signals for t in s})
     sizes = [len(inst.omega), len(inst.z), len(tokens)]
-    new = [draw(st.lists(hostile_text, min_size=n, max_size=n, unique=True)) for n in sizes]
+    new = [draw(st.lists(text, min_size=n, max_size=n, unique=True)) for n in sizes]
     rename = dict(zip(tokens, new[2]))
 
     def family(fam, names):
@@ -357,3 +357,35 @@ def naive_digest(inst: Instance, mf: Multifunction) -> str:
     """SHA-256 of the instance as sorted compact JSON, written by the `json` module."""
     blob = json.dumps(to_jsonable(inst, mf), sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def naive_report(command, inst: Instance, source: Multifunction, args=None, result=None, extra=None) -> dict:
+    """A report as a document, the result named by `mf_to_names`: the reference `build_report` and `render_report`
+    are held to, built from the naive digest and the pairwise non-anticipativity check."""
+    doc = {"command": command, "inputs": {"digest": naive_digest(inst, source), "args": args or {}}}
+    if result is not None:
+        doc["result"] = mf_to_names(result)
+        na = {str(p.len): naive_is_prefix_na(result, p) for p in inst.grid.prefixes()}
+        doc["flags"] = {"total": all(doc["result"].values()), "na": na}
+        if not doc["flags"]["total"]:
+            doc["diagnosis"] = {"empty": [w for w, zs in doc["result"].items() if not zs]}
+    doc.update(extra or {})
+    return doc
+
+
+def naive_render(doc: dict, as_json: bool) -> str:
+    """A report document as `json.dumps(sort_keys=True, indent=2)` writes it, or as the text report's lines."""
+    if as_json:
+        return json.dumps(doc, sort_keys=True, indent=2)
+    lines = [doc["command"] + "".join(f" {k}={v}" for k, v in sorted(doc["inputs"]["args"].items()))]
+    lines.append(f"digest: {doc['inputs']['digest']}")
+    if "result" in doc:
+        lines += [f"{w}: " + " ".join(zs) for w, zs in doc["result"].items()]
+        lines.append("total: " + ("yes" if doc["flags"]["total"] else "no"))
+        na = sorted(doc["flags"]["na"].items(), key=lambda kv: int(kv[0]))
+        lines.append("na: " + " ".join(f"{k}={'yes' if v else 'no'}" for k, v in na))
+    if "diagnosis" in doc:
+        lines.append("empty at: " + " ".join(doc["diagnosis"]["empty"]))
+    for key in sorted(set(doc) - {"command", "inputs", "result", "flags", "diagnosis"}):
+        lines.append(f"{key}: {json.dumps(doc[key], sort_keys=True)}")
+    return "\n".join(lines)

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-from json.encoder import encode_basestring_ascii as _esc
 from unittest import mock
 
 import pytest
@@ -11,13 +10,16 @@ from hypothesis import strategies as st
 from naselect import (
     InfeasibleError,
     InteractiveAdversary,
+    Multifunction,
     Partition,
+    Prefix,
     ScriptedAdversary,
     ValidationError,
     build_example2,
     build_scenario,
     canonical_chain,
     compose_chain,
+    feasible,
     full_prefix_chain,
     greatest_na,
     project,
@@ -27,7 +29,6 @@ from naselect import (
 )
 from naselect import cli
 from naselect.fileio import (
-    _PLAIN,
     build_report,
     dumps,
     from_jsonable,
@@ -37,7 +38,16 @@ from naselect.fileio import (
     save,
 )
 
-from conftest import hostile_instances, hostile_text, naive_digest, small_instances, to_jsonable, trace_doc
+from conftest import (
+    hostile_instances,
+    hostile_text,
+    naive_digest,
+    naive_render,
+    naive_report,
+    small_instances,
+    to_jsonable,
+    trace_doc,
+)
 
 
 def _doc():
@@ -193,6 +203,41 @@ def test_a_bare_string_is_not_a_list_of_its_letters():
         from_jsonable(doc)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(z={"h1": ["x", "y"]}), "z: expected a non-empty array of signals"),
+        (lambda d: d.update(omega=[]), "omega: expected a non-empty array of signals"),
+        (lambda d: d["z"].__setitem__(1, ["h2", ["x", "z"]]), "z[1]: expected an object with name and cells"),
+        (lambda d: d["z"][1].pop("name"), "z[1]: expected an object with name and cells"),
+        (lambda d: d["omega"][1].pop("cells"), "omega[1]: expected an object with name and cells"),
+        (lambda d: d["z"][1].update(name=2), "z[1].name: expected a string"),
+        (lambda d: d["z"][1].update(cells="xz"), "z[1].cells: expected an array of tokens"),
+        (lambda d: d["z"][1].update(cells=["x", "z", "q"]), "z[1].cells: expected 2 tokens, got 3"),
+        (lambda d: d["omega"][1].update(cells=["a", None]), "omega[1].cells: expected an array of tokens"),
+        (lambda d: d["z"][1].update(name="h\ud800"), "z[1].name: lone surrogate, not valid Unicode text"),
+        (lambda d: d["z"][1].update(cells=["x", "\udc00"]), "z[1].cells: lone surrogate, not valid Unicode text"),
+        (lambda d: d["z"][1].update(name="h1"), "z: family names must be unique"),
+        (lambda d: d["omega"][1].update(cells=["a", "b"]), "omega: duplicate signals are not allowed"),
+        (lambda d: (d["z"][0].update(cells=["x"]), d["z"][1].update(name=None)), "z[0].cells: expected 2 tokens, got 1"),
+        (lambda d: (d["z"][0].update(cells=["x", 1]), d["z"][1].update(name="\ud800")), "z[0].cells: expected an array of tokens"),
+    ],
+    ids=[
+        "not-a-list", "empty", "not-an-object", "no-name", "no-cells", "name-not-a-string", "cells-not-a-list",
+        "wrong-length", "token-not-a-string", "surrogate-name", "surrogate-token", "duplicate-name", "duplicate-signal",
+        "first-item-first", "first-item-token-first",
+    ],
+)
+def test_malformed_families_give_their_exact_load_message(tmp_path, edit, message):
+    doc = _doc()
+    edit(doc)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))  # ASCII, a surrogate as a \u escape
+    with pytest.raises(ValidationError) as e:
+        load(str(path))
+    assert str(e.value) == message
+
+
 def test_parse_error_names_the_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "grid": [,]\n}\n')
@@ -289,11 +334,6 @@ def test_writer_matches_the_json_module_on_string_lists(items):
         assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
-def test_plain_text_is_exactly_what_the_escaper_leaves_alone():
-    for c in map(chr, [*range(0x800), *range(0xD7F0, 0xE010), 0xFFFF, 0x10000, 0x10FFFF]):
-        assert bool(_PLAIN.fullmatch(c)) == (_esc(c) == f'"{c}"'), hex(ord(c))
-
-
 @given(hostile_instances())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_digest_matches_the_json_module_on_hostile_names(data):
@@ -311,6 +351,42 @@ def test_save_writes_what_the_json_module_writes(tmp_path_factory, data, meta):
         save(str(path), inst, mf, metadata)
         expected = json.dumps(to_jsonable(inst, mf, metadata), sort_keys=True, indent=2) + "\n"
         assert path.read_bytes() == expected.encode()
+
+
+@st.composite
+def report_cases(draw):
+    """Hostile instances, with empty-string names, one-member families and emptied value sets among them."""
+    small = draw(st.booleans())
+    inst, mf = draw(hostile_instances(hostile_text | st.just(""), **({"max_omega": 1, "max_z": 1} if small else {})))
+    keep = draw(st.lists(st.booleans(), min_size=len(inst.omega), max_size=len(inst.omega)))
+    return inst, Multifunction(inst, [v if k else () for v, k in zip(mf.values, keep)])
+
+
+@given(report_cases(), st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_reports_files_and_digests_equal_the_reference(tmp_path_factory, data, draw):
+    inst, mf = data
+    p = Prefix(draw.draw(st.integers(1, inst.grid.cells)))
+    cells = inst.grid.cells
+    delta = Partition((0, *sorted(draw.draw(st.sets(st.integers(1, cells - 1)))), cells))
+    ok, composed = feasible(mf, delta)
+    chain = canonical_chain(inst)
+    reports = [
+        ("project", {"prefix": p.len}, project(mf, p), None),
+        ("feasible", {"delta": ",".join(map(str, delta.indices))}, composed, {"feasible": ok}),
+        ("greatest", {}, compose_chain(mf, chain), {"chain": [q.len for q in chain.prefixes]}),
+        ("oracle", {"delta": "0"}, mf, {"match": True}),
+        ("digest", {}, None, None),
+    ]
+    for command, args, result, extra in reports:
+        report = build_report(command, inst, mf, args, result, extra)
+        doc = naive_report(command, inst, mf, args, result, extra)
+        for as_json in (True, False):
+            assert render_report(report, as_json) == naive_render(doc, as_json)
+    assert instance_digest(inst, mf) == naive_digest(inst, mf)
+    path = tmp_path_factory.mktemp("save") / "x.json"
+    save(str(path), inst, mf)
+    assert path.read_bytes() == (json.dumps(to_jsonable(inst, mf), sort_keys=True, indent=2) + "\n").encode()
 
 
 def _simulate(argv, stdin=""):
