@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import fileio
 from .errors import (
@@ -31,7 +30,7 @@ from .nonanticipation import (
     project,
 )
 from .oracle import DEFAULT_BUDGET, EnumBudget, brute_greatest
-from .scenarios import build_scenario
+from .scenarios import build_scenario, parse_level
 from .stepwise import (
     InteractiveAdversary,
     ScriptedAdversary,
@@ -153,12 +152,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    rho = None
-    if args.rho is not None:
-        try:
-            rho = Fraction(args.rho)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"bad rho {args.rho!r}") from None
+    rho = None if args.rho is None else parse_level(args.rho, f"rho {args.rho!r}")
     inst, mf, meta = build_scenario(args.name, rho=rho)
     fileio.save(args.emit, inst, mf, metadata=meta)
     print(f"{args.emit}: {fileio.instance_digest(inst, mf)}")

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Callable
 
 from .errors import ValidationError
 from .multifunction import Instance, Multifunction, is_total, mf_by_names
-from .nonanticipation import greatest_na
+from .nonanticipation import canonical_chain, compose_chain
 from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, SignalFamily
 from .timebase import TimeGrid, grid
 
@@ -54,10 +55,12 @@ class ControlSystem:
 
 @dataclass(frozen=True)
 class RhoSearchResult:
-    """Outcome of the guaranteed-result scan.
+    """Outcome of the guaranteed-result search.
 
     `rho_star` is the least candidate whose responses still admit a total
     non-anticipative multiselector; `witness` is that multiselector.
+    `candidates` are the levels from 0 down to the first infeasible one, or
+    all of them when none is; a bisection probes only O(log) of them.
     """
 
     rho_star: Fraction
@@ -309,40 +312,28 @@ def alpha_rho(sys: ControlSystem, rho: Fraction) -> tuple[Instance, Multifunctio
 
 
 def optimal_rho(sys: ControlSystem) -> RhoSearchResult:
-    """Scan the achievable cost levels downwards for the last one that stays feasible.
+    """Bisect the achievable cost levels for the last one that stays feasible.
 
     Candidates are the achievable values of -|terminal state| together with 0.
-    Response sets only shrink as the candidate drops, so the first infeasible
-    candidate ends the scan, and each candidate's responses are the previous
-    ones less the controls that dropped out.
+    Response sets only shrink as the candidate drops, and the greatest
+    non-anticipative multiselector with them, so the feasible candidates are
+    exactly those above the first infeasible one, which a bisection finds.
     """
     return _search(*_responses(sys))
 
 
 def _search(inst: Instance, costs, orders, d: int) -> RhoSearchResult:
-    """`optimal_rho` over a filled table in one pass: an int candidate c cuts each row at c itself.
+    """`optimal_rho` over a filled table: `bisect_left` finds the first infeasible of the descending levels.
 
-    Row r keeps `bits[r]`, the set `orders[r][:kept[r]]`, across candidates, bisects only below
-    `kept[r]` and clears only the controls that drop out, so each control is packed at most twice
-    per row.  Only the scanned candidates become fractions.
+    A probe cuts each row at its level and composes the rows along the one canonical chain; probes are
+    cached, so the optimum's witness is swept once.  The zero level keeps every control, so it is feasible.
     """
     levels = sorted({c for row in costs for c in row} | {0}, reverse=True)
-    pack = inst.z.prefix_index.pack
-    kept = list(map(len, orders))
-    bits = list(map(pack, orders))  # every cost is <= 0, so the first candidate, 0, keeps every control
-    best: tuple[int, Multifunction] | None = None
-    for k, c in enumerate(levels):
-        for r, (row, order) in enumerate(zip(costs, orders)):
-            cut = bisect_right(order, c, hi=kept[r], key=row.__getitem__)
-            if cut < kept[r]:
-                bits[r] &= ~pack(order[cut : kept[r]])
-                kept[r] = cut
-        w = greatest_na(Multifunction._trusted(inst, tuple(bits)))
-        if not is_total(w):
-            break
-        best = (c, w)
-    assert best is not None  # the zero candidate keeps every control
-    return RhoSearchResult(Fraction(best[0], d), tuple(Fraction(c, d) for c in levels[: k + 1]), best[1])
+    chain = canonical_chain(inst)
+    greatest = cache(lambda c: compose_chain(_within(inst, costs, orders, d, Fraction(c, d)), chain))
+    k = bisect_left(levels, True, key=lambda c: not is_total(greatest(c)))
+    best = levels[k - 1]
+    return RhoSearchResult(Fraction(best, d), tuple(Fraction(c, d) for c in levels[: k + 1]), greatest(best))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +399,24 @@ def random_instance(
 
 
 MAX_SCENARIO_CELLS = 1_000_000
+MAX_LEVEL_DIGITS = 4300  # the default int-to-str limit, fixed so that every interpreter takes the same levels
+_LEVEL_BOUND = 10**MAX_LEVEL_DIGITS
+
+
+def parse_level(text: str, what: str) -> Fraction:
+    """`text` as a rational that prints: numerator and denominator of at most MAX_LEVEL_DIGITS digits each.
+
+    `what` names the input in errors.  An exponent that no such level has is refused before `Fraction`
+    raises ten to it.
+    """
+    try:
+        head, e, exp = text.strip().lower().rpartition("e")
+        x = None if e and abs(int(exp)) > MAX_LEVEL_DIGITS + len(head) else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"bad {what}") from None
+    if x is None or max(abs(x.numerator), x.denominator) >= _LEVEL_BOUND:
+        raise ValidationError(f"bad {what}: a level's numerator and denominator have at most {MAX_LEVEL_DIGITS} digits")
+    return x
 
 
 def build_scenario(
@@ -439,12 +448,7 @@ def build_scenario(
             raise ValidationError(f"ex3 needs a truncation level, got {rest!r}") from None
         shape, build = (n, n, n + 1), lambda: build_example3(n)
     elif head == "ex4":
-        levels = EXAMPLE4_LEVELS
-        if sep:
-            try:
-                levels = tuple(Fraction(x) for x in rest.split(","))
-            except (ValueError, ZeroDivisionError):
-                raise ValidationError(f"bad level list {rest!r}") from None
+        levels = tuple(parse_level(x, f"level list {rest!r}") for x in rest.split(",")) if sep else EXAMPLE4_LEVELS
 
         def build() -> tuple[Instance, Multifunction]:
             table = _responses(build_example4(levels))

@@ -420,6 +420,33 @@ def test_simulate_infeasible_exits_three(tmp_path):
     run("scenario", "ex4", "--rho=-4", "--emit", str(path))
     r = run("simulate", str(path), "--delta", "0,1,3", "--adversary", "scripted:v1")
     assert r.returncode == 3
+    # the whole stderr line is pinned, so a change to the `InfeasibleError` text is a deliberate one
+    assert (r.stdout, r.stderr) == (
+        "",
+        "infeasible: conditions are infeasible: composed multiselector is empty at v1, v2\n",
+    )
+
+
+LONG = "a level's numerator and denominator have at most 4300 digits"
+
+
+@pytest.mark.parametrize(
+    "args,code,out",
+    [
+        (["ex4", "--rho", "1e5000"], 2, f"error: bad rho '1e5000': {LONG}\n"),
+        (["ex4", "--rho=-1e-5000"], 2, f"error: bad rho '-1e-5000': {LONG}\n"),
+        (["ex4:1e-5000,1"], 2, f"error: bad level list '1e-5000,1': {LONG}\n"),
+        # a denominator of exactly 4300 digits still prints, so this level is kept
+        (["ex4:0,1e-4299"], 0, "{path}: d4e7c523275789fafd26e29a0d7a7f3f2a078678ec08ed96f3e2701e802e105a\n"),
+    ],
+    ids=["rho=1e5000", "rho=-1e-5000", "ex4:1e-5000,1", "ex4:0,1e-4299"],
+)
+def test_scenario_levels_past_4300_digits_exit_two(tmp_path, capsys, args, code, out):
+    path = tmp_path / "x.json"
+    assert cli.cli(["scenario", *args, "--emit", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out + captured.err == out.format(path=path)
+    assert path.exists() == (code == 0)
 
 
 def test_interactive_protocol(ex4_file):

@@ -33,9 +33,9 @@ from naselect import (
     partition_to_chain,
     random_instance,
 )
-from naselect import cli, scenarios
+from naselect import cli, nonanticipation, scenarios
 from naselect.fileio import instance_digest
-from naselect.scenarios import _control_family, _responses, example3_grid
+from naselect.scenarios import EXAMPLE4_LEVELS, _control_family, _responses, example3_grid
 from naselect.signals import ROLE_DISTURBANCE, PrefixIndex
 
 from conftest import counting, naive_alpha_rho, naive_optimal_rho
@@ -305,6 +305,18 @@ def test_the_level_scan_packs_each_control_at_most_twice_per_row(monkeypatch):
     assert res.candidates[-2] == res.rho_star
 
 
+@pytest.mark.parametrize("q", [14, 28, None])
+def test_the_level_search_sweeps_about_log2_of_the_levels(monkeypatch, q):
+    table = _responses(build_example4(EXAMPLE4_LEVELS if q is None else [Fraction(k, q) for k in range(-q, q + 1)]))
+    levels = {c for row in table[1] for c in row} | {0}
+    sweeps = counting(monkeypatch, "_narrowed", [nonanticipation])
+    res = scenarios._search(*table)
+    monkeypatch.undo()
+    # 71, 141 and 11 levels: 6, 8 and 3 sweeps, where the downward scan swept 51, 100 and 9
+    assert len(sweeps) <= math.ceil(math.log2(len(levels))) + 1 and len(res.candidates) > 8
+    assert res == scenarios.RhoSearchResult(res.rho_star, res.candidates, greatest_na(scenarios._within(*table, res.rho_star)))
+
+
 def test_feasibility_fails_below_the_optimum():
     sys = build_example4()
     res = optimal_rho(sys)
@@ -429,6 +441,23 @@ def test_rho_is_rejected_before_a_non_ex4_scenario_is_built(monkeypatch):
     monkeypatch.setattr(scenarios, "random_instance", unbuilt)
     with pytest.raises(ValidationError, match="only ex4 scenarios take a rho level"):
         build_scenario("random:1:3,4,3", rho=Fraction(1))
+
+
+def test_a_level_exponent_past_every_printable_level_is_refused_before_it_is_raised(monkeypatch):
+    def unbuilt(*a, **kw):
+        raise AssertionError("raised ten to the exponent")
+
+    monkeypatch.setattr(scenarios, "Fraction", unbuilt)
+    for text in ("1e4302", "-7E-4303", " 0.5e+99999999999 ", "0e1_000_000_000"):
+        with pytest.raises(ValidationError) as e:
+            scenarios.parse_level(text, f"rho {text!r}")
+        assert str(e.value) == f"bad rho {text!r}: a level's numerator and denominator have at most 4300 digits"
+    monkeypatch.undo()
+    # the bound is on the reduced fraction: 35/10**4301 keeps a 4301-digit denominator, 5/10**4300 does not
+    for text in ("1e4301", "-1e-4301", "3.5e-4300"):
+        with pytest.raises(ValidationError, match="at most 4300 digits$"):
+            scenarios.parse_level(text, "level")
+    assert scenarios.parse_level("-5e-4300", "level") == Fraction(-1, 2 * 10**4299)
 
 
 CAP = scenarios.MAX_SCENARIO_CELLS
