@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 infeasible conditions,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import fileio
@@ -99,9 +100,10 @@ def cmd_simulate(args) -> int:
         traces = run_exhaustive(mf, delta, policy=args.policy, seed=args.seed, check=True)
         named = sorted((inst.omega.names[w], t) for w, t in traces.items())
         if args.json:
-            inputs = fileio.dumps({"args": {"delta": args.delta}, "digest": fileio.instance_digest(inst, mf)}, "\n  ")
+            doc = {"args": {"delta": args.delta}, "digest": fileio.instance_digest(inst, mf)}
+            inputs = json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n  ")
             pad, seen = "\n    ", {}  # each trace sits two levels in; the runs share steps
-            body = ("," + pad).join(f"{fileio.dumps(n)}: {fileio.trace_text(t, inst, pad, seen)}" for n, t in named)
+            body = ("," + pad).join(f"{json.dumps(n)}: {fileio.trace_text(t, inst, pad, seen)}" for n, t in named)
             print(f'{{\n  "command": "simulate",\n  "inputs": {inputs},\n  "traces": {{{pad}{body}\n  }}\n}}')
         else:
             for name, t in named:

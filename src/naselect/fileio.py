@@ -10,7 +10,10 @@ value-set writer names every value set once, straight from its bits, for the
 file's `alpha`, the digest and a report's `result` (`PrefixIndex.select_all`).
 One family writer serves both the file `save` writes and the text the digest
 hashes, and one trace writer prints every `simulate` trace from its steps,
-builds no per-step dict, and renders a step that runs share once.
+builds no per-step dict, and renders a step that runs share once.  The grid is
+one join of escaped stamps; the json module writes the rest (metadata, inputs,
+extras).  A writer's indented layout at `pad` is the json module's `indent=2`
+one with `pad` opening each inner line.  Stamps parse as levels: 4300 digits.
 """
 
 from __future__ import annotations
@@ -27,38 +30,16 @@ from typing import Any, Iterator, Sequence
 from .errors import ValidationError
 from .multifunction import Instance, Multifunction, dom, is_total
 from .nonanticipation import is_prefix_na
+from .scenarios import parse_level
 from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, SignalFamily
 from .stepwise import StepTrace
 from .timebase import TimeGrid
 
 
-def dumps(obj: Any, pad: str = "\n") -> str:
-    """Exactly `json.dumps(obj, sort_keys=True, indent=2)`, with `pad` opening each inner line.
-
-    Strings take one call of the C escaper; only containers are walked in
-    Python, and what is left goes to `json.dumps`.
-    """
-    if type(obj) is str:
-        return _esc(obj)
-    if obj is None or type(obj) in (bool, int):
-        return "null" if obj is None else repr(obj).lower()  # True -> true
-    inner = pad + "  "
-    sep = "," + inner
-    if type(obj) is dict and all(type(k) is str for k in obj):
-        body = sep.join(f"{_esc(k)}: {dumps(v, inner)}" for k, v in sorted(obj.items()))
-        return "{" + inner + body + pad + "}" if body else "{}"
-    if type(obj) in (list, tuple):
-        return "[" + inner + sep.join([dumps(x, inner) for x in obj]) + pad + "]" if obj else "[]"
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
-
-
 def _parse_stamp(text: Any, position: int) -> Fraction:
     if not isinstance(text, str):
         raise ValidationError(f"grid[{position}]: stamps must be \"p/q\" strings")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"grid[{position}]: {text!r} is not a rational") from None
+    return parse_level(text, f"grid[{position}] stamp {text!r}")
 
 
 # JSON may escape a lone UTF-16 surrogate such as "\ud800"; no UTF-8 output can hold one.
@@ -147,7 +128,7 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
 
 
 def _signals_text(fam: SignalFamily, pad: str | None) -> str:
-    """A family as the file lists it, one `{"cells": [...], "name": ...}` per signal: `dumps`'s
+    """A family as the file lists it, one `{"cells": [...], "name": ...}` per signal: the indented
     layout at `pad`, or sorted compact JSON (what `instance_digest` hashes) when `pad` is None.
     Never `[]`: a family has a signal and a grid has a cell."""
     outer, colon, step = ("", ":", "") if pad is None else (pad, ": ", "  ")
@@ -159,7 +140,7 @@ def _signals_text(fam: SignalFamily, pad: str | None) -> str:
 
 
 def trace_text(trace: StepTrace, inst: Instance, pad: str | None, seen: dict | None = None) -> str:
-    """A trace as the report lists it: `dumps`'s layout at `pad`, or `json.dumps(..., sort_keys=True)`'s
+    """A trace as the report lists it: the indented layout at `pad`, or `json.dumps(..., sort_keys=True)`'s
     one line when `pad` is None.  Each step fills one template; `seen`, shared by the traces of one report
     at one `pad`, keeps each `Step` object's text, so steps the runs share are rendered once."""
     ind = [""] * 5 if pad is None else [pad + "  " * d for d in range(5)]
@@ -184,7 +165,7 @@ def _rows(mf: Multifunction, names: Sequence[str], sep: str, order: Sequence[int
 
 
 def _sets_text(mf: Multifunction, pad: str | None) -> str:
-    """The value sets as the file keys them by omega name: `dumps`'s layout at `pad`, or sorted compact JSON (what
+    """The value sets as the file keys them by omega name: the indented layout at `pad`, or sorted compact JSON (what
     `instance_digest` hashes) when `pad` is None.  One join copies each row once; an escaped name is never empty."""
     outer, colon, step = ("", ":", "") if pad is None else (pad, ": ", "  ")
     key, name = outer + step, outer + 2 * step
@@ -196,7 +177,7 @@ def _sets_text(mf: Multifunction, pad: str | None) -> str:
 
 
 def _members(parts: dict[str, str]) -> str:
-    """A document from its members' texts in `dumps`'s layout one level in, in one join that copies each text once."""
+    """A document from its members' texts, indented one level in, in one join that copies each text once."""
     pieces = [t for k, v in sorted(parts.items()) for t in (",\n  ", _esc(k), ": ", v)]
     return "".join(["{\n  ", *pieces[1:], "\n}"])
 
@@ -225,16 +206,16 @@ def load(path: str) -> tuple[Instance, Multifunction]:
 
 def save(path: str, inst: Instance, mf: Multifunction, metadata: dict | None = None) -> None:
     """Write exactly `json.dumps(doc, sort_keys=True, indent=2)` and a newline for the file's
-    document `doc`: each family by `_signals_text`, the value sets by `_sets_text`, grid and metadata by `dumps`."""
+    document `doc`: families by `_signals_text`, value sets by `_sets_text`, the grid as one join, metadata by `json`."""
     pad = "\n  "
     parts = {
         "alpha": _sets_text(mf, pad),
-        "grid": dumps([str(s) for s in inst.grid.stamps], pad),
+        "grid": "[\n    " + ",\n    ".join(map(_esc, map(str, inst.grid.stamps))) + pad + "]",
         "omega": _signals_text(inst.omega, pad),
         "z": _signals_text(inst.z, pad),
     }
     if metadata:
-        parts["metadata"] = dumps(metadata, pad)
+        parts["metadata"] = json.dumps(metadata, sort_keys=True, indent=2).replace("\n", pad)
     try:
         with open(path, "w", encoding="utf-8") as f:
             print(_members(parts), file=f)  # the newline apart, so the text is not copied for it
@@ -272,10 +253,11 @@ def build_report(
 
 
 def render_report(report: dict, as_json: bool) -> str:
-    """The report as `dumps` writes it with `result` named, or as text lines; either way `_rows` names each value set once."""
+    """The report as the json module writes it with `result` named, or as text lines; `_rows` names each value set once."""
     result = report.get("result")
     if as_json:
-        return _members({k: _sets_text(v, "\n  ") if k == "result" else dumps(v, "\n  ") for k, v in report.items()})
+        return _members({k: _sets_text(v, "\n  ") if k == "result" else json.dumps(v, sort_keys=True, indent=2)
+                         .replace("\n", "\n  ") for k, v in report.items()})
     lines = [report["command"]]
     args = report.get("inputs", {}).get("args", {})
     for k in sorted(args):

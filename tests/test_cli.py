@@ -1,5 +1,7 @@
 """Subprocess-level checks of the command surface and its exit-code contract."""
 
+import contextlib
+import copy
 import errno
 import hashlib
 import io
@@ -7,13 +9,16 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naselect
 from naselect import cli, nonanticipation, stepwise
 
-from conftest import counting
+from conftest import counting, to_jsonable
 
 CMD = [sys.executable, "-m", "naselect"]
 # The child process imports the same naselect as the test run.
@@ -449,6 +454,28 @@ def test_scenario_levels_past_4300_digits_exit_two(tmp_path, capsys, args, code,
     assert path.exists() == (code == 0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", "--prefix", "2"],
+        ["project", "--prefix", "2", "--json"],
+        ["simulate", "--delta", "0,1,2,3", "--adversary", "exhaustive", "--json"],
+        ["check"],
+    ],
+    ids=["project", "project --json", "simulate exhaustive --json", "check"],
+)
+def test_a_grid_stamp_past_4300_digits_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "ex1.json"
+    assert cli.cli(["scenario", "ex1", "--emit", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["grid"][-1] = "1e5000"  # still increasing, so only its length is wrong
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.cli([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out + captured.err == f"error: bad grid[3] stamp '1e5000': {LONG}\n"
+
+
 def test_interactive_protocol(ex4_file):
     r = run(
         "simulate",
@@ -717,3 +744,92 @@ def test_outputs_keep_their_pinned_bytes(tmp_path, monkeypatch, capsys):
         "random:11:40,200,6,3,50": _pinned_outputs("random:11:40,200,6,3,50", "0,2,4,6", capsys, monkeypatch, tmp_path, False),
     }
     assert got == _PINNED
+
+
+# ---------------------------------------------------------------------------
+# Generative contract: every file command answers a mutated document, or
+# refuses it with a documented exit code; no traceback, no internal error.
+
+_SEED_SPECS = ["ex1", "ex2", "ex3:2", "ex4", "random:3:3,4,3,2,60"]
+_SEED_DOCS = [to_jsonable(*naselect.build_scenario(spec)) for spec in _SEED_SPECS]
+_ODD = ["1e5000", "-1e-5000", "1/0", "1/2", "-1", "0", "", "x", "\ud800", 0, -2, 1.5, None, True, [], {}, ["a"], {"a": []}]
+_LAST_STAMPS = ["1e5000", "1e4299", "10/3", "1e-5000", "9" * 4301]  # past 4300 digits, just within them, or plain
+
+
+def _places(doc):
+    """Every (container, key) pair below the document's top level, in document order."""
+    out, todo = [], [doc]
+    while todo:
+        c = todo.pop()
+        for k in range(len(c)) if isinstance(c, list) else list(c):
+            out.append((c, k))
+            if isinstance(c[k], (list, dict)):
+                todo.append(c[k])
+    return out
+
+
+@st.composite
+def mutated_runs(draw):
+    """A bundled document with a few fields dropped, replaced, copied or reversed, and one file command on it."""
+    doc = copy.deepcopy(draw(st.sampled_from(_SEED_DOCS)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # a third of the documents stay valid
+        op = draw(st.sampled_from(["drop", "odd", "copy", "reverse", "stamp", "last stamp", "top"]))
+        grid, places = doc.get("grid"), _places(doc)
+        if op == "top" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif op in ("stamp", "last stamp") and isinstance(grid, list) and grid:
+            k = -1 if op == "last stamp" else draw(st.integers(0, len(grid) - 1))
+            grid[k] = draw(st.sampled_from(_LAST_STAMPS if op == "last stamp" else _ODD))
+        elif op in ("drop", "odd", "copy", "reverse") and places:
+            c, k = draw(st.sampled_from(places))
+            if op == "drop":
+                del c[k]
+            elif op == "odd":
+                c[k] = draw(st.sampled_from(_ODD))
+            elif op == "copy":
+                c2, k2 = draw(st.sampled_from(places))
+                c[k] = copy.deepcopy(c2[k2])
+            elif isinstance(c[k], list):
+                c[k].reverse()
+    grid = doc.get("grid")
+    n = len(grid) - 1 if isinstance(grid, list) and grid else 3
+    inner = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)))))
+    other = sorted(draw(st.sets(st.integers(-1, n + 1), min_size=1)))
+    delta = ",".join(map(str, draw(st.sampled_from([range(n + 1), [0, *inner, n], other, ["0", "x"]]))))
+    names = [w["name"] for w in doc.get("omega", []) if isinstance(w, dict) and isinstance(w.get("name"), str)]
+    command = draw(st.sampled_from(["project", "compose", "feasible", "greatest", "simulate", "oracle", "check"]))
+    argv = {
+        "project": ["--prefix", str(draw(st.integers(1, n) | st.integers(-1, n + 1)))],
+        "compose": ["--delta", delta],
+        "feasible": ["--delta", delta],
+        "greatest": [],
+        "oracle": ["--delta", delta, "--budget", str(draw(st.integers(-1, 3000)))],
+        "check": [],
+        "simulate": ["--delta", delta, "--policy", draw(st.sampled_from(["lex", "random"])), "--seed", "7", "--adversary",
+                     draw(st.sampled_from(["exhaustive", "interactive", "scripted:nobody", *("scripted:" + w for w in names)]))],
+    }[command]
+    if command != "check" and draw(st.booleans()):
+        argv.append("--json")
+    stdin = "".join(draw(st.lists(st.sampled_from(["#0\n", "#1\n", "#9\n", "0\n", "1,0\n", "x\n", "\n"]), max_size=6)))
+    return doc, [command, *argv], stdin
+
+
+def _in_process(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch("sys.stdin", io.StringIO(stdin)):
+        code = cli.cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(mutated_runs())
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_every_file_command_answers_a_mutated_document_with_a_documented_exit(tmp_path_factory, run):
+    doc, argv, stdin = run
+    path = tmp_path_factory.mktemp("mutated") / "x.json"
+    path.write_text(json.dumps(doc))
+    argv = [argv[0], str(path), *argv[1:]]
+    code, out, err = _in_process(argv, stdin)
+    assert 0 <= code <= 5, (argv, err)
+    assert "Traceback" not in err and "internal error" not in err, (argv, err)
+    if code == 0:
+        assert _in_process(argv, stdin) == (code, out, err)

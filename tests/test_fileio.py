@@ -1,10 +1,11 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naselect import (
@@ -27,10 +28,9 @@ from naselect import (
     run_exhaustive,
     run_stepwise,
 )
-from naselect import cli
+from naselect import cli, fileio, scenarios
 from naselect.fileio import (
     build_report,
-    dumps,
     from_jsonable,
     instance_digest,
     load,
@@ -109,6 +109,22 @@ def test_bad_stamp_is_located():
     doc["grid"][1] = "one"
     with pytest.raises(ValidationError, match=r"grid\[1\]"):
         from_jsonable(doc)
+
+
+def test_a_stamp_exponent_past_4300_digits_is_refused_before_it_is_raised(monkeypatch):
+    def guarded(text):
+        assert "e1000000000" not in text, "raised ten to the stamp's exponent"
+        return Fraction(text)
+
+    for module in (fileio, scenarios):  # whichever module parses the stamp
+        monkeypatch.setattr(module, "Fraction", guarded)
+    doc = _doc()
+    doc["grid"][2] = "1e1000000000"
+    with pytest.raises(ValidationError) as e:
+        from_jsonable(doc)
+    assert str(e.value) == (
+        "bad grid[2] stamp '1e1000000000': a level's numerator and denominator have at most 4300 digits"
+    )
 
 
 def test_wrong_cell_count_is_located():
@@ -309,7 +325,9 @@ json_documents = st.recursive(
 @given(json_documents)
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_writer_matches_the_json_module(doc):
-    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    """A report member with no writer of its own is the json module's text, indented one level in."""
+    report = {"command": "digest", "extra": doc}
+    assert render_report(report, True) == json.dumps(report, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -331,7 +349,8 @@ def test_writer_matches_the_json_module(doc):
 )
 def test_writer_matches_the_json_module_on_string_lists(items):
     for doc in (items, {"k": items, "j": [items, items]}):
-        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        report = {"command": "digest", "extra": doc}
+        assert render_report(report, True) == json.dumps(report, sort_keys=True, indent=2)
 
 
 @given(hostile_instances())
@@ -343,6 +362,7 @@ def test_digest_matches_the_json_module_on_hostile_names(data):
 
 
 @given(hostile_instances(), st.dictionaries(hostile_text, hostile_text | st.integers(), max_size=3))
+@example(build_scenario("random:1:2,2,2000,2")[:2], {"scenario": "random:1:2,2,2000,2"})  # a grid of 2001 stamps
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_save_writes_what_the_json_module_writes(tmp_path_factory, data, meta):
     inst, mf = data
