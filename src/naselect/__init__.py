@@ -27,7 +27,6 @@ from .multifunction import (
     mf_join,
     mf_le,
     mf_meet,
-    mf_to_names,
 )
 from .nonanticipation import (
     NaReport,

@@ -5,15 +5,20 @@ exact; multifunction values are name-keyed so files survive reordering.
 Digests cover the canonical serialization of the mathematical content
 (grid, families, value sets), so a round-trip preserves them.
 Names cross in bulk: a family loads in whole-family C passes (an item loop
-only words an error), one `itemgetter` call places each `alpha` list, and one
-value-set writer names every value set once, straight from its bits, for the
-file's `alpha`, the digest and a report's `result` (`PrefixIndex.select_all`).
+only words an error), and one `itemgetter` call places each `alpha` list,
+whose places the z prefix index keeps under the set's int (below 3/4 of z,
+where reading them back beats `select_all`).  One value-set writer serves the
+file's `alpha`, the digest and a report's `result`: a set a loaded file listed
+in index order (checked on first write) is one join of the names it listed if
+no z name needs a JSON escape (one escape of all of them joined); other sets
+are named from their bits by `PrefixIndex.select_all`.
 One family writer serves both the file `save` writes and the text the digest
-hashes, and one trace writer prints every `simulate` trace from its steps,
-builds no per-step dict, and renders a step that runs share once.  The grid is
-one join of escaped stamps; the json module writes the rest (metadata, inputs,
-extras).  A writer's indented layout at `pad` is the json module's `indent=2`
-one with `pad` opening each inner line.  Stamps parse as levels: 4300 digits.
+hashes, one join of raw tokens per signal if nothing needs escaping; one trace
+writer prints every `simulate` trace from its steps, builds no per-step dict,
+and renders a step that runs share once.  The grid is one join of escaped
+stamps; the json module writes the rest (metadata, inputs, extras).  A
+writer's indented layout at `pad` is the json module's `indent=2` one with
+`pad` opening each inner line.  Stamps parse as levels: 4300 digits.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii as _esc
 from operator import itemgetter
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import ValidationError
 from .multifunction import Instance, Multifunction, dom, is_total
@@ -113,7 +118,7 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
         except ValidationError:
             raise ValidationError(f"alpha: unknown omega name {name!r}") from None
         try:  # two tail keys: itemgetter of one key returns a scalar, not a tuple
-            entry = index.pack_places(itemgetter(*zs, _TAIL, _TAIL)(places)) if isinstance(zs, list) else None
+            entry = index.pack_places(at := itemgetter(*zs, _TAIL, _TAIL)(places)) if isinstance(zs, list) else None
         except (KeyError, TypeError):
             entry = None
         if entry is None or entry.bit_count() != len(zs):  # fewer bits mean a duplicate name
@@ -124,6 +129,8 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
             bad = next(x for x in zs if x not in z._index)
             raise ValidationError(f"alpha[{name!r}]: unknown z name {bad!r}")
         values[w] = entry
+        if entry and 4 * len(zs) < 3 * len(z):  # for the value-set writer: the places, immune to edits of the list;
+            index.listed[entry] = at  # from 3/4 of z up, `select_all` beats reading them back (measured)
     return inst, Multifunction._trusted(inst, tuple(values))
 
 
@@ -135,7 +142,11 @@ def _signals_text(fam: SignalFamily, pad: str | None) -> str:
     item, key, cell = outer + step, outer + 2 * step, outer + 3 * step
     head, mid, tail = f'{{{key}"cells"{colon}[{cell}', f'{key}],{key}"name"{colon}', item + "}"
     cells = ("," + cell).join
-    items = [f"{head}{cells(map(_esc, s))}{mid}{_esc(n)}{tail}" for n, s in zip(fam.names, fam.signals)]
+    if _plain(chain(fam.names, *fam.signals)):  # each signal is one join of its raw tokens, quoted around the joins
+        cells = f'",{cell}"'.join
+        items = [f'{head}"{cells(s)}"{mid}"{n}"{tail}' for n, s in zip(fam.names, fam.signals)]
+    else:
+        items = [f"{head}{cells(map(_esc, s))}{mid}{_esc(n)}{tail}" for n, s in zip(fam.names, fam.signals)]
     return "[" + item + ("," + item).join(items) + outer + "]"
 
 
@@ -159,9 +170,27 @@ def trace_text(trace: StepTrace, inst: Instance, pad: str | None, seen: dict | N
         f'"final": {_esc(zn[trace.final_h])}', f'"steps": [{ind[2]}{steps}{ind[1]}]']) + ind[0] + "}"
 
 
-def _rows(mf: Multifunction, names: Sequence[str], sep: str, order: Sequence[int]) -> Iterator[str]:
-    """Value sets in `order`, each as `names` at its z indices joined by `sep`; one `select_all`, rows joined as taken."""
-    return map(sep.join, mf.instance.z.prefix_index.select_all(names, [mf.bits[w] for w in order]))
+def _plain(strings: Iterable[str]) -> bool:
+    """Whether each string escapes to itself in JSON: one escape of them all joined, as escapes go by character."""
+    text = "".join(strings)
+    return _esc(text)[1:-1] == text
+
+
+def _rows(mf: Multifunction, sep: str, order: Sequence[int], as_json: bool) -> list[str]:
+    """Value sets in `order`, each as its z names in index order joined by `sep`, escaped `as_json`.  Unless JSON must
+    escape a z name, quotes go in the glue and a set a loaded file listed in index order is one join of the names it
+    listed; every other set goes through one `select_all`."""
+    z, sets = mf.instance.z, [mf.bits[w] for w in order]
+    index, q = z.prefix_index, '"' if as_json else ""
+    if as_json and not _plain(z.names):
+        return list(map(sep.join, index.select_all(list(map(_esc, z.names)), sets)))
+    kept, at, names = index.listed, [*index.order, len(z)], (*z.names, "")  # the tail place's index, a spare name
+    for v in sets:  # at a set's first write, the places the loader kept (tail place last) become names if they ascend
+        if (places := kept.get(v)) and type(places[-1]) is int:  # the names are distinct: sorted means ascending
+            kept[v] = itemgetter(*i)(names)[:-2] if list(i := itemgetter(*places)(at)) == sorted(i) else None
+    missing = [v for v in sets if v and kept.get(v) is None]
+    named, glue = iter(index.select_all(z.names, missing) if missing else ()), q + sep + q
+    return [q + glue.join(next(named) if kept.get(v) is None else kept[v]) + q if v else "" for v in sets]
 
 
 def _sets_text(mf: Multifunction, pad: str | None) -> str:
@@ -171,7 +200,7 @@ def _sets_text(mf: Multifunction, pad: str | None) -> str:
     key, name = outer + step, outer + 2 * step
     wn, order = zip(*sorted(zip(mf.instance.omega.names, count())))  # by raw name, as `sort_keys` orders them
     pieces = []
-    for w, r in zip(map(_esc, wn), _rows(mf, list(map(_esc, mf.instance.z.names)), "," + name, order)):
+    for w, r in zip(map(_esc, wn), _rows(mf, "," + name, order, True)):
         pieces += ("," + key, w, colon, "[" + name, r, key + "]") if r else ("," + key, w, colon, "[]")
     return "".join(["{" + key, *pieces[1:], outer + "}"])
 
@@ -266,7 +295,7 @@ def render_report(report: dict, as_json: bool) -> str:
     if digest:
         lines.append(f"digest: {digest}")
     if result is not None:
-        rows = _rows(result, result.instance.z.names, " ", range(len(result.bits)))  # in omega index order
+        rows = _rows(result, " ", range(len(result.bits)), False)  # in omega index order
         lines += map("{}: {}".format, result.instance.omega.names, rows)
         flags = report["flags"]
         lines.append("total: " + ("yes" if flags["total"] else "no"))

@@ -130,8 +130,3 @@ def mf_by_names(inst: Instance, mapping: Mapping[str, Iterable[str]]) -> Multifu
         values.append(frozenset(inst.z.index_of(z) for z in zs))
     return Multifunction(inst, tuple(values))
 
-
-def mf_to_names(a: Multifunction) -> dict[str, list[str]]:
-    """Name-keyed view of the value sets, each list in trajectory index order."""
-    inst = a.instance
-    return dict(zip(inst.omega.names, map(list, inst.z.prefix_index.select_all(inst.z.names, a.bits))))

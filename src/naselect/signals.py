@@ -55,6 +55,8 @@ class PrefixIndex:
         self._starts: dict[int, list[int]] = {}
         self._masks: dict[int, tuple[int, int, int]] = {}
         self._classes: dict[int, dict[int, tuple[int, ...]]] = {}
+        # by a set's int, the places a loaded file listed it at, then its names or None (`fileio` keeps and reads these)
+        self.listed: dict[int, tuple | None] = {}
 
     def ids(self, length: int) -> list[int]:
         """Key id of each member's restriction to `length` cells, by member index."""

@@ -27,7 +27,6 @@ from naselect import (
     grid,
     greatest_na,
     is_total,
-    mf_to_names,
     partition_to_chain,
     random_instance,
 )
@@ -351,6 +350,12 @@ def trace_doc(trace, inst: Instance) -> dict:
         "final": inst.z.names[trace.final_h],
         "consistent": trace.consistent,
     }
+
+
+def mf_to_names(a: Multifunction) -> dict[str, list[str]]:
+    """Name-keyed view of the value sets, each list in trajectory index order, one name at a time."""
+    inst = a.instance
+    return {w: [inst.z.names[j] for j in sorted(v)] for w, v in zip(inst.omega.names, a.values)}
 
 
 def naive_digest(inst: Instance, mf: Multifunction) -> str:

@@ -36,7 +36,6 @@ from naselect import (
     mf_join,
     mf_le,
     mf_meet,
-    mf_to_names,
     optimal_rho,
     partition_to_chain,
     project,
@@ -44,6 +43,8 @@ from naselect import (
     run_exhaustive,
     verify_witness,
 )
+
+from conftest import mf_to_names
 
 
 @contextmanager

@@ -23,12 +23,14 @@ from naselect import (
     feasible,
     full_prefix_chain,
     greatest_na,
+    partition_to_chain,
     project,
     random_instance,
     run_exhaustive,
     run_stepwise,
 )
 from naselect import cli, fileio, scenarios
+from naselect.signals import PrefixIndex
 from naselect.fileio import (
     build_report,
     from_jsonable,
@@ -39,6 +41,7 @@ from naselect.fileio import (
 )
 
 from conftest import (
+    counting,
     hostile_instances,
     hostile_text,
     naive_digest,
@@ -447,3 +450,93 @@ def test_simulate_prints_what_the_json_module_writes(tmp_path_factory, data, dra
     trace = run_stepwise(mf, delta, InteractiveAdversary(inst, io.StringIO(picks), io.StringIO()), policy, 3)
     code, out = _simulate(argv + interactive, picks)
     assert code == 0 and out.endswith("\n" + json.dumps(trace_doc(trace, inst), sort_keys=True) + "\n")
+
+
+# Names and tokens that escape to themselves, so the value-set writer joins the lists a loaded file gave, and
+# ones where the only character that needs an escape is NUL, which a NUL-joined escape check would miss.
+plain_text = st.text(st.sampled_from("ab/ "), min_size=1, max_size=4)
+nul_text = st.text(st.sampled_from("ab/ \x00"), min_size=1, max_size=4)
+
+
+def _reports(inst, mf, delta, p):
+    """Each file command's report of `mf`, with the reference document it is held to."""
+    ok, composed = feasible(mf, delta)
+    chain = canonical_chain(inst)
+    steps = ",".join(map(str, delta.indices))
+    for command, args, result, extra in [
+        ("project", {"prefix": p.len}, project(mf, p), None),
+        ("compose", {"delta": steps}, compose_chain(mf, partition_to_chain(inst.grid, delta)), None),
+        ("feasible", {"delta": steps}, composed, {"feasible": ok}),
+        ("greatest", {}, compose_chain(mf, chain), {"chain": [q.len for q in chain.prefixes]}),
+    ]:
+        yield build_report(command, inst, mf, args, result, extra), naive_report(command, inst, mf, args, result, extra)
+
+
+@given(
+    st.one_of(hostile_instances(), hostile_instances(plain_text), hostile_instances(nul_text)),
+    st.randoms(use_true_random=False),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_loaded_files_report_what_the_reference_writes(tmp_path_factory, data, rng, draw):
+    inst, mf = data
+    cells = inst.grid.cells
+    delta = Partition((0, *sorted(draw.draw(st.sets(st.integers(1, cells - 1)))), cells))
+    p = Prefix(draw.draw(st.integers(1, cells)))
+    saved = to_jsonable(inst, mf)
+    rows = rng.sample(list(saved["alpha"].items()), len(inst.omega))
+    shuffled = dict(saved, alpha={w: rng.sample(zs, len(zs)) for w, zs in rows})
+    sparse = dict(saved, alpha={w: zs for w, zs in saved["alpha"].items() if zs})
+    folder = tmp_path_factory.mktemp("loaded")
+    save(str(folder / "saved.json"), inst, mf)
+    for name, doc in (("shuffled", shuffled), ("sparse", sparse)):
+        (folder / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    for name in ("saved", "shuffled", "sparse"):
+        loaded, lmf = load(str(folder / f"{name}.json"))
+        assert instance_digest(loaded, lmf) == naive_digest(loaded, lmf) == naive_digest(inst, mf)
+        for report, doc in _reports(loaded, lmf, delta, p):
+            for as_json in (True, False):
+                assert render_report(report, as_json) == naive_render(doc, as_json)
+
+
+@given(hostile_instances(plain_text))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_editing_the_document_after_loading_changes_no_report(data):
+    inst, mf = data
+    doc = to_jsonable(inst, mf)
+    loaded, lmf = from_jsonable(doc)
+    before = [render_report(build_report("oracle", loaded, lmf, {}, lmf), as_json) for as_json in (True, False)]
+    for zs in doc["alpha"].values():  # out of order, then invalid: a duplicate or an unknown name
+        zs.reverse()
+        zs.append(zs[0] if zs else "x")
+    after = [render_report(build_report("oracle", loaded, lmf, {}, lmf), as_json) for as_json in (True, False)]
+    assert after == before
+    assert before == [naive_render(naive_report("oracle", inst, mf, {}, mf), as_json) for as_json in (True, False)]
+
+
+def test_only_rows_the_composition_changed_are_named_from_bits(tmp_path, monkeypatch):
+    inst, mf = random_instance(1, 30, 60, 6, 2, 0.5)
+    path, backwards = str(tmp_path / "r.json"), str(tmp_path / "b.json")
+    save(path, inst, mf)
+    doc = to_jsonable(inst, mf)
+    doc["alpha"] = {w: zs[::-1] for w, zs in reversed(doc["alpha"].items())}
+    with open(backwards, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+    calls = counting(monkeypatch, "select_all", [PrefixIndex])
+
+    def named():  # every set sent to `select_all`
+        return sorted(v for _, _, sets in calls for v in sets)
+
+    loaded, lmf = load(path)
+    instance_digest(loaded, lmf)
+    assert named() == []
+    ok, composed = feasible(lmf, Partition((0, 3, 6)))
+    changed = [v for v, was in zip(composed.bits, lmf.bits) if v and v != was]
+    assert 0 < len(changed) < sum(map(bool, composed.bits))  # some rows kept, some narrowed
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.cli(["feasible", path, "--delta", "0,3,6", "--json"])
+    assert named() == sorted(changed)
+    calls.clear()
+    loaded, lmf = load(backwards)
+    instance_digest(loaded, lmf)
+    assert named() == sorted(v for v in lmf.bits if v.bit_count() > 1)  # a list of one name is in order either way

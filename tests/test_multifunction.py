@@ -20,12 +20,11 @@ from naselect import (
     mf_join,
     mf_le,
     mf_meet,
-    mf_to_names,
     project,
     random_instance,
 )
 
-from conftest import small_instances
+from conftest import mf_to_names, small_instances
 
 
 def test_le_is_reflexive():

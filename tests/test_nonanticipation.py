@@ -27,11 +27,11 @@ from naselect import (
     meet_of_projections,
     mf_le,
     mf_meet,
-    mf_to_names,
     project,
 )
 
 from conftest import (
+    mf_to_names,
     instance_with_chain,
     instance_with_prefix,
     naive_compose,
