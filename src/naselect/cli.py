@@ -126,7 +126,11 @@ def cmd_simulate(args) -> int:
         return 0
     if not spec.startswith("scripted:"):
         raise ValidationError(f"unknown adversary {spec!r}")
-    adversary = ScriptedAdversary(inst.omega.signals[inst.omega.index_of(spec.split(":", 1)[1])])
+    try:
+        w = inst.omega.index_of(name := spec.split(":", 1)[1])
+    except ValidationError:
+        raise ValidationError(f"unknown disturbance name {name!r}") from None
+    adversary = ScriptedAdversary(inst.omega.signals[w])
     trace = run_stepwise(mf, delta, adversary, policy=args.policy, seed=args.seed)
     problems = validate_trace(mf, trace)
     if args.json:

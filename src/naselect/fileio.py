@@ -5,13 +5,13 @@ exact; multifunction values are name-keyed so files survive reordering.
 Digests cover the canonical serialization of the mathematical content
 (grid, families, value sets), so a round-trip preserves them.
 Names cross in bulk: a family loads in whole-family C passes (an item loop
-only words an error), and one `itemgetter` call places each `alpha` list,
-whose places the z prefix index keeps under the set's int (below 3/4 of z,
-where reading them back beats `select_all`).  One value-set writer serves the
-file's `alpha`, the digest and a report's `result`: a set a loaded file listed
-in index order (checked on first write) is one join of the names it listed if
-no z name needs a JSON escape (one escape of all of them joined); other sets
-are named from their bits by `PrefixIndex.select_all`.
+only words an error), and one `itemgetter` call places each `alpha` list.
+A list below 3/4 of z (where reading it back beats `select_all`) that is in
+index order leaves the z family's names for its set in the z prefix index,
+under the set's int; the order is decided once, at load.  One value-set writer
+serves the file's `alpha`, the digest and a report's `result`: a set with kept
+names is one join of them if no z name needs a JSON escape (one escape of all
+of them joined); other sets are named from their bits by `PrefixIndex.select_all`.
 One family writer serves both the file `save` writes and the text the digest
 hashes, one join of raw tokens per signal if nothing needs escaping; one trace
 writer prints every `simulate` trace from its steps, builds no per-step dict,
@@ -36,7 +36,7 @@ from .errors import ValidationError
 from .multifunction import Instance, Multifunction, dom, is_total
 from .nonanticipation import is_prefix_na
 from .scenarios import parse_level
-from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, SignalFamily
+from .signals import SignalFamily
 from .stepwise import StepTrace
 from .timebase import TimeGrid
 
@@ -53,7 +53,7 @@ _TAIL = object()  # a key no document holds
 _BOOL = ("false", "true")
 
 
-def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily:
+def _parse_family(items: Any, field: str, cells: int) -> SignalFamily:
     if not isinstance(items, list) or not items:
         raise ValidationError(f"{field}: expected a non-empty array of signals")
     try:  # whole-family passes in C; on any doubt the item loop below finds and words the error
@@ -62,7 +62,7 @@ def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily
             if all(map(list.__instancecheck__, bodies)) and set(map(len, bodies)) == {cells}:
                 names, signals = tuple(map(itemgetter("name"), items)), tuple(map(tuple, bodies))
                 if not _SURROGATE.search("".join(chain(names, *signals))):
-                    return SignalFamily(role, names, signals)
+                    return SignalFamily(names, signals)
     except (KeyError, TypeError, ValidationError):
         pass
     names, signals = [], []  # the same family, item by item
@@ -86,7 +86,7 @@ def _parse_family(items: Any, role: str, field: str, cells: int) -> SignalFamily
             part = "name" if _SURROGATE.search(name) else "cells"
             raise ValidationError(f"{field}[{k}].{part}: lone surrogate, not valid Unicode text")
     try:
-        return SignalFamily(role, tuple(names), tuple(signals))
+        return SignalFamily(tuple(names), tuple(signals))
     except ValidationError as e:
         raise ValidationError(f"{field}: {e}") from None
 
@@ -102,8 +102,8 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
         raise ValidationError("grid: expected an array of at least two stamps")
     stamps = tuple(_parse_stamp(s, k) for k, s in enumerate(raw_grid))
     grid = TimeGrid(stamps)
-    omega = _parse_family(doc["omega"], ROLE_DISTURBANCE, "omega", grid.cells)
-    z = _parse_family(doc["z"], ROLE_TRAJECTORY, "z", grid.cells)
+    omega = _parse_family(doc["omega"], "omega", grid.cells)
+    z = _parse_family(doc["z"], "z", grid.cells)
     inst = Instance(grid, omega, z)
     raw_alpha = doc["alpha"]
     if not isinstance(raw_alpha, dict):
@@ -112,6 +112,7 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
     index = z.prefix_index
     places = dict(zip(z.names, index.rank))  # each z name's place, and the tail key's spare one
     places[_TAIL] = len(z)
+    at_index, names = [*index.order, len(z)], (*z.names, "")  # each place's index, the tail's with a spare name
     for name, zs in raw_alpha.items():
         try:
             w = omega.index_of(name)
@@ -129,8 +130,11 @@ def from_jsonable(doc: Any) -> tuple[Instance, Multifunction]:
             bad = next(x for x in zs if x not in z._index)
             raise ValidationError(f"alpha[{name!r}]: unknown z name {bad!r}")
         values[w] = entry
-        if entry and 4 * len(zs) < 3 * len(z):  # for the value-set writer: the places, immune to edits of the list;
-            index.listed[entry] = at  # from 3/4 of z up, `select_all` beats reading them back (measured)
+        # for the value-set writer: a list under 3/4 of z in index order (its names are distinct, so sorted means
+        # ascending) keeps the family's names; from 3/4 of z up, `select_all` beats reading them back (measured)
+        if entry and 4 * len(zs) < 3 * len(z) and entry not in index.listed:
+            if list(i := itemgetter(*at)(at_index)) == sorted(i):
+                index.listed[entry] = itemgetter(*i)(names)[:-2]
     return inst, Multifunction._trusted(inst, tuple(values))
 
 
@@ -178,19 +182,16 @@ def _plain(strings: Iterable[str]) -> bool:
 
 def _rows(mf: Multifunction, sep: str, order: Sequence[int], as_json: bool) -> list[str]:
     """Value sets in `order`, each as its z names in index order joined by `sep`, escaped `as_json`.  Unless JSON must
-    escape a z name, quotes go in the glue and a set a loaded file listed in index order is one join of the names it
-    listed; every other set goes through one `select_all`."""
+    escape a z name, quotes go in the glue and a set whose names the loader kept is one join of them; every other set
+    goes through one `select_all`."""
     z, sets = mf.instance.z, [mf.bits[w] for w in order]
     index, q = z.prefix_index, '"' if as_json else ""
     if as_json and not _plain(z.names):
         return list(map(sep.join, index.select_all(list(map(_esc, z.names)), sets)))
-    kept, at, names = index.listed, [*index.order, len(z)], (*z.names, "")  # the tail place's index, a spare name
-    for v in sets:  # at a set's first write, the places the loader kept (tail place last) become names if they ascend
-        if (places := kept.get(v)) and type(places[-1]) is int:  # the names are distinct: sorted means ascending
-            kept[v] = itemgetter(*i)(names)[:-2] if list(i := itemgetter(*places)(at)) == sorted(i) else None
-    missing = [v for v in sets if v and kept.get(v) is None]
+    kept = index.listed
+    missing = [v for v in sets if v and v not in kept]
     named, glue = iter(index.select_all(z.names, missing) if missing else ()), q + sep + q
-    return [q + glue.join(next(named) if kept.get(v) is None else kept[v]) + q if v else "" for v in sets]
+    return [q + glue.join(kept.get(v) or next(named)) + q if v else "" for v in sets]
 
 
 def _sets_text(mf: Multifunction, pad: str | None) -> str:

@@ -14,28 +14,22 @@ from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .errors import InstanceMismatchError, ValidationError
-from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, SignalFamily
+from .signals import SignalFamily
 from .timebase import TimeGrid
 
 
 @dataclass(frozen=True)
 class Instance:
-    """A grid with its disturbance and trajectory families."""
+    """A grid with its disturbance family `omega` and its trajectory family `z`: a family's side is its field."""
 
     grid: TimeGrid
     omega: SignalFamily
     z: SignalFamily
 
     def __post_init__(self) -> None:
-        if self.omega.role != ROLE_DISTURBANCE:
-            raise ValidationError("the omega family must have the disturbance role")
-        if self.z.role != ROLE_TRAJECTORY:
-            raise ValidationError("the z family must have the trajectory role")
-        for fam in (self.omega, self.z):
+        for side, fam in (("disturbance", self.omega), ("trajectory", self.z)):
             if fam.width != self.grid.cells:
-                raise ValidationError(
-                    f"{fam.role} signals have {fam.width} cells, the grid has {self.grid.cells}"
-                )
+                raise ValidationError(f"{side} signals have {fam.width} cells, the grid has {self.grid.cells}")
 
 
 @dataclass(frozen=True, init=False)

@@ -24,7 +24,7 @@ from typing import Callable
 from .errors import ValidationError
 from .multifunction import Instance, Multifunction, is_total, mf_by_names
 from .nonanticipation import canonical_chain, compose_chain
-from .signals import ROLE_DISTURBANCE, ROLE_TRAJECTORY, SignalFamily
+from .signals import SignalFamily
 from .timebase import TimeGrid, grid
 
 
@@ -47,8 +47,6 @@ class ControlSystem:
             raise ValidationError("a control system needs at least one control level")
         if self.dynamics not in ("u+v", "u-v"):
             raise ValidationError(f"unknown dynamics {self.dynamics!r}")
-        if self.disturbances.role != ROLE_DISTURBANCE:
-            raise ValidationError("control-system disturbances need the disturbance role")
         if self.disturbances.width != self.grid.cells:
             raise ValidationError("disturbance signals do not fit the grid")
 
@@ -99,16 +97,8 @@ def build_example1() -> tuple[Instance, Multifunction]:
     cell 0, and no two trajectories agree through cell 1.
     """
     g = grid(0, 1, 2, 3)
-    omega = SignalFamily(
-        ROLE_DISTURBANCE,
-        ("w1", "w2", "w3"),
-        (("p", "q", "r"), ("p", "s", "t"), ("p", "s", "u")),
-    )
-    z = SignalFamily(
-        ROLE_TRAJECTORY,
-        ("h1", "h2", "h3"),
-        (("a", "b", "x"), ("a", "c", "y"), ("d", "e", "z")),
-    )
+    omega = SignalFamily(("w1", "w2", "w3"), (("p", "q", "r"), ("p", "s", "t"), ("p", "s", "u")))
+    z = SignalFamily(("h1", "h2", "h3"), (("a", "b", "x"), ("a", "c", "y"), ("d", "e", "z")))
     inst = Instance(g, omega, z)
     beta = mf_by_names(
         inst,
@@ -148,7 +138,6 @@ def build_example2() -> tuple[Instance, Multifunction]:
         return lambda t: (ax * (1 + max(Fraction(0), t - j)), ay * (1 + max(Fraction(0), t - j)))
 
     omega = SignalFamily(
-        ROLE_DISTURBANCE,
         tuple(f"w{i}{j}" for i in (1, 2) for j in (1, 2)),
         tuple(
             _piecewise_linear_cells(omega_fn(i, j), g.stamps)
@@ -157,7 +146,6 @@ def build_example2() -> tuple[Instance, Multifunction]:
         ),
     )
     z = SignalFamily(
-        ROLE_TRAJECTORY,
         tuple(f"h{i}{j}" for i in (1, 2, 3, 4) for j in (0, 1, 2)),
         tuple(
             _piecewise_linear_cells(z_fn(i, j), g.stamps)
@@ -190,7 +178,6 @@ def example3_system(n: int) -> ControlSystem:
     g = example3_grid(n)
     cells = g.cells
     disturbances = SignalFamily(
-        ROLE_DISTURBANCE,
         tuple(f"v{j}" for j in range(1, n + 1)),
         tuple(
             tuple("1" if c >= n + 2 - j else "0" for c in range(cells))
@@ -214,7 +201,6 @@ def build_example3(n: int) -> tuple[Instance, Multifunction]:
     g = sys.grid
     cells = g.cells
     z = SignalFamily(
-        ROLE_TRAJECTORY,
         tuple(f"u{i}" for i in range(1, n + 1)),
         tuple(
             ("0",) + (str(1 - Fraction(1, i)),) * (cells - 1)
@@ -244,22 +230,14 @@ def build_example4(levels=EXAMPLE4_LEVELS) -> ControlSystem:
     if any(x < -1 or x > 1 for x in lv):
         raise ValidationError("control levels must lie in [-1, 1]")
     g = grid(0, 1, 2, 3)
-    disturbances = SignalFamily(
-        ROLE_DISTURBANCE,
-        ("v1", "v2"),
-        (("0", "1", "0"), ("0", "-1", "-1")),
-    )
+    disturbances = SignalFamily(("v1", "v2"), (("0", "1", "0"), ("0", "-1", "-1")))
     return ControlSystem(g, lv, disturbances, "u+v")
 
 
 def _control_family(sys: ControlSystem) -> SignalFamily:
     names = [str(x) for x in sys.levels]
     combos = tuple(itertools.product(names, repeat=sys.grid.cells))
-    return SignalFamily(
-        ROLE_TRAJECTORY,
-        tuple("u(" + ",".join(combo) + ")" for combo in combos),
-        combos,
-    )
+    return SignalFamily(tuple("u(" + ",".join(combo) + ")" for combo in combos), combos)
 
 
 def _weights(family: SignalFamily, widths: tuple[Fraction, ...]) -> list[dict[str, Fraction]]:
@@ -367,7 +345,7 @@ def random_instance(
     rng = random.Random(seed)
     tokens = [chr(ord("a") + i) if i < 26 else f"t{i}" for i in range(alphabet)]
 
-    def draw_family(count: int, role: str, prefix: str) -> SignalFamily:
+    def draw_family(count: int, prefix: str) -> SignalFamily:
         if space <= 4096:
             pool = list(itertools.product(tokens, repeat=n_cells))
             chosen = rng.sample(pool, count)
@@ -379,14 +357,10 @@ def random_instance(
                 if cand not in seen:
                     seen.add(cand)
                     chosen.append(cand)
-        return SignalFamily(
-            role,
-            tuple(f"{prefix}{i + 1}" for i in range(count)),
-            tuple(chosen),
-        )
+        return SignalFamily(tuple(f"{prefix}{i + 1}" for i in range(count)), tuple(chosen))
 
-    omega = draw_family(n_omega, ROLE_DISTURBANCE, "w")
-    z = draw_family(n_z, ROLE_TRAJECTORY, "h")
+    omega = draw_family(n_omega, "w")
+    z = draw_family(n_z, "h")
     inst = Instance(TimeGrid(tuple(Fraction(k) for k in range(n_cells + 1))), omega, z)
     values = tuple(
         frozenset(j for j in range(n_z) if rng.random() < density) for _ in range(n_omega)

@@ -27,9 +27,6 @@ RestrictionKey = tuple[Token, ...]
 _MIRROR = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte with its bits reversed
 _DIGIT = bytes.maketrans(b"01", b"\0\1")
 
-ROLE_DISTURBANCE = "disturbance"
-ROLE_TRAJECTORY = "trajectory"
-
 
 class PrefixIndex:
     """Prefix classes of one family, from its signals sorted once.
@@ -55,8 +52,8 @@ class PrefixIndex:
         self._starts: dict[int, list[int]] = {}
         self._masks: dict[int, tuple[int, int, int]] = {}
         self._classes: dict[int, dict[int, tuple[int, ...]]] = {}
-        # by a set's int, the places a loaded file listed it at, then its names or None (`fileio` keeps and reads these)
-        self.listed: dict[int, tuple | None] = {}
+        # by a set's int, its names in index order, kept when a loaded file listed it so (`fileio` keeps and reads these)
+        self.listed: dict[int, tuple[str, ...]] = {}
 
     def ids(self, length: int) -> list[int]:
         """Key id of each member's restriction to `length` cells, by member index."""
@@ -171,19 +168,18 @@ class PrefixIndex:
 
 @dataclass(frozen=True)
 class SignalFamily:
-    """Indexed, duplicate-free signals of equal length, each a tuple of string tokens; `role` tags the modelled side.
+    """Indexed, duplicate-free signals of equal length, each a tuple of string tokens.
 
     Duplicate signals are rejected rather than merged so indices stay stable.
+    A family carries no side: it is Ω or Z by the `Instance` field that holds it,
+    and one family may hold both.
     """
 
-    role: str
     names: tuple[str, ...]
     signals: tuple[tuple[Token, ...], ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.role not in (ROLE_DISTURBANCE, ROLE_TRAJECTORY):
-            raise ValidationError(f"unknown family role {self.role!r}")
         if not (isinstance(self.names, tuple) and isinstance(self.signals, tuple)):  # hash() needs tuples
             raise ValidationError("family names and signals must be tuples")
         if not self.signals:
@@ -219,7 +215,7 @@ class SignalFamily:
         try:
             return self._index[name]
         except KeyError:
-            raise ValidationError(f"unknown {self.role} name {name!r}") from None
+            raise ValidationError(f"unknown name {name!r}") from None
 
     @cached_property
     def prefix_index(self) -> PrefixIndex:

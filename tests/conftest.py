@@ -57,14 +57,14 @@ def edge_instances(draw):
     tokens = "abc"[: draw(st.integers(1, 3))]
     space = list(itertools.product(tokens, repeat=n_cells))
 
-    def family(role, prefix, most):
+    def family(prefix, most):
         most = min(most, len(space))
         cells = draw(st.lists(st.sampled_from(space), min_size=1, max_size=most, unique=True))
         names = tuple(f"{prefix}{i}" for i in range(len(cells)))
-        return SignalFamily(role, names, tuple(cells))
+        return SignalFamily(names, tuple(cells))
 
-    omega = family("disturbance", "w", 7)
-    z = family("trajectory", "h", 8)
+    omega = family("w", 7)
+    z = family("h", 8)
     inst = Instance(grid(*range(n_cells + 1)), omega, z)
     values = draw(
         st.lists(
@@ -90,7 +90,7 @@ def hostile_instances(draw, text=hostile_text, **kwargs):
 
     def family(fam, names):
         signals = tuple(tuple(map(rename.get, s)) for s in fam.signals)
-        return SignalFamily(fam.role, tuple(names), signals)
+        return SignalFamily(tuple(names), signals)
 
     hostile = Instance(inst.grid, family(inst.omega, new[0]), family(inst.z, new[1]))
     return hostile, Multifunction(hostile, mf.values)

@@ -90,6 +90,30 @@ def test_a_file_error_names_the_file_once(tmp_path, capsys, verb, argv):
     assert err.count(path) == 1
 
 
+ONE_CELL = {"grid": ["0", "1"], "omega": [{"name": "w", "cells": ["a"]}], "z": [{"name": "h", "cells": ["a"]}]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([ONE_CELL], "instance file must hold a JSON object"),
+        ({**ONE_CELL, "grid": ["0"], "alpha": {}}, "grid: expected an array of at least two stamps"),
+        ({**ONE_CELL, "alpha": [["h"]]}, "alpha: expected an object keyed by omega names"),
+    ],
+    ids=["not-an-object", "one-stamp", "alpha-not-an-object"],
+)
+def test_a_misshapen_document_exits_two_with_its_shape_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.cli(["project", str(path), "--prefix", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_an_unknown_scripted_disturbance_is_named_as_one(ex4_file, capsys):
+    assert cli.cli(["simulate", ex4_file, "--delta", "0,1,3", "--adversary", "scripted:nope"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown disturbance name 'nope'\n")
+
+
 @pytest.mark.parametrize(
     "line, code",
     [

@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naselect import (
+    Instance,
     InfeasibleError,
     InteractiveAdversary,
     Multifunction,
     Partition,
     Prefix,
     ScriptedAdversary,
+    SignalFamily,
     ValidationError,
     build_example2,
     build_scenario,
@@ -410,6 +412,31 @@ def test_reports_files_and_digests_equal_the_reference(tmp_path_factory, data, d
     path = tmp_path_factory.mktemp("save") / "x.json"
     save(str(path), inst, mf)
     assert path.read_bytes() == (json.dumps(to_jsonable(inst, mf), sort_keys=True, indent=2) + "\n").encode()
+
+
+@given(small_instances(max_z=8), st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_one_family_on_both_sides_reports_as_it_does_beside_an_equal_twin(tmp_path_factory, data, draw):
+    """A family carries no side, so one may be omega and z at once; its two sides then share one prefix index."""
+    g, fam = data[0].grid, data[0].z
+    twin = SignalFamily(tuple(fam.names), tuple(fam.signals))
+    sets = draw.draw(st.lists(st.frozensets(st.integers(0, len(fam) - 1)), min_size=len(fam), max_size=len(fam)))
+    delta = Partition((0, *sorted(draw.draw(st.sets(st.integers(1, g.cells - 1)))), g.cells))
+    both, beside = (Multifunction(Instance(g, fam, z), sets) for z in (fam, twin))
+
+    def reports(a):
+        ok, composed = feasible(a, delta)
+        results = {"compose": compose_chain(a, partition_to_chain(g, delta)), "feasible": composed,
+                   "greatest": greatest_na(a)}
+        texts = [render_report(build_report(command, a.instance, a, {}, result), as_json)
+                 for command, result in results.items() for as_json in (True, False)]
+        return [r.bits for r in results.values()], ok, instance_digest(a.instance, a), texts
+
+    expected = reports(beside)
+    assert reports(both) == expected
+    path = tmp_path_factory.mktemp("both") / "x.json"
+    save(str(path), both.instance, both)
+    assert reports(load(str(path))[1]) == expected
 
 
 def _simulate(argv, stdin=""):

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naselect import (
+    Instance,
     InstanceMismatchError,
     Multifunction,
     Prefix,
+    SignalFamily,
     ValidationError,
     alpha_rho,
     build_example1,
@@ -16,6 +18,7 @@ from naselect import (
     dom,
     full_prefix_chain,
     greatest_na,
+    grid,
     is_total,
     mf_join,
     mf_le,
@@ -51,6 +54,14 @@ def test_cross_instance_operations_fail():
         mf_le(beta, other)
     with pytest.raises(InstanceMismatchError):
         mf_join([beta, other])
+
+
+def test_an_instance_names_the_side_of_a_family_off_the_grid():
+    short, fits = SignalFamily(("a",), (("x", "y"),)), SignalFamily(("b",), (("x", "y", "z"),))
+    with pytest.raises(ValidationError, match="^disturbance signals have 2 cells, the grid has 3$"):
+        Instance(grid(0, 1, 2, 3), short, fits)
+    with pytest.raises(ValidationError, match="^trajectory signals have 2 cells, the grid has 3$"):
+        Instance(grid(0, 1, 2, 3), fits, short)
 
 
 def test_join_and_meet_of_singleton():

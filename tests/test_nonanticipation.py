@@ -249,8 +249,8 @@ def test_canonical_chain_of_the_push_pull_discretization():
 
 def test_canonical_chain_of_single_disturbance_is_full_prefix():
     g = grid(0, 1, 2)
-    fam = SignalFamily("disturbance", ("w1",), (("a", "b"),))
-    z = SignalFamily("trajectory", ("h1",), (("x", "y"),))
+    fam = SignalFamily(("w1",), (("a", "b"),))
+    z = SignalFamily(("h1",), (("x", "y"),))
     inst = Instance(g, fam, z)
     assert [p.len for p in canonical_chain(inst).prefixes] == [2]
 
@@ -410,9 +410,9 @@ def test_meet_of_na_multiselectors_can_fail_na():
     # two one-prefix-na multiselectors whose meet is not one-prefix-na
     g = grid(0, 1, 2)
     omega = SignalFamily(
-        "disturbance", ("w1", "w2"), (("p", "q"), ("p", "r"))
+        ("w1", "w2"), (("p", "q"), ("p", "r"))
     )
-    z = SignalFamily("trajectory", ("h1", "h2"), (("k", "s"), ("k", "t")))
+    z = SignalFamily(("h1", "h2"), (("k", "s"), ("k", "t")))
     inst = Instance(g, omega, z)
     z1 = Multifunction(inst, (frozenset({0}), frozenset({1})))
     z2 = Multifunction(inst, (frozenset({1}), frozenset({1})))

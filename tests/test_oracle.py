@@ -92,11 +92,10 @@ def test_brute_greatest_with_single_disturbance_is_the_input():
 def test_brute_greatest_walks_more_disturbances_than_the_recursion_limit():
     g = grid(*range(12))
     omega = SignalFamily(
-        "disturbance",
         tuple(f"w{k}" for k in range(1200)),
         tuple(tuple(f"{k:011b}") for k in range(1200)),
     )
-    z = SignalFamily("trajectory", ("h",), (("0",) * 11,))
+    z = SignalFamily(("h",), (("0",) * 11,))
     a = Multifunction(Instance(g, omega, z), (frozenset({0}),) * 1200)
     assert brute_greatest(a, PrefixChain((Prefix(11),))).values == a.values
 

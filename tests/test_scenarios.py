@@ -36,7 +36,7 @@ from naselect import (
 from naselect import cli, nonanticipation, scenarios
 from naselect.fileio import instance_digest
 from naselect.scenarios import EXAMPLE4_LEVELS, _control_family, _responses, example3_grid
-from naselect.signals import ROLE_DISTURBANCE, PrefixIndex
+from naselect.signals import PrefixIndex
 
 from conftest import counting, naive_alpha_rho, naive_optimal_rho
 
@@ -237,7 +237,6 @@ def control_systems(draw):
         )
     )
     disturbances = SignalFamily(
-        ROLE_DISTURBANCE,
         tuple(f"v{i}" for i in range(len(rows))),
         tuple(tuple(map(str, row)) for row in rows),
     )
@@ -408,6 +407,18 @@ def test_scenario_ex4_records_the_level():
     assert meta["rho"] == "-7/2"
     _, _, meta = build_scenario("ex4", rho=Fraction(-1))
     assert meta["rho"] == "-1"
+
+
+def test_control_system_guards():
+    sys = build_example4()
+    with pytest.raises(ValidationError, match="^a control system needs at least one control level$"):
+        ControlSystem(sys.grid, (), sys.disturbances, "u+v")
+    with pytest.raises(ValidationError, match=r"^unknown dynamics 'u\*v'$"):
+        ControlSystem(sys.grid, sys.levels, sys.disturbances, "u*v")
+    with pytest.raises(ValidationError, match="^disturbance signals do not fit the grid$"):
+        ControlSystem(TimeGrid((Fraction(0), Fraction(1))), sys.levels, sys.disturbances, "u+v")
+    with pytest.raises(ValidationError, match="^signals do not fit the system grid$"):
+        integrate(sys, ("0", "0"), sys.disturbances.signals[0])
 
 
 def test_scenario_name_errors():

@@ -58,27 +58,30 @@ def test_distinct_signals_are_alone_at_full_length():
 
 def test_family_rejects_duplicates_and_mismatches():
     with pytest.raises(ValidationError):
-        SignalFamily("disturbance", ("a", "b"), (("x",), ("x",)))
+        SignalFamily(("a", "b"), (("x",), ("x",)))
     with pytest.raises(ValidationError):
-        SignalFamily("disturbance", ("a", "a"), (("x",), ("y",)))
+        SignalFamily(("a", "a"), (("x",), ("y",)))
     with pytest.raises(ValidationError):
-        SignalFamily("disturbance", ("a",), (("x",), ("y",)))
+        SignalFamily(("a",), (("x",), ("y",)))
     with pytest.raises(ValidationError):
-        SignalFamily("disturbance", ("a", "b"), (("x",), ("y", "z")))
-    with pytest.raises(ValidationError):
-        SignalFamily("elsewhere", ("a",), (("x",),))
+        SignalFamily(("a", "b"), (("x",), ("y", "z")))
     with pytest.raises(ValidationError, match="^each signal must be a tuple of cells$"):
-        SignalFamily("disturbance", ("a",), (["x"],))
+        SignalFamily(("a",), (["x"],))
     with pytest.raises(ValidationError, match="^a signal needs at least one cell$"):
-        SignalFamily("disturbance", ("a",), ((),))
+        SignalFamily(("a",), ((),))
     with pytest.raises(ValidationError, match="^signal cells must be strings$"):
-        SignalFamily("disturbance", ("a", "b"), (("x", "y"), ("x", 1)))
+        SignalFamily(("a", "b"), (("x", "y"), ("x", 1)))
     for name in (1, ["a"]):
         with pytest.raises(ValidationError, match="^family names must be strings$"):
-            SignalFamily("disturbance", (name,), (("x",),))
+            SignalFamily((name,), (("x",),))
     for names, signals in ((["a"], (("x",),)), (("a",), [("x",)])):
         with pytest.raises(ValidationError, match="^family names and signals must be tuples$"):
-            SignalFamily("disturbance", names, signals)
+            SignalFamily(names, signals)
+
+
+def test_an_empty_family_is_rejected():
+    with pytest.raises(ValidationError, match="^a signal family must not be empty$"):
+        SignalFamily((), ())
 
 
 def test_index_of_agrees_with_the_name_order():
@@ -89,16 +92,16 @@ def test_index_of_agrees_with_the_name_order():
 
 def test_index_of_rejects_unknown_names():
     inst, _ = build_example2()
-    with pytest.raises(ValidationError, match=r"^unknown disturbance name 'nope'$"):
+    with pytest.raises(ValidationError, match=r"^unknown name 'nope'$"):
         inst.omega.index_of("nope")
-    with pytest.raises(ValidationError, match=r"^unknown trajectory name 'w11'$"):
+    with pytest.raises(ValidationError, match=r"^unknown name 'w11'$"):
         inst.z.index_of("w11")
 
 
 def test_name_index_stays_out_of_equality_hash_and_repr():
     inst, _ = build_example2()
     fam = inst.omega
-    twin = SignalFamily(fam.role, tuple(fam.names), tuple(fam.signals))
+    twin = SignalFamily(tuple(fam.names), tuple(fam.signals))
     fam.prefix_index.classes(2)  # built and cached on one side only
     assert twin == fam and hash(twin) == hash(fam)
     assert "_index" not in repr(fam)

@@ -85,9 +85,8 @@ def _three_step_run():
 
     h1 agrees with h0 on the first cell, so picking it at step 1 breaks only that step.
     """
-    omega = SignalFamily("disturbance", ("w0", "w1"), (("a", "a", "a"), ("a", "a", "b")))
+    omega = SignalFamily(("w0", "w1"), (("a", "a", "a"), ("a", "a", "b")))
     z = SignalFamily(
-        "trajectory",
         ("h0", "h1", "h2"),
         (("x", "x", "x"), ("x", "y", "x"), ("y", "y", "y")),
     )
@@ -153,9 +152,9 @@ def test_validate_trace_reports_an_index_outside_its_family(i, field, value, exp
 
 def test_single_disturbance_runs_trivially():
     g = grid(0, 1, 2)
-    omega = SignalFamily("disturbance", ("w1",), (("a", "b"),))
+    omega = SignalFamily(("w1",), (("a", "b"),))
     z = SignalFamily(
-        "trajectory", ("h1", "h2"), (("x", "y"), ("x", "z"))
+        ("h1", "h2"), (("x", "y"), ("x", "z"))
     )
     inst = Instance(g, omega, z)
     a = Multifunction(inst, (frozenset({0, 1}),))
@@ -339,9 +338,9 @@ def _splitting_instance():
     """Disturbances that share their first cells and then split; every trajectory is admissible."""
     g = grid(0, 1, 2, 3)
     cells = [("a", "a", "a"), ("a", "a", "b"), ("a", "b", "a"), ("b", "a", "a"), ("a", "b", "b")]
-    omega = SignalFamily("disturbance", tuple(f"w{i}" for i in range(5)), tuple(cells))
+    omega = SignalFamily(tuple(f"w{i}" for i in range(5)), tuple(cells))
     paths = list(itertools.product("xyz", repeat=3))
-    z = SignalFamily("trajectory", tuple(f"h{j}" for j in range(27)), tuple(paths))
+    z = SignalFamily(tuple(f"h{j}" for j in range(27)), tuple(paths))
     inst = Instance(g, omega, z)
     return inst, Multifunction(inst, [frozenset(range(27))] * 5)
 
@@ -366,8 +365,8 @@ def test_random_runs_that_leave_the_shared_path_pick_as_they_would_alone(monkeyp
 def test_a_stuck_node_shared_by_two_disturbances_raises_as_the_first_scripted_run():
     g = grid(0, 1, 2)
     cells = [("b", "a"), ("a", "a"), ("b", "b"), ("a", "b")]
-    omega = SignalFamily("disturbance", ("w0", "w1", "w2", "w3"), tuple(cells))
-    z = SignalFamily("trajectory", ("h0", "h1"), (("x", "x"), ("y", "y")))
+    omega = SignalFamily(("w0", "w1", "w2", "w3"), tuple(cells))
+    z = SignalFamily(("h0", "h1"), (("x", "x"), ("y", "y")))
     inst = Instance(g, omega, z)
     # w1 and w3 reveal ("a",) first but want trajectories that split there: no choice serves both
     a = Multifunction(inst, [frozenset({0}), frozenset({0}), frozenset({0}), frozenset({1})])
@@ -426,9 +425,9 @@ def test_tuple_enumeration_matches_the_naive_filter():
 def test_distinct_first_cells_admit_only_constant_tuples():
     g = grid(0, 1, 2)
     omega = SignalFamily(
-        "disturbance", ("w1", "w2"), (("a", "a"), ("b", "a"))
+        ("w1", "w2"), (("a", "a"), ("b", "a"))
     )
-    z = SignalFamily("trajectory", ("h1",), (("x", "x"),))
+    z = SignalFamily(("h1",), (("x", "x"),))
     inst = Instance(g, omega, z)
     tuples = sorted(enumerate_omega_delta(inst, Partition((0, 1, 2))))
     assert tuples == [(0, 0), (1, 1)]
@@ -439,11 +438,10 @@ def test_tuples_longer_than_the_recursion_limit_come_in_walk_order():
     n = 1100
     g = grid(*range(n + 1))
     omega = SignalFamily(
-        "disturbance",
         ("w1", "w2"),
         (("a",) * n, ("a",) + ("b",) * (n - 1)),
     )
-    z = SignalFamily("trajectory", ("h1",), (("x",) * n,))
+    z = SignalFamily(("h1",), (("x",) * n,))
     inst = Instance(g, omega, z)
     tuples = list(enumerate_omega_delta(inst, Partition(tuple(range(n + 1)))))
     assert tuples == [(0,) * n, (1,) + (0,) * (n - 1), (0,) + (1,) * (n - 1), (1,) * n]
