@@ -112,10 +112,10 @@ def cmd_simulate(args) -> int:
     if spec == "interactive":
 
         def echo(step):
-            key = inst.z.signals[step.h][: len(step.revealed)]
+            n = delta.indices[step.index]
             print(
                 f"step {step.index}: h={inst.z.names[step.h]} "
-                f"h|{len(step.revealed)}={','.join(key)}",
+                f"h|{n}={','.join(inst.z.signals[step.h][:n])}",
                 flush=True,
             )
 

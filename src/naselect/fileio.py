@@ -162,12 +162,12 @@ def trace_text(trace: StepTrace, inst: Instance, pad: str | None, seen: dict | N
     sep = [", "] * 5 if pad is None else ["," + i for i in ind]
     template = "{" + ind[3] + sep[3].join(['"h": %s', '"h_admissible": %s', '"h_consistent": %s', '"omega": %s',
         '"omega_consistent": %s', f'"revealed": [{ind[4]}%s{ind[3]}]', '"step": %d']) + ind[2] + "}"
-    wn, zn, tokens = inst.omega.names, inst.z.names, sep[4].join
+    wn, zn, ws, cut, tokens = inst.omega.names, inst.z.names, inst.omega.signals, trace.delta.indices, sep[4].join
     seen = {} if seen is None else seen
     for s in trace.steps:
         if id(s) not in seen:  # an id names one step while the traces holding it live
             seen[id(s)] = template % (_esc(zn[s.h]), _BOOL[s.h_admissible], _BOOL[s.h_consistent], _esc(wn[s.omega]),
-                                      _BOOL[s.omega_consistent], tokens(map(_esc, s.revealed)), s.index)
+                                      _BOOL[s.omega_consistent], tokens(map(_esc, ws[s.omega][: cut[s.index]])), s.index)
     steps = sep[2].join([seen[id(s)] for s in trace.steps])
     return "{" + ind[1] + sep[1].join([
         f'"consistent": {_BOOL[trace.consistent]}', f'"delta": [{ind[2]}{sep[2].join(map(str, trace.delta.indices))}{ind[1]}]',

@@ -11,6 +11,8 @@ partition, and the multifunction keeps it once composed, so a run, an
 exhaustive run and the validation of a trace all select from one composition.
 A step depends only on the revealed prefix, so an exhaustive run walks the
 revelation tree in one pass over the sorted disturbances, one step per node.
+A step keeps no copy of that prefix: it is the picked disturbance's cells up
+to the step's stamp.
 """
 
 from __future__ import annotations
@@ -110,10 +112,10 @@ class InteractiveAdversary:
 
 @dataclass(frozen=True)
 class Step:
-    """One control step: what was revealed, which disturbance and trajectory were picked."""
+    """One control step: the disturbance and trajectory picked.  `omega` is the first disturbance matching the
+    prefix revealed at step `index`, so that prefix is `inst.omega.signals[omega][: trace.delta.indices[index]]`."""
 
     index: int
-    revealed: RestrictionKey
     omega: int
     h: int
     omega_consistent: bool
@@ -155,16 +157,14 @@ def run_stepwise(
     revealed: RestrictionKey = ()
     steps: list[Step] = []
     for i, p in enumerate(chain.prefixes, start=1):
-        ext = adversary.extend(i, revealed, p.len)
-        if len(ext) != p.len - len(revealed):
-            raise AdversaryError(
-                f"step {i}: expected {p.len - len(revealed)} cells, got {len(ext)}"
-            )
+        ext, prev_len = adversary.extend(i, revealed, p.len), len(revealed)
+        if len(ext) != p.len - prev_len:
+            raise AdversaryError(f"step {i}: expected {p.len - prev_len} cells, got {len(ext)}")
         revealed = revealed + tuple(ext)
         matches = a.instance.omega.prefix_index.members(revealed)
         if not matches:
             raise AdversaryError(f"step {i}: revealed prefix {revealed} matches no disturbance")
-        steps.append(_step(a, phi, pick, i, revealed, matches[0], steps[-1] if steps else None))
+        steps.append(_step(a, phi, pick, i, prev_len, matches[0], steps[-1] if steps else None))
         if on_step is not None:
             on_step(steps[-1])
     return StepTrace(delta, tuple(steps), steps[-1].h)
@@ -191,11 +191,10 @@ def _compose(a: Multifunction, delta: Partition, policy: str, seed: int, check: 
     return chain, phi, z.first if rng is None else lambda v: rng.choice(z.indices(v)), rng
 
 
-def _step(a: Multifunction, phi: Multifunction, pick, i: int, revealed: RestrictionKey, w: int, prev: Step | None) -> Step:
-    """Step i at `revealed`, for its class's first member `w`: `pick` from phi(w)'s run of `prev`'s pick at the
-    previous prefix, or raise `ProcedureStuckError` if that run is empty."""
+def _step(a: Multifunction, phi: Multifunction, pick, i: int, prev_len: int, w: int, prev: Step | None) -> Step:
+    """Step i for the first member `w` of its class: `pick` from phi(w)'s run of `prev`'s pick at the previous
+    prefix, of `prev_len` cells, or raise `ProcedureStuckError` if that run is empty."""
     inst, z = a.instance, a.instance.z.prefix_index
-    prev_len = 0 if prev is None else len(prev.revealed)
     omega_id, z_id = inst.omega.prefix_index.ids(prev_len), z.ids(prev_len)
     starts, r = z.starts(prev_len), 0 if prev is None else z_id[prev.h]
     admissible = phi.bits[w] & ((1 << 2 * starts[r + 1]) - (1 << 2 * starts[r]))
@@ -204,7 +203,7 @@ def _step(a: Multifunction, phi: Multifunction, pick, i: int, revealed: Restrict
     h = pick(admissible)
     omega_ok = prev is None or omega_id[w] == omega_id[prev.omega]
     h_ok = prev is None or z_id[h] == z_id[prev.h]
-    return Step(i, revealed, w, h, omega_ok, h_ok, (phi.bits[w] & a.bits[w]) >> 2 * z.rank[h] & 1 == 1)
+    return Step(i, w, h, omega_ok, h_ok, (phi.bits[w] & a.bits[w]) >> 2 * z.rank[h] & 1 == 1)
 
 
 def run_exhaustive(
@@ -225,21 +224,22 @@ def run_exhaustive(
     """
     chain, phi, pick, rng = _compose(a, delta, policy, seed, check)
     index = a.instance.omega.prefix_index
-    levels = [(i, p.len, index.classes(p.len), index.ids(p.len)) for i, p in enumerate(chain.prefixes, start=1)]
+    lens = delta.indices  # lens[i]: the cells revealed at step i
+    levels = [(i, index.classes(n), index.ids(n)) for i, n in enumerate(lens[1:], start=1)]
     saved = [rng and rng.getstate()] * (len(levels) + 1)  # saved[d]: the state after the path's d-th step
     traces: list = [None] * len(index.order)  # a run's trace, or the error of the node it is stuck at
     path: list[Step] = []
-    for w, cells, shared in zip(index.order, index.sorted_cells, [0, *index.lcp]):
+    for w, shared in zip(index.order, [0, *index.lcp]):
         if traces[w] is not None:
             continue
-        while path and len(path[-1].revealed) > shared:
+        while path and lens[len(path)] > shared:
             path.pop()
         if rng is not None:
             rng.setstate(saved[len(path)])
         try:
-            for i, n, classes, ids in levels[len(path) :]:
+            for i, classes, ids in levels[len(path) :]:
                 cls = classes[ids[w]]
-                path.append(_step(a, phi, pick, i, cells[:n], cls[0], path[-1] if path else None))
+                path.append(_step(a, phi, pick, i, lens[i - 1], cls[0], path[-1] if path else None))
                 if rng is not None and len(cls) > 1:
                     saved[i] = rng.getstate()
             traces[w] = StepTrace(delta, tuple(path), path[-1].h)
@@ -272,7 +272,7 @@ def validate_trace(a: Multifunction, trace: StepTrace) -> list[str]:
     prev_len = 0
     for step, p in zip(trace.steps, chain.prefixes):
         w = step.omega if 0 <= step.omega < len(inst.omega) else None
-        if w is None or inst.omega.signals[w][: p.len] != step.revealed:
+        if w is None:
             problems.append(f"step {step.index}: picked disturbance does not match the revealed prefix")
         at = 2 * rank[step.h] if 0 <= step.h < len(rank) else 1  # bit 1 is a run top: no trajectory
         if w is None or not phi.bits[w] >> at & 1:

@@ -331,14 +331,15 @@ def to_jsonable(inst: Instance, mf: Multifunction, metadata: dict | None = None)
     return doc
 
 
-def trace_doc(trace, inst: Instance) -> dict:
-    """A step trace as a document, one dict per step: the reference `trace_text` is held to."""
+def trace_doc(trace, inst: Instance, signal) -> dict:
+    """A step trace as a document, one dict per step: the reference `trace_text` is held to.
+    Each step's `revealed` is sliced from `signal`, the cells the adversary played."""
     return {
         "delta": list(trace.delta.indices),
         "steps": [
             {
                 "step": s.index,
-                "revealed": list(s.revealed),
+                "revealed": list(signal[: trace.delta.indices[s.index]]),
                 "omega": inst.omega.names[s.omega],
                 "h": inst.z.names[s.h],
                 "omega_consistent": s.omega_consistent,

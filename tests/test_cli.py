@@ -343,8 +343,8 @@ def test_oracle_budget_exhaustion_exits_five(ex2_file):
 
 
 # Runs one command under a 1 GB address-space cap and reports its exit code,
-# wall time and peak resident set (KiB), from a fresh interpreter so no
-# earlier child of the test run counts towards the peak.
+# wall time, peak resident set (KiB) and stdout, from a fresh interpreter so
+# no earlier child of the test run counts towards the peak.
 MEMORY_PROBE = """
 import json, resource, subprocess, sys, time
 def cap():
@@ -352,7 +352,7 @@ def cap():
 t = time.perf_counter()
 r = subprocess.run(sys.argv[1:], capture_output=True, preexec_fn=cap, timeout=60)
 rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-print(json.dumps([r.returncode, time.perf_counter() - t, rss]))
+print(json.dumps([r.returncode, time.perf_counter() - t, rss, r.stdout.decode()]))
 """
 
 
@@ -372,7 +372,7 @@ def test_oracle_budget_bounds_memory(tmp_path):
     probe = subprocess.run(
         [sys.executable, "-c", MEMORY_PROBE, *argv], capture_output=True, text=True, timeout=120, env=ENV
     )
-    code, seconds, rss_kib = json.loads(probe.stdout)
+    code, seconds, rss_kib, _ = json.loads(probe.stdout)
     assert code == 5
     assert seconds < 1
     assert rss_kib < 100 * 1024
@@ -394,9 +394,23 @@ def test_oracle_on_a_wide_value_set_stays_small(tmp_path):
     probe = subprocess.run(
         [sys.executable, "-c", MEMORY_PROBE, *argv], capture_output=True, text=True, timeout=120, env=ENV
     )
-    code, _, rss_kib = json.loads(probe.stdout)
+    code, _, rss_kib, _ = json.loads(probe.stdout)
     assert code == 0
     assert rss_kib < 64 * 1024
+
+
+def test_check_on_a_long_emitted_grid_runs_in_bounded_memory(tmp_path):
+    # 8000 cells: a step that kept a copy of its revealed prefix held about
+    # 8000**2 / 2 cell references per path, past the cap
+    path = str(tmp_path / "long.json")
+    assert cli.cli(["scenario", "random:1:10,10,8000,2", "--emit", path]) == 0
+    probe = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, *CMD, "check", path], capture_output=True, text=True, timeout=120, env=ENV
+    )
+    code, _, _, out = json.loads(probe.stdout)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines and all(line.startswith("ok   ") for line in lines)
 
 
 def test_project_output_is_deterministic(ex2_file):

@@ -469,14 +469,16 @@ def test_simulate_prints_what_the_json_module_writes(tmp_path_factory, data, dra
     doc = {
         "command": "simulate",
         "inputs": {"digest": naive_digest(inst, mf), "args": {"delta": argv[2]}},
-        "traces": {inst.omega.names[v]: trace_doc(t, inst) for v, t in traces.items()},
+        "traces": {inst.omega.names[v]: trace_doc(t, inst, inst.omega.signals[v]) for v, t in traces.items()},
     }
     assert _simulate(argv + exhaustive) == (0, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     trace = run_stepwise(mf, delta, ScriptedAdversary(inst.omega.signals[w]), policy, 3)
-    assert _simulate(argv + scripted) == (0, json.dumps(trace_doc(trace, inst), sort_keys=True, indent=2) + "\n")
+    expected = json.dumps(trace_doc(trace, inst, inst.omega.signals[w]), sort_keys=True, indent=2) + "\n"
+    assert _simulate(argv + scripted) == (0, expected)
     trace = run_stepwise(mf, delta, InteractiveAdversary(inst, io.StringIO(picks), io.StringIO()), policy, 3)
     code, out = _simulate(argv + interactive, picks)
-    assert code == 0 and out.endswith("\n" + json.dumps(trace_doc(trace, inst), sort_keys=True) + "\n")
+    first = min(inst.omega.signals)  # "#0" picks the least legal extension at every step
+    assert code == 0 and out.endswith("\n" + json.dumps(trace_doc(trace, inst, first), sort_keys=True) + "\n")
 
 
 # Names and tokens that escape to themselves, so the value-set writer joins the lists a loaded file gave, and

@@ -107,13 +107,14 @@ def test_validate_trace_names_each_broken_condition():
 
     broken = {
         "trace has 2 steps for 3 control steps": dataclasses.replace(trace, steps=trace.steps[:2]),
-        "step 3: picked disturbance does not match the revealed prefix": with_step(2, omega=1),
         "step 1: trajectory outside the selection multifunction": with_step(0, h=1),
         "step 3: trajectory disagrees with the previous step": with_step(2, h=2),
         "final trajectory differs from the last step's pick": dataclasses.replace(trace, final_h=2),
     }
     for message, bad in broken.items():
         assert validate_trace(a, bad) == [message]
+    # a step names no prefix apart from its disturbance's: picking w1 last reveals w1, and so traces w1 validly
+    assert validate_trace(a, with_step(2, omega=1)) == []
 
 
 def test_validate_trace_reports_a_negative_pick_outside_both_multifunctions():
