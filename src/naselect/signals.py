@@ -12,7 +12,6 @@ strings, so exact payload equality and token equality agree.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
@@ -157,13 +156,6 @@ class PrefixIndex:
                 groups.setdefault(run, []).append(i)
             self._classes[length] = {run: tuple(g) for run, g in groups.items()}
         return self._classes[length]
-
-    def members(self, key: RestrictionKey) -> tuple[int, ...]:
-        """The class of the members whose restriction to `len(key)` cells is `key`, else ()."""
-        k = bisect_left(self.sorted_cells, key)
-        if k == len(self.order) or self.sorted_cells[k][: len(key)] != key:
-            return ()
-        return self.classes(len(key))[self.ids(len(key))[self.order[k]]]
 
 
 @dataclass(frozen=True)

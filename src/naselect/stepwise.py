@@ -11,8 +11,9 @@ partition, and the multifunction keeps it once composed, so a run, an
 exhaustive run and the validation of a trace all select from one composition.
 A step depends only on the revealed prefix, so an exhaustive run walks the
 revelation tree in one pass over the sorted disturbances, one step per node.
-A step keeps no copy of that prefix: it is the picked disturbance's cells up
-to the step's stamp.
+A run, its steps and its adversary name that prefix one way, as a disturbance
+and a length: the first n cells of the first disturbance matching it.  So
+neither a run nor an adversary copies the prefix.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from .timebase import Partition, partition_to_chain
 class Adversary(Protocol):
     """Reveals the disturbance prefix by prefix.
 
-    `extend` returns the tokens between the already revealed prefix and the
+    The revealed prefix is the first `n` cells of disturbance `omega`, the
+    first member of its class.  `extend` returns the tokens from there to the
     step's target length; every revealed prefix must stay consistent with at
     least one admissible disturbance.
     """
 
-    def extend(self, step: int, revealed: RestrictionKey, new_len: int) -> RestrictionKey: ...
+    def extend(self, step: int, omega: int, n: int, new_len: int) -> RestrictionKey: ...
 
 
 @dataclass(frozen=True)
@@ -51,15 +53,14 @@ class ScriptedAdversary:
 
     signal: tuple[str, ...]
 
-    def extend(self, step: int, revealed: RestrictionKey, new_len: int) -> RestrictionKey:
-        return self.signal[len(revealed) : new_len]
+    def extend(self, step: int, omega: int, n: int, new_len: int) -> RestrictionKey:
+        return self.signal[n:new_len]
 
 
-def legal_extensions(inst: Instance, revealed: RestrictionKey, new_len: int) -> tuple[RestrictionKey, ...]:
-    """Sorted distinct extensions realizable by some admissible disturbance."""
-    cut = slice(len(revealed), new_len)
-    found = {inst.omega.signals[w][cut] for w in inst.omega.prefix_index.members(revealed)}
-    return tuple(sorted(found))
+def legal_extensions(inst: Instance, omega: int, n: int, new_len: int) -> tuple[RestrictionKey, ...]:
+    """Sorted distinct extensions to `new_len` cells of the first `n` cells of disturbance `omega`."""
+    index = inst.omega.prefix_index
+    return tuple(sorted({inst.omega.signals[x][n:new_len] for x in index.classes(n)[index.ids(n)[omega]]}))
 
 
 ANSWER_MARGIN = 8192  # characters an answer line may hold past the longest answer: whitespace, leading zeros
@@ -80,8 +81,8 @@ class InteractiveAdversary:
     infile: TextIO = field(default_factory=lambda: sys.stdin)
     err: TextIO = field(default_factory=lambda: sys.stderr)
 
-    def extend(self, step: int, revealed: RestrictionKey, new_len: int) -> RestrictionKey:
-        opts = legal_extensions(self.instance, revealed, new_len)
+    def extend(self, step: int, omega: int, n: int, new_len: int) -> RestrictionKey:
+        opts = legal_extensions(self.instance, omega, n, new_len)
         texts = list(map(",".join, opts))
         self.err.write(f"step {step}: extend the disturbance to {new_len} cells\n")
         for k, text in enumerate(texts):
@@ -154,17 +155,19 @@ def run_stepwise(
     seeded draw.  `on_step` is called with each finished `Step`.
     """
     chain, phi, pick, _ = _compose(a, delta, policy, seed, check)
-    revealed: RestrictionKey = ()
+    signals, index = a.instance.omega.signals, a.instance.omega.prefix_index
+    w, n = 0, 0  # the revealed prefix: the first n cells of disturbance w, the first member of its class
     steps: list[Step] = []
     for i, p in enumerate(chain.prefixes, start=1):
-        ext, prev_len = adversary.extend(i, revealed, p.len), len(revealed)
-        if len(ext) != p.len - prev_len:
-            raise AdversaryError(f"step {i}: expected {p.len - prev_len} cells, got {len(ext)}")
-        revealed = revealed + tuple(ext)
-        matches = a.instance.omega.prefix_index.members(revealed)
-        if not matches:
-            raise AdversaryError(f"step {i}: revealed prefix {revealed} matches no disturbance")
-        steps.append(_step(a, phi, pick, i, prev_len, matches[0], steps[-1] if steps else None))
+        ext = tuple(adversary.extend(i, w, n, p.len))
+        if len(ext) != p.len - n:
+            raise AdversaryError(f"step {i}: expected {p.len - n} cells, got {len(ext)}")
+        cls = index.classes(n)[index.ids(n)[w]]
+        w = next((x for x in cls if signals[x][n : p.len] == ext), None)
+        if w is None:
+            raise AdversaryError(f"step {i}: revealed prefix {signals[cls[0]][:n] + ext} matches no disturbance")
+        steps.append(_step(a, phi, pick, i, n, w, steps[-1] if steps else None))
+        n = p.len
         if on_step is not None:
             on_step(steps[-1])
     return StepTrace(delta, tuple(steps), steps[-1].h)
@@ -265,7 +268,7 @@ def validate_trace(a: Multifunction, trace: StepTrace) -> list[str]:
         return [f"trace has {len(trace.steps)} steps for {len(chain.prefixes)} control steps"]
 
     def agree(fam, i: int, j: int, n: int) -> bool:
-        return 0 <= i < len(fam) and 0 <= j < len(fam) and fam.signals[i][:n] == fam.signals[j][:n]
+        return 0 <= i < len(fam) and 0 <= j < len(fam) and (i == j or fam.signals[i][:n] == fam.signals[j][:n])
 
     problems: list[str] = []
     prev = None
@@ -299,7 +302,7 @@ def enumerate_omega_delta(inst: Instance, delta: Partition) -> Iterator[tuple[in
     with an explicit stack of (suffix, untried options); yielded in ascending
     index order.
     """
-    chain = partition_to_chain(inst.grid, delta)
+    chain, index = partition_to_chain(inst.grid, delta), inst.omega.prefix_index
     n = len(chain.prefixes)
     stack: list[tuple[tuple[int, ...], Iterator[int]]] = [((), iter(range(len(inst.omega))))]
     while stack:
@@ -313,8 +316,8 @@ def enumerate_omega_delta(inst: Instance, delta: Partition) -> Iterator[tuple[in
         if i == 0:
             yield tup
         else:
-            cls = inst.omega.prefix_index.members(inst.omega.signals[w][: chain.prefixes[i - 1].len])
-            stack.append((tup, iter(cls)))
+            cut = chain.prefixes[i - 1].len
+            stack.append((tup, iter(index.classes(cut)[index.ids(cut)[w]])))
 
 
 @dataclass(frozen=True)

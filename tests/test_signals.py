@@ -20,7 +20,7 @@ def _names(inst, indices):
 
 def _class(fam, idx, p):
     """The prefix index's class of member `idx` at `p`, checked to come in index order."""
-    members = fam.prefix_index.members(fam.signals[idx][: p.len])
+    members = fam.prefix_index.classes(p.len)[fam.prefix_index.ids(p.len)[idx]]
     assert list(members) == sorted(members)
     return frozenset(members)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from naselect import (
     compose_chain,
     enumerate_omega_delta,
     feasible,
+    full_multifunction,
     full_partition,
     grid,
     is_total,
@@ -184,18 +186,30 @@ def test_adversary_must_stay_inside_the_family():
     inst, a = _ex4_at_optimum()
 
     class Rogue:
-        def extend(self, step, revealed, new_len):
-            return ("7",) * (new_len - len(revealed))
+        def extend(self, step, omega, n, new_len):
+            return ("7",) * (new_len - n)
 
     with pytest.raises(AdversaryError):
         run_stepwise(a, Partition((0, 1, 3)), Rogue())
+
+
+def test_a_rogue_step_names_the_whole_revealed_prefix():
+    inst, a = _ex4_at_optimum()
+
+    class Rogue:
+        def extend(self, step, omega, n, new_len):
+            return ("0",) if step == 1 else ("7",) * (new_len - n)
+
+    with pytest.raises(AdversaryError) as err:
+        run_stepwise(a, Partition((0, 1, 3)), Rogue())
+    assert str(err.value) == "step 2: revealed prefix ('0', '7', '7') matches no disturbance"
 
 
 def test_adversary_extension_length_is_checked():
     inst, a = _ex4_at_optimum()
 
     class Short:
-        def extend(self, step, revealed, new_len):
+        def extend(self, step, omega, n, new_len):
             return ()
 
     with pytest.raises(AdversaryError):
@@ -204,8 +218,36 @@ def test_adversary_extension_length_is_checked():
 
 def test_legal_extensions_list_the_split_futures():
     inst, _ = _ex4_at_optimum()
-    assert legal_extensions(inst, (), 1) == (("0",),)
-    assert legal_extensions(inst, ("0",), 3) == (("-1", "-1"), ("1", "0"))
+    assert legal_extensions(inst, 0, 0, 1) == (("0",),)
+    assert legal_extensions(inst, 1, 1, 3) == (("-1", "-1"), ("1", "0"))
+
+
+def _cells_sliced_by_a_scripted_run(cells: int) -> int:
+    """Cells returned by the signal slices of one scripted run on the full partition and its validation."""
+    sliced = [0]
+
+    class Counted(tuple):
+        def __getitem__(self, key):
+            got = super().__getitem__(key)
+            if isinstance(key, slice):
+                sliced[0] += len(got)
+            return got
+
+    rng = random.Random(cells)
+    rows = [("a",) * cells] + [tuple(rng.choice("ab") for _ in range(cells)) for _ in range(4)]
+    omega = SignalFamily(("w0", "w1", "w2"), tuple(map(Counted, rows[:3])))
+    z = SignalFamily(("h0", "h1"), tuple(map(Counted, rows[3:])))
+    inst = Instance(grid(*range(cells + 1)), omega, z)
+    a = full_multifunction(inst)
+    sliced[0] = 0
+    trace = run_stepwise(a, full_partition(inst.grid), ScriptedAdversary(tuple(omega.signals[0])))
+    assert validate_trace(a, trace) == []
+    return sliced[0]
+
+
+def test_a_scripted_run_and_its_validation_slice_linearly_many_cells():
+    # a run names its prefix as (disturbance, length) and validation skips comparing a signal with itself
+    assert _cells_sliced_by_a_scripted_run(2000) <= 4 * _cells_sliced_by_a_scripted_run(500) + 100
 
 
 def test_random_policy_is_reproducible():
@@ -486,8 +528,6 @@ def test_witness_length_must_match_the_partition():
 def test_witness_must_sit_below_the_target():
     inst, a = build_example2()
     delta = Partition((0, 3))
-    from naselect import full_multifunction
-
     report = verify_witness([full_multifunction(inst)], delta, a)
     assert not report.ok
     assert report.violation.kind == "not-multiselector"
