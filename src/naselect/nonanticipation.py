@@ -58,9 +58,8 @@ class NaReport:
 def _keysets(inst: Instance, values, p: Prefix):
     """Per class of two or more disturbances at `p`: the class and its members' keysets, as ints."""
     keys, length = inst.z.prefix_index.keys, p.len
-    for cls in inst.omega.prefix_index.classes(length).values():
-        if len(cls) > 1:
-            yield cls, [keys(values[w], length) for w in cls]
+    for cls in inst.omega.prefix_index.classes(length):
+        yield cls, [keys(values[w], length) for w in cls]
 
 
 def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
@@ -81,7 +80,7 @@ def _na_level(a: Multifunction, p: Prefix) -> NaReport:
         r, ref = cls[0], keysets[0]
         for w, keys in zip(cls[1:], keysets[1:]):
             if one_sided := ref ^ keys:
-                top = (one_sided & -one_sided).bit_length() - 1  # the run of the smallest such key id
+                top = (one_sided & -one_sided).bit_length() - 1  # the lowest run top: runs ascend with their keys
                 key = a.instance.z.prefix_index.sorted_cells[top >> 1][: p.len]
                 return NaReport(False, NaWitness(p, r, w, key, r if ref >> top & 1 else w))
     return NaReport(True)

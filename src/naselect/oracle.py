@@ -64,12 +64,10 @@ def _walk(
     checks: list[list[tuple[int, int]]] = [[] for _ in perm]
     leads: list[list[int]] = [[] for _ in perm]
     for p in h.prefixes:
-        starts = inst.omega.prefix_index.starts(p.len)
-        for first, end in zip(starts, starts[1:]):
-            if end - first > 1:
-                leads[first].append(p.len)
-                for k in range(first + 1, end):
-                    checks[k].append((first, p.len))
+        for first, end in inst.omega.prefix_index.runs(p.len):
+            leads[first].append(p.len)
+            for k in range(first + 1, end):
+                checks[k].append((first, p.len))
 
     # each position's members in index order: member j is the int 1 << 2·rank[j], held ready
     # where the position has at most READY members, else as its place 2·rank[j]

@@ -3,18 +3,18 @@
 A signal is a tuple of one opaque token per grid cell.  Restricting it to a prefix
 keeps the leading tokens; two signals are equivalent at a prefix when their
 restrictions coincide.  Each family builds one `PrefixIndex` on first use,
-so every layer names restrictions by small key ids instead of hashing token
-tuples.  Tokens are plain strings with their natural total order, which
-keeps every derived set printable in a deterministic order.  Scenario
-builders that need numeric payloads format them as canonical rational
-strings, so exact payload equality and token equality agree.
+so every layer names a restriction by its run of sorted members instead of
+hashing token tuples.  Tokens are plain strings with their natural total
+order, which keeps every derived set printable in a deterministic order.
+Scenario builders that need numeric payloads format them as canonical
+rational strings, so exact payload equality and token equality agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
@@ -32,8 +32,9 @@ class PrefixIndex:
 
     In lexicographic order the members that agree on the first `length`
     cells form a run, broken wherever two neighbours share fewer leading
-    cells.  A member's run number is the key id of its restriction: ids
-    ascend with the restriction, so the smallest id names the smallest key.
+    cells.  A run is read off `lcp` when asked: `runs` scans for the runs of
+    two or more members, `run` walks out from one member, and nothing is
+    kept per member or per length but `masks` and the shared `classes`.
 
     A set of members is one int, member i at bit 2·rank[i]: at each length a
     run is a block of bits whose top (odd) bit no member uses, so `(v + F) & G`
@@ -47,27 +48,35 @@ class PrefixIndex:
         self.lcp = [
             next(compress(count(), map(ne, s, t)), len(s)) for s, t in zip(self.sorted_cells, self.sorted_cells[1:])
         ]
-        self._ids: dict[int, list[int]] = {}
-        self._starts: dict[int, list[int]] = {}
+        self.deepest = max(self.lcp, default=0)  # the longest prefix two members share; past it all are alone
         self._masks: dict[int, tuple[int, int, int]] = {}
-        self._classes: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._shared: dict[int, list[tuple[int, ...]]] = {}
         # by a set's int, its names in index order, kept when a loaded file listed it so (`fileio` keeps and reads these)
         self.listed: dict[int, tuple[str, ...]] = {}
 
-    def ids(self, length: int) -> list[int]:
-        """Key id of each member's restriction to `length` cells, by member index."""
-        if length not in self._ids:
-            ids = self._ids[length] = [0] * len(self.order)
-            for i, run in zip(self.order, accumulate(map(length.__gt__, self.lcp), initial=0)):
-                ids[i] = run
-        return self._ids[length]
+    def runs(self, length: int) -> list[tuple[int, int]]:
+        """The runs of two or more members at `length`, as slices `(lo, hi)` of `order`, in sorted order."""
+        starts = [0, *compress(count(1), map(length.__gt__, self.lcp)), len(self.order)]
+        return [(lo, hi) for lo, hi in zip(starts, starts[1:]) if hi - lo > 1]
 
-    def starts(self, length: int) -> list[int]:
-        """Run starts at `length` in `order`, then `len(order)`: key id k is `order[starts[k]:starts[k + 1]]`."""
-        if length not in self._starts:
-            breaks = (k for k, shared in enumerate(self.lcp, start=1) if shared < length)
-            self._starts[length] = [0, *breaks, len(self.order)]
-        return self._starts[length]
+    def run(self, i: int, length: int) -> tuple[int, int]:
+        """Member i's run at `length`, as a slice `(lo, hi)` of `order`: walked out from rank[i], in O(run size)."""
+        lcp, lo = self.lcp, self.rank[i]
+        hi, end = lo, len(lcp)
+        while lo and lcp[lo - 1] >= length:
+            lo -= 1
+        while hi < end and lcp[hi] >= length:
+            hi += 1
+        return lo, hi + 1
+
+    def classes(self, length: int) -> list[tuple[int, ...]]:
+        """The classes of two or more members at `length`, members in index order, classes by first member;
+        kept for each length up to `deepest`, the lengths that have some, so nothing is kept past it."""
+        if length > self.deepest:
+            return []
+        if length not in self._shared:
+            self._shared[length] = sorted(tuple(sorted(self.order[lo:hi])) for lo, hi in self.runs(length))
+        return self._shared[length]
 
     def masks(self, length: int) -> tuple[int, int, int]:
         """`(F, G, U)` at `length`: G holds each run's top bit, F every other bit, U is for `fill`."""
@@ -79,7 +88,7 @@ class PrefixIndex:
         return self._masks[length]
 
     def keys(self, v: int, length: int) -> int:
-        """The keyset of `v` at `length`: the top bit of each run it meets, so key id k is bit 2·starts[k + 1] - 1."""
+        """The keyset of `v` at `length`: the top bit of each run it meets, bit 2·hi - 1 for the run `order[lo:hi]`."""
         try:  # one subscript, no second call: walks call this once per member per level
             f, g, _ = self._masks[length]
         except KeyError:
@@ -148,15 +157,6 @@ class PrefixIndex:
         by_index = b"".join(self._gather([flags[p::n] for p in range(n)]))
         return [compress(items, by_index[r::w]) for r in range(w)]
 
-    def classes(self, length: int) -> dict[int, tuple[int, ...]]:
-        """Classes at `length` by key id, in first-appearance order, members in index order."""
-        if length not in self._classes:
-            groups: dict[int, list[int]] = {}
-            for i, run in enumerate(self.ids(length)):
-                groups.setdefault(run, []).append(i)
-            self._classes[length] = {run: tuple(g) for run, g in groups.items()}
-        return self._classes[length]
-
 
 @dataclass(frozen=True)
 class SignalFamily:
@@ -216,5 +216,6 @@ class SignalFamily:
 
 
 def signal_classes(fam: SignalFamily, a: Prefix) -> tuple[tuple[int, ...], ...]:
-    """The partition of all indices by restriction at `a`, in first-appearance order."""
-    return tuple(fam.prefix_index.classes(a.len).values())
+    """The partition of all indices by restriction at `a`, in first-appearance order, from the shared classes."""
+    of = {i: cls for cls in fam.prefix_index.classes(a.len) for i in cls}  # a member alone is in none
+    return tuple(cls for i in range(len(fam)) if (cls := of.get(i, (i,)))[0] == i)

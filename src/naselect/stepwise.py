@@ -60,7 +60,7 @@ class ScriptedAdversary:
 def legal_extensions(inst: Instance, omega: int, n: int, new_len: int) -> tuple[RestrictionKey, ...]:
     """Sorted distinct extensions to `new_len` cells of the first `n` cells of disturbance `omega`."""
     index = inst.omega.prefix_index
-    return tuple(sorted({inst.omega.signals[x][n:new_len] for x in index.classes(n)[index.ids(n)[omega]]}))
+    return tuple(sorted({s[n:new_len] for s in index.sorted_cells[slice(*index.run(omega, n))]}))
 
 
 ANSWER_MARGIN = 8192  # characters an answer line may hold past the longest answer: whitespace, leading zeros
@@ -162,8 +162,8 @@ def run_stepwise(
         ext = tuple(adversary.extend(i, w, n, p.len))
         if len(ext) != p.len - n:
             raise AdversaryError(f"step {i}: expected {p.len - n} cells, got {len(ext)}")
-        cls = index.classes(n)[index.ids(n)[w]]
-        w = next((x for x in cls if signals[x][n : p.len] == ext), None)
+        cls = index.order[slice(*index.run(w, n))]
+        w = min((x for x in cls if signals[x][n : p.len] == ext), default=None)
         if w is None:
             raise AdversaryError(f"step {i}: revealed prefix {signals[cls[0]][:n] + ext} matches no disturbance")
         steps.append(_step(a, phi, pick, i, n, w, steps[-1] if steps else None))
@@ -197,15 +197,14 @@ def _compose(a: Multifunction, delta: Partition, policy: str, seed: int, check: 
 def _step(a: Multifunction, phi: Multifunction, pick, i: int, prev_len: int, w: int, prev: Step | None) -> Step:
     """Step i for the first member `w` of its class: `pick` from phi(w)'s run of `prev`'s pick at the previous
     prefix, of `prev_len` cells, or raise `ProcedureStuckError` if that run is empty."""
-    inst, z = a.instance, a.instance.z.prefix_index
-    omega_id, z_id = inst.omega.prefix_index.ids(prev_len), z.ids(prev_len)
-    starts, r = z.starts(prev_len), 0 if prev is None else z_id[prev.h]
-    admissible = phi.bits[w] & ((1 << 2 * starts[r + 1]) - (1 << 2 * starts[r]))
+    inst, omega, z = a.instance, a.instance.omega.prefix_index, a.instance.z.prefix_index
+    lo, hi = (0, len(z.order)) if prev is None else z.run(prev.h, prev_len)
+    admissible = phi.bits[w] & ((1 << 2 * hi) - (1 << 2 * lo))
     if not admissible:
         raise ProcedureStuckError(f"step {i}: no admissible trajectory for {inst.omega.names[w]}", step=i, omega=w)
     h = pick(admissible)
-    omega_ok = prev is None or omega_id[w] == omega_id[prev.omega]
-    h_ok = prev is None or z_id[h] == z_id[prev.h]
+    omega_ok = prev is None or prev.omega == w or omega.rank[prev.omega] in range(*omega.run(w, prev_len))
+    h_ok = z.rank[h] in range(lo, hi)
     return Step(i, w, h, omega_ok, h_ok, (phi.bits[w] & a.bits[w]) >> 2 * z.rank[h] & 1 == 1)
 
 
@@ -228,8 +227,7 @@ def run_exhaustive(
     chain, phi, pick, rng = _compose(a, delta, policy, seed, check)
     index = a.instance.omega.prefix_index
     lens = delta.indices  # lens[i]: the cells revealed at step i
-    levels = [(i, index.classes(n), index.ids(n)) for i, n in enumerate(lens[1:], start=1)]
-    saved = [rng and rng.getstate()] * (len(levels) + 1)  # saved[d]: the state after the path's d-th step
+    saved = [rng and rng.getstate()] * len(lens)  # saved[d]: the state after the path's d-th step
     traces: list = [None] * len(index.order)  # a run's trace, or the error of the node it is stuck at
     path: list[Step] = []
     for w, shared in zip(index.order, [0, *index.lcp]):
@@ -240,9 +238,9 @@ def run_exhaustive(
         if rng is not None:
             rng.setstate(saved[len(path)])
         try:
-            for i, classes, ids in levels[len(path) :]:
-                cls = classes[ids[w]]
-                path.append(_step(a, phi, pick, i, lens[i - 1], cls[0], path[-1] if path else None))
+            for i in range(len(path) + 1, len(lens)):
+                cls = index.order[slice(*index.run(w, lens[i]))]
+                path.append(_step(a, phi, pick, i, lens[i - 1], min(cls), path[-1] if path else None))
                 if rng is not None and len(cls) > 1:
                     saved[i] = rng.getstate()
             traces[w] = StepTrace(delta, tuple(path), path[-1].h)
@@ -317,7 +315,7 @@ def enumerate_omega_delta(inst: Instance, delta: Partition) -> Iterator[tuple[in
             yield tup
         else:
             cut = chain.prefixes[i - 1].len
-            stack.append((tup, iter(index.classes(cut)[index.ids(cut)[w]])))
+            stack.append((tup, iter(sorted(index.order[slice(*index.run(w, cut))]))))
 
 
 @dataclass(frozen=True)

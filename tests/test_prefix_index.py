@@ -8,6 +8,7 @@ narrows the same value sets at several levels.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from naselect import (
     ValidationError,
     compose_chain,
     full_prefix_chain,
+    greatest_na,
     is_prefix_na,
     legal_extensions,
     project,
@@ -92,12 +94,14 @@ def test_composition_matches_naive_projections(data):
 @given(edge_instances())
 def test_classes_and_extensions_match_a_scan_of_every_disturbance(data):
     inst, _ = data
-    m = inst.grid.cells
+    m, index = inst.grid.cells, inst.omega.prefix_index
     for p in inst.grid.prefixes():
         first_seen: dict[tuple, list[int]] = {}
         for i, s in enumerate(inst.omega.signals):
             first_seen.setdefault(s[: p.len], []).append(i)
         assert signal_classes(inst.omega, p) == tuple(map(tuple, first_seen.values()))
+        for w, s in enumerate(inst.omega.signals):  # each member's run holds its class
+            assert sorted(index.order[slice(*index.run(w, p.len))]) == first_seen[s[: p.len]]
     for w, s in enumerate(inst.omega.signals):
         for n in range(m + 1):
             for new_len in range(n, m + 1):
@@ -147,54 +151,73 @@ def test_the_public_constructor_still_validates():
         Multifunction(inst, a.values + (frozenset(),))
 
 
-def _check_starts_and_masks(fam):
+def _check_runs_and_masks(fam):
     index = fam.prefix_index
     n, width = len(fam), fam.width
     everything = (1 << 2 * n) - 1
     assert [index.rank[i] for i in index.order] == list(range(n))
-    for length in range(1, width + 1):
-        starts = index.starts(length)
-        assert starts[0] == 0 and starts[-1] == n
-        by_key: dict[int, list[int]] = {}
-        for i, k in enumerate(index.ids(length)):
-            by_key.setdefault(k, []).append(i)
-        assert len(starts) == len(by_key) + 1
-        for k, members in by_key.items():
-            assert sorted(index.order[starts[k] : starts[k + 1]]) == members
-            assert {fam.signals[i][:length] for i in members} == {index.sorted_cells[starts[k]][:length]}
+    assert index.sorted_cells == sorted(fam.signals) == [fam.signals[i] for i in index.order]
+    for length in range(width + 1):
+        # every run, singletons too, by a scan of the sorted cells
+        runs: list[list[int]] = []
+        for k, cells in enumerate(index.sorted_cells):
+            if runs and index.sorted_cells[runs[-1][0]][:length] == cells[:length]:
+                runs[-1][1] = k + 1
+            else:
+                runs.append([k, k + 1])
+        runs = [tuple(r) for r in runs]
+        assert index.runs(length) == [(lo, hi) for lo, hi in runs if hi - lo > 1]
+        run_of = {index.order[k]: (lo, hi) for lo, hi in runs for k in range(lo, hi)}
+        for i in range(n):
+            assert index.run(i, length) == run_of[i]
+        for lo, hi in runs:
+            assert {s[:length] for s in index.sorted_cells[lo:hi]} == {index.sorted_cells[lo][:length]}
+        shared = [tuple(sorted(index.order[lo:hi])) for lo, hi in runs if hi - lo > 1]
+        assert index.classes(length) == sorted(shared, key=lambda cls: cls[0])
         f, g, _ = index.masks(length)
-        tops = [1 << 2 * end - 1 for end in starts[1:]]
-        assert f & g == 0 and f | g == everything and g == sum(tops)
-        for i, k in enumerate(index.ids(length)):
-            assert (index.pack([i]) + f) & g == tops[k]  # a member's keyset is its run's top
-        # keys(v) is the run tops of v's key ids: singletons, whole classes, every other member, all, none
-        sets = [[i] for i in range(n)] + list(by_key.values()) + [range(0, n, 2), range(n), []]
+        tops = {r: 1 << 2 * r[1] - 1 for r in runs}
+        assert f & g == 0 and f | g == everything and g == sum(tops.values())
+        for i in range(n):
+            assert (index.pack([i]) + f) & g == tops[run_of[i]]  # a member's keyset is its run's top
+        # keys(v) is the tops of the runs v meets: singletons, whole classes, every other member, all, none
+        sets = [[i] for i in range(n)] + [index.order[lo:hi] for lo, hi in runs] + [range(0, n, 2), range(n), []]
         for members in sets:
-            ids = {index.ids(length)[j] for j in members}
-            assert index.keys(index.pack(members), length) == sum(tops[k] for k in ids)
-        for k, top in enumerate(tops):
-            assert index.fill(top, length) == (1 << 2 * starts[k + 1]) - (1 << 2 * starts[k])
+            met = {run_of[j] for j in members}
+            assert index.keys(index.pack(members), length) == sum(tops[r] for r in met)
+        for (lo, hi), top in tops.items():
+            assert index.fill(top, length) == (1 << 2 * hi) - (1 << 2 * lo)
         assert index.fill(g, length) == everything and index.fill(0, length) == 0
 
 
 @EDGE
 @given(edge_instances())
-def test_run_starts_and_masks_match_the_key_ids(data):
+def test_runs_and_masks_match_a_scan_of_the_sorted_cells(data):
     inst, _ = data
-    _check_starts_and_masks(inst.omega)
-    _check_starts_and_masks(inst.z)
+    _check_runs_and_masks(inst.omega)
+    _check_runs_and_masks(inst.z)
 
 
 @pytest.mark.parametrize("alphabet, cells", [(2, 7), (3, 6)])  # 2**6 < 120 signals
-def test_run_starts_and_masks_on_a_mid_size_family(alphabet, cells):
+def test_runs_and_masks_on_a_mid_size_family(alphabet, cells):
     inst, _ = random_instance(alphabet, 2, 120, cells, alphabet)
-    _check_starts_and_masks(inst.z)
+    _check_runs_and_masks(inst.z)
+
+
+def test_na_flags_on_a_long_grid_keeps_nothing_past_the_deepest_shared_prefix():
+    _, a = random_instance(1, 2, 2, 20000, 2)
+    g = greatest_na(a)
+    tracemalloc.start()
+    try:
+        na_flags(g)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def _shared_levels(inst, chain) -> int:
     """Chain prefixes, but the shortest, with a class of two or more disturbances."""
-    index = inst.omega.prefix_index
-    return sum(any(len(cls) > 1 for cls in index.classes(p.len).values()) for p in chain.prefixes[1:])
+    return sum(bool(inst.omega.prefix_index.classes(p.len)) for p in chain.prefixes[1:])
 
 
 @pytest.mark.parametrize("seed", range(12))

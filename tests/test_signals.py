@@ -19,9 +19,10 @@ def _names(inst, indices):
 
 
 def _class(fam, idx, p):
-    """The prefix index's class of member `idx` at `p`, checked to come in index order."""
-    members = fam.prefix_index.classes(p.len)[fam.prefix_index.ids(p.len)[idx]]
-    assert list(members) == sorted(members)
+    """The prefix index's run of member `idx` at `p`, checked to be its shared class when it has two or more."""
+    index = fam.prefix_index
+    members = sorted(index.order[slice(*index.run(idx, p.len))])
+    assert (tuple(members) in index.classes(p.len)) == (len(members) > 1)
     return frozenset(members)
 
 
