@@ -43,10 +43,7 @@ from .nonanticipation import (
 from .oracle import (
     DEFAULT_BUDGET,
     EnumBudget,
-    FixpointRun,
     brute_greatest,
-    enumerate_na_multiselectors,
-    fixpoint_iterate,
 )
 from .scenarios import (
     ControlSystem,

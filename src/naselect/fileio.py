@@ -38,7 +38,7 @@ from .nonanticipation import is_prefix_na
 from .scenarios import parse_level
 from .signals import SignalFamily
 from .stepwise import StepTrace
-from .timebase import TimeGrid
+from .timebase import Prefix, TimeGrid
 
 
 def _parse_stamp(text: Any, position: int) -> Fraction:
@@ -254,8 +254,10 @@ def save(path: str, inst: Instance, mf: Multifunction, metadata: dict | None = N
 
 
 def na_flags(mf: Multifunction) -> dict[str, bool]:
-    """Non-anticipativity at every grid prefix, keyed by length."""
-    return {str(p.len): is_prefix_na(mf, p).holds for p in mf.instance.grid.prefixes()}
+    """Non-anticipativity at every grid prefix, keyed by length.  Past the longest prefix two disturbances
+    share, every class has one member, so each flag there is true unchecked."""
+    deepest = mf.instance.omega.prefix_index.deepest
+    return {str(n): n > deepest or is_prefix_na(mf, Prefix(n)).holds for n in range(1, mf.instance.grid.cells + 1)}
 
 
 def build_report(

@@ -8,37 +8,33 @@ ints that hold the sets; cross-instance operations are hard errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import and_, or_
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InstanceMismatchError, ValidationError
-from .signals import SignalFamily
+from .signals import Record, SignalFamily
 from .timebase import TimeGrid
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple("Instance", [("grid", TimeGrid), ("omega", SignalFamily), ("z", SignalFamily)])):
     """A grid with its disturbance family `omega` and its trajectory family `z`: a family's side is its field."""
 
-    grid: TimeGrid
-    omega: SignalFamily
-    z: SignalFamily
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self) -> None:
-        for side, fam in (("disturbance", self.omega), ("trajectory", self.z)):
-            if fam.width != self.grid.cells:
-                raise ValidationError(f"{side} signals have {fam.width} cells, the grid has {self.grid.cells}")
+    def __new__(cls, grid: TimeGrid, omega: SignalFamily, z: SignalFamily) -> Instance:
+        for side, fam in (("disturbance", omega), ("trajectory", z)):
+            if fam.width != grid.cells:
+                raise ValidationError(f"{side} signals have {fam.width} cells, the grid has {grid.cells}")
+        return tuple.__new__(cls, (grid, omega, z))
 
 
-@dataclass(frozen=True, init=False)
-class Multifunction:
+class Multifunction(Record):
     """One trajectory index set per disturbance of `instance`: `bits[w]` is the set at w as one int,
     laid out by the z family's `PrefixIndex`, and `values`, as frozensets, is built on first use."""
 
-    instance: Instance
-    bits: tuple[int, ...]
+    _fields = ("instance", "bits")
 
     def __init__(self, instance: Instance, values: Iterable[Iterable[int]]) -> None:
         self.__dict__.update(instance=instance, values=values)
@@ -53,7 +49,7 @@ class Multifunction:
             for j in v:
                 if type(j) is not int or not 0 <= j < n:  # bool, float and str indices are rejected too
                     raise ValidationError(f"trajectory index {j!r} out of range 0..{n - 1}")
-        object.__setattr__(self, "bits", tuple(map(self.instance.z.prefix_index.pack, values)))
+        self.__dict__["bits"] = tuple(map(self.instance.z.prefix_index.pack, values))
 
     @cached_property
     def values(self) -> tuple[frozenset[int], ...]:

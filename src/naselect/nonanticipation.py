@@ -20,17 +20,16 @@ signal surfaced by `dom`/`is_total`, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
+from typing import NamedTuple
 
 from .multifunction import Instance, Multifunction, is_total, mf_meet
 from .signals import RestrictionKey
 from .timebase import Partition, Prefix, PrefixChain, partition_to_chain
 
 
-@dataclass(frozen=True)
-class NaWitness:
+class NaWitness(NamedTuple):
     """A violating pair: two disturbances agreeing on `prefix` whose value sets differ there.
 
     `key` is a restriction present for exactly one of them; `key_holder` says which.
@@ -43,13 +42,15 @@ class NaWitness:
     key_holder: int
 
 
-@dataclass(frozen=True)
-class NaReport:
-    holds: bool
-    witness: NaWitness | None = None
+class NaReport(NamedTuple("NaReport", [("holds", bool), ("witness", NaWitness | None)])):
+    """Whether a check holds, true exactly when it has no `witness`; the report is truthy when it holds."""
 
-    def __post_init__(self) -> None:
-        assert self.holds == (self.witness is None)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
+
+    def __new__(cls, holds: bool, witness: NaWitness | None = None) -> NaReport:
+        assert holds == (witness is None)
+        return tuple.__new__(cls, (holds, witness))
 
     def __bool__(self) -> bool:
         return self.holds

@@ -1,4 +1,4 @@
-"""Brute-force ground truth for maximality, fixed-point, and feasibility claims.
+"""Brute-force ground truth for maximality and feasibility claims.
 
 Everything here enumerates rather than projects, so it can certify the fast
 paths on desk-size instances.  The multiselector enumeration walks per-
@@ -13,30 +13,29 @@ and its keysets per disturbance.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
 from operator import or_
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceededError, ValidationError
 from .multifunction import Instance, Multifunction
-from .nonanticipation import meet_of_projections, project
+from .nonanticipation import meet_of_projections
 from .timebase import PrefixChain
 
 
-@dataclass(frozen=True)
-class EnumBudget:
+class EnumBudget(NamedTuple("EnumBudget", [("max_multiselectors", int)])):
     """Work cap: subset assignments tried during enumeration.
 
     It bounds time; memory stays the instance, its members listed once, and one subset
     and its keysets per disturbance.
     """
 
-    max_multiselectors: int = 2**22
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if self.max_multiselectors < 1:
+    def __new__(cls, max_multiselectors: int = 2**22) -> EnumBudget:
+        if max_multiselectors < 1:
             raise ValidationError("budget must be positive")
+        return tuple.__new__(cls, (max_multiselectors,))
 
 
 DEFAULT_BUDGET = EnumBudget()
@@ -107,18 +106,6 @@ def _walk(
             untried.pop()
 
 
-def enumerate_na_multiselectors(
-    a: Multifunction, h: PrefixChain, budget: EnumBudget = DEFAULT_BUDGET
-) -> Iterator[Multifunction]:
-    """Every chain-non-anticipative multiselector of `a` exactly once, the all-empty one included.
-
-    Per-disturbance subsets are tried with larger sets first, so a running
-    join saturates early.
-    """
-    walk = _walk(a.instance, h, a.bits, budget)
-    return (Multifunction._trusted(a.instance, bits) for bits in walk)
-
-
 def brute_greatest(
     a: Multifunction, h: PrefixChain, budget: EnumBudget = DEFAULT_BUDGET
 ) -> Multifunction:
@@ -134,47 +121,3 @@ def brute_greatest(
         if join == bound:
             break
     return Multifunction._trusted(a.instance, join)
-
-
-@dataclass(frozen=True)
-class FixpointRun:
-    result: Multifunction
-    sweeps: int  # total sweeps, the final unchanged one included
-    changed_sweeps: int  # sweeps that shrank at least one value set
-
-
-def fixpoint_iterate(
-    a: Multifunction,
-    h: PrefixChain,
-    schedule: str = "descending",
-    seed: int = 0,
-    max_sweeps: int = 64,
-) -> FixpointRun:
-    """Sweep the single-prefix projections in a fixed order until nothing changes.
-
-    Schedules: "descending" (largest prefix first, the order that needs only
-    one changing sweep), "ascending", or a seeded "shuffled" order.  The
-    stable point is the same for every schedule.
-    """
-    a.instance.grid.check_prefix(h.prefixes[-1])
-    order = sorted(h.prefixes)
-    if schedule == "descending":
-        order = order[::-1]
-    elif schedule == "shuffled":
-        random.Random(seed).shuffle(order)
-    elif schedule != "ascending":
-        raise ValidationError(f"unknown schedule {schedule!r}")
-    cur = a
-    sweeps = 0
-    changed = 0
-    while True:
-        sweeps += 1
-        if sweeps > max_sweeps:
-            raise BudgetExceededError(f"no fixed point within {max_sweeps} sweeps")
-        nxt = cur
-        for p in order:
-            nxt = project(nxt, p)
-        if nxt == cur:
-            return FixpointRun(cur, sweeps, changed)
-        changed += 1
-        cur = nxt

@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ValidationError
 from .multifunction import Instance, Multifunction, is_total, mf_by_names
@@ -28,31 +27,29 @@ from .signals import SignalFamily
 from .timebase import TimeGrid, grid
 
 
-@dataclass(frozen=True)
-class ControlSystem:
+class ControlSystem(NamedTuple("ControlSystem", [("grid", TimeGrid), ("levels", tuple[Fraction, ...]),
+                    ("disturbances", SignalFamily), ("dynamics", str), ("x0", Fraction)])):
     """Scalar integrator dynamics over a grid: the state moves by (u ± v) per cell.
 
     `levels` lists the admissible constant control values per cell; the
     disturbance family is explicit.  `dynamics` is "u+v" or "u-v".
     """
 
-    grid: TimeGrid
-    levels: tuple[Fraction, ...]
-    disturbances: SignalFamily
-    dynamics: str
-    x0: Fraction = Fraction(0)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if not self.levels:
+    def __new__(cls, grid: TimeGrid, levels: tuple[Fraction, ...], disturbances: SignalFamily, dynamics: str,
+                x0: Fraction = Fraction(0)) -> ControlSystem:
+        if not levels:
             raise ValidationError("a control system needs at least one control level")
-        if self.dynamics not in ("u+v", "u-v"):
-            raise ValidationError(f"unknown dynamics {self.dynamics!r}")
-        if self.disturbances.width != self.grid.cells:
+        if dynamics not in ("u+v", "u-v"):
+            raise ValidationError(f"unknown dynamics {dynamics!r}")
+        if disturbances.width != grid.cells:
             raise ValidationError("disturbance signals do not fit the grid")
+        return tuple.__new__(cls, (grid, levels, disturbances, dynamics, x0))
 
 
-@dataclass(frozen=True)
-class RhoSearchResult:
+class RhoSearchResult(NamedTuple):
     """Outcome of the guaranteed-result search.
 
     `rho_star` is the least candidate whose responses still admit a total

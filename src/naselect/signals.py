@@ -12,7 +12,6 @@ rational strings, so exact payload equality and token equality agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import itemgetter, ne
@@ -158,8 +157,29 @@ class PrefixIndex:
         return [compress(items, by_index[r::w]) for r in range(w)]
 
 
-@dataclass(frozen=True)
-class SignalFamily:
+class Record:
+    """Equality, hash and repr over the attributes `_fields` names, in order, as a frozen dataclass has them,
+    and `AttributeError` on assignment.  Other attributes, such as caches, stay out of equality, hash and repr."""
+
+    _fields: tuple[str, ...]
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class SignalFamily(Record):
     """Indexed, duplicate-free signals of equal length, each a tuple of string tokens.
 
     Duplicate signals are rejected rather than merged so indices stay stable.
@@ -167,34 +187,32 @@ class SignalFamily:
     and one family may hold both.
     """
 
-    names: tuple[str, ...]
-    signals: tuple[tuple[Token, ...], ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("names", "signals")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.names, tuple) and isinstance(self.signals, tuple)):  # hash() needs tuples
+    def __init__(self, names: tuple[str, ...], signals: tuple[tuple[Token, ...], ...]) -> None:
+        if not (isinstance(names, tuple) and isinstance(signals, tuple)):  # hash() needs tuples
             raise ValidationError("family names and signals must be tuples")
-        if not self.signals:
+        if not signals:
             raise ValidationError("a signal family must not be empty")
-        if len(self.names) != len(self.signals):
+        if len(names) != len(signals):
             raise ValidationError("family needs exactly one name per signal")
-        if not all(map(isinstance, self.names, repeat(str))):
+        if not all(map(isinstance, names, repeat(str))):
             raise ValidationError("family names must be strings")
-        index = {n: i for i, n in enumerate(self.names)}
-        if len(index) != len(self.names):
+        index = {n: i for i, n in enumerate(names)}
+        if len(index) != len(names):
             raise ValidationError("family names must be unique")
-        object.__setattr__(self, "_index", index)
         # each check is one pass in C, and each runs only on what the checks before it allow
-        if not all(map(isinstance, self.signals, repeat(tuple))):
+        if not all(map(isinstance, signals, repeat(tuple))):
             raise ValidationError("each signal must be a tuple of cells")
-        if len(set(map(len, self.signals))) != 1:
+        if len(set(map(len, signals))) != 1:
             raise ValidationError("all signals of a family must have the same length")
-        if not self.signals[0]:
+        if not signals[0]:
             raise ValidationError("a signal needs at least one cell")
-        if not all(map(isinstance, chain.from_iterable(self.signals), repeat(str))):
+        if not all(map(isinstance, chain.from_iterable(signals), repeat(str))):
             raise ValidationError("signal cells must be strings")
-        if len(set(self.signals)) != len(self.signals):
+        if len(set(signals)) != len(signals):
             raise ValidationError("duplicate signals are not allowed")
+        self.__dict__.update(names=names, signals=signals, _index=index)
 
     def __len__(self) -> int:
         return len(self.signals)

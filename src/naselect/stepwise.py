@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
-from typing import Iterator, Protocol, TextIO
+from typing import Iterator, NamedTuple, Protocol, TextIO
 
 from .errors import (
     AdversaryError,
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .multifunction import Instance, Multifunction, is_total, mf_le
 from .nonanticipation import compose_chain
-from .signals import RestrictionKey, signal_classes
+from .signals import Record, RestrictionKey, signal_classes
 from .timebase import Partition, partition_to_chain
 
 
@@ -47,8 +46,7 @@ class Adversary(Protocol):
     def extend(self, step: int, omega: int, n: int, new_len: int) -> RestrictionKey: ...
 
 
-@dataclass(frozen=True)
-class ScriptedAdversary:
+class ScriptedAdversary(NamedTuple):
     """Plays one fixed disturbance, given as its cells."""
 
     signal: tuple[str, ...]
@@ -66,9 +64,8 @@ def legal_extensions(inst: Instance, omega: int, n: int, new_len: int) -> tuple[
 ANSWER_MARGIN = 8192  # characters an answer line may hold past the longest answer: whitespace, leading zeros
 
 
-@dataclass
-class InteractiveAdversary:
-    """Line-oriented adversary on a text stream pair.
+class InteractiveAdversary(Record):
+    """Line-oriented adversary on a text stream pair, by default `sys.stdin` and `sys.stderr` when made.
 
     Each step prints the legal extensions (one `#k  tokens` line each) to
     `err` and reads one line from `infile`: either `#k` picking an option or
@@ -77,9 +74,13 @@ class InteractiveAdversary:
     characters; a line that does not end within them is rejected unread.
     """
 
-    instance: Instance
-    infile: TextIO = field(default_factory=lambda: sys.stdin)
-    err: TextIO = field(default_factory=lambda: sys.stderr)
+    _fields = ("instance", "infile", "err")
+    __setattr__, __hash__ = object.__setattr__, None  # its fields may be reassigned, so it has no hash
+
+    def __init__(self, instance: Instance, infile: TextIO | None = None, err: TextIO | None = None) -> None:
+        self.instance = instance
+        self.infile = sys.stdin if infile is None else infile
+        self.err = sys.stderr if err is None else err
 
     def extend(self, step: int, omega: int, n: int, new_len: int) -> RestrictionKey:
         opts = legal_extensions(self.instance, omega, n, new_len)
@@ -111,8 +112,7 @@ class InteractiveAdversary:
         raise AdversaryError(f"line {line!r} matches no legal extension at step {step}")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One control step: the disturbance and trajectory picked.  `omega` is the first disturbance matching the
     prefix revealed at step `index`, so that prefix is `inst.omega.signals[omega][: trace.delta.indices[index]]`."""
 
@@ -124,8 +124,7 @@ class Step:
     h_admissible: bool
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(NamedTuple):
     delta: Partition
     steps: tuple[Step, ...]
     final_h: int
@@ -318,16 +317,14 @@ def enumerate_omega_delta(inst: Instance, delta: Partition) -> Iterator[tuple[in
             stack.append((tup, iter(sorted(index.order[slice(*index.run(w, cut))]))))
 
 
-@dataclass(frozen=True)
-class WitnessViolation:
+class WitnessViolation(NamedTuple):
     kind: str  # "not-multiselector" | "empty-value" | "restriction-mismatch"
     step: int
     omegas: tuple[int, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     ok: bool
     violation: WitnessViolation | None = None
 

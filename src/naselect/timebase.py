@@ -12,35 +12,37 @@ Stamps are exact rationals, never binary floats, so grids such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True, order=True)
-class Prefix:
-    """The first `len` cells of a grid."""
+class Prefix(NamedTuple("Prefix", [("len", int)])):
+    """The first `len` cells of a grid; prefixes order by length."""
 
-    len: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if self.len < 1:
-            raise ValidationError(f"prefix length must be positive, got {self.len}")
+    def __new__(cls, len: int) -> Prefix:
+        if len < 1:
+            raise ValidationError(f"prefix length must be positive, got {len}")
+        return tuple.__new__(cls, (len,))
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(NamedTuple("TimeGrid", [("stamps", tuple[Fraction, ...])])):
     """Strictly increasing rational stamps; at least two."""
 
-    stamps: tuple[Fraction, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if len(self.stamps) < 2:
+    def __new__(cls, stamps: tuple[Fraction, ...]) -> TimeGrid:
+        if len(stamps) < 2:
             raise ValidationError("a grid needs at least two stamps")
-        for a, b in zip(self.stamps, self.stamps[1:]):
+        for a, b in zip(stamps, stamps[1:]):
             if a >= b:
                 raise ValidationError(f"grid stamps must be strictly increasing ({a} before {b})")
+        return tuple.__new__(cls, (stamps,))
 
     @property
     def cells(self) -> int:
@@ -63,38 +65,40 @@ def grid(*stamps) -> TimeGrid:
     return TimeGrid(tuple(Fraction(s) for s in stamps))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple("Partition", [("indices", tuple[int, ...])])):
     """Strictly increasing grid-stamp indices starting at 0; the last one must be the final stamp."""
 
-    indices: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if len(self.indices) < 2:
+    def __new__(cls, indices: tuple[int, ...]) -> Partition:
+        if len(indices) < 2:
             raise ValidationError("a partition needs at least two stamp indices")
-        if self.indices[0] != 0:
+        if indices[0] != 0:
             raise ValidationError("a partition must start at stamp index 0")
-        for a, b in zip(self.indices, self.indices[1:]):
+        for a, b in zip(indices, indices[1:]):
             if a >= b:
                 raise ValidationError("partition indices must be strictly increasing")
+        return tuple.__new__(cls, (indices,))
 
     @property
     def steps(self) -> int:
         return len(self.indices) - 1
 
 
-@dataclass(frozen=True)
-class PrefixChain:
+class PrefixChain(NamedTuple("PrefixChain", [("prefixes", tuple[Prefix, ...])])):
     """Non-empty, strictly increasing run of prefixes."""
 
-    prefixes: tuple[Prefix, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if not self.prefixes:
+    def __new__(cls, prefixes: tuple[Prefix, ...]) -> PrefixChain:
+        if not prefixes:
             raise ValidationError("a prefix chain must not be empty")
-        for a, b in zip(self.prefixes, self.prefixes[1:]):
+        for a, b in zip(prefixes, prefixes[1:]):
             if a.len >= b.len:
                 raise ValidationError("chain prefixes must strictly increase")
+        return tuple.__new__(cls, (prefixes,))
 
 
 def partition_to_chain(g: TimeGrid, delta: Partition) -> PrefixChain:

@@ -2,7 +2,8 @@
 
 The naive helpers deliberately re-implement the definitions pair by pair,
 with none of the library's class grouping or pruning, so they can serve as
-independent oracles.
+independent oracles.  The oracle's multiselector stream and the fixpoint
+sweeps are references the library itself does not call.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from typing import Iterator, NamedTuple
 
 from hypothesis import strategies as st
 
 from naselect import (
+    BudgetExceededError,
+    EnumBudget,
     Instance,
     Multifunction,
     Partition,
@@ -23,13 +27,16 @@ from naselect import (
     PrefixChain,
     RhoSearchResult,
     SignalFamily,
+    ValidationError,
     full_prefix_chain,
     grid,
     greatest_na,
     is_total,
     partition_to_chain,
+    project,
     random_instance,
 )
+from naselect.oracle import DEFAULT_BUDGET, _walk
 from naselect.scenarios import _control_family, integrate
 
 
@@ -235,6 +242,58 @@ def naive_enumerate_na(a: Multifunction, h: PrefixChain) -> list[tuple[frozenset
         if naive_is_chain_na(cand, h):
             out.append(cand.values)
     return out
+
+
+def enumerate_na_multiselectors(
+    a: Multifunction, h: PrefixChain, budget: EnumBudget = DEFAULT_BUDGET
+) -> Iterator[Multifunction]:
+    """Every chain-non-anticipative multiselector of `a` exactly once, the all-empty one included: the oracle's
+    walk, unjoined.  Per-disturbance subsets are tried with larger sets first, so a running join saturates early."""
+    walk = _walk(a.instance, h, a.bits, budget)
+    return (Multifunction._trusted(a.instance, bits) for bits in walk)
+
+
+class FixpointRun(NamedTuple):
+    result: Multifunction
+    sweeps: int  # total sweeps, the final unchanged one included
+    changed_sweeps: int  # sweeps that shrank at least one value set
+
+
+def fixpoint_iterate(
+    a: Multifunction,
+    h: PrefixChain,
+    schedule: str = "descending",
+    seed: int = 0,
+    max_sweeps: int = 64,
+) -> FixpointRun:
+    """Sweep the single-prefix projections in a fixed order until nothing changes.
+
+    Schedules: "descending" (largest prefix first, the order that needs only
+    one changing sweep), "ascending", or a seeded "shuffled" order.  The
+    stable point is the same for every schedule.
+    """
+    a.instance.grid.check_prefix(h.prefixes[-1])
+    order = sorted(h.prefixes)
+    if schedule == "descending":
+        order = order[::-1]
+    elif schedule == "shuffled":
+        random.Random(seed).shuffle(order)
+    elif schedule != "ascending":
+        raise ValidationError(f"unknown schedule {schedule!r}")
+    cur = a
+    sweeps = 0
+    changed = 0
+    while True:
+        sweeps += 1
+        if sweeps > max_sweeps:
+            raise BudgetExceededError(f"no fixed point within {max_sweeps} sweeps")
+        nxt = cur
+        for p in order:
+            nxt = project(nxt, p)
+        if nxt == cur:
+            return FixpointRun(cur, sweeps, changed)
+        changed += 1
+        cur = nxt
 
 
 def naive_consistent_tuples(inst, chain: PrefixChain) -> list[tuple[int, ...]]:

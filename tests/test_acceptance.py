@@ -25,9 +25,7 @@ from naselect import (
     build_example3,
     build_example4,
     compose_chain,
-    enumerate_na_multiselectors,
     feasible,
-    fixpoint_iterate,
     full_prefix_chain,
     is_chain_na,
     is_prefix_na,
@@ -44,7 +42,7 @@ from naselect import (
     verify_witness,
 )
 
-from conftest import mf_to_names
+from conftest import enumerate_na_multiselectors, fixpoint_iterate, mf_to_names
 
 
 @contextmanager

@@ -16,8 +16,6 @@ from naselect import (
     build_example1,
     build_example2,
     compose_chain,
-    enumerate_na_multiselectors,
-    fixpoint_iterate,
     full_prefix_chain,
     grid,
     is_chain_na,
@@ -30,7 +28,14 @@ from naselect import (
 from naselect import oracle
 from naselect.signals import PrefixIndex
 
-from conftest import bits_of, counting, naive_enumerate_na, small_instances
+from conftest import (
+    bits_of,
+    counting,
+    enumerate_na_multiselectors,
+    fixpoint_iterate,
+    naive_enumerate_na,
+    small_instances,
+)
 
 
 def test_all_empty_multifunction_enumerates_to_itself():

@@ -30,9 +30,11 @@ from naselect import (
     run_exhaustive,
     signal_classes,
 )
+from naselect import fileio
 from naselect.fileio import from_jsonable, na_flags
 
 from conftest import (
+    counting,
     edge_instances,
     naive_compose,
     naive_is_prefix_na,
@@ -213,6 +215,19 @@ def test_na_flags_on_a_long_grid_keeps_nothing_past_the_deepest_shared_prefix():
     finally:
         tracemalloc.stop()
     assert held < 1 << 20
+
+
+@pytest.mark.parametrize("disturbances", [2, 8])
+def test_na_flags_on_a_long_grid_checks_no_prefix_past_the_deepest_shared_one(monkeypatch, disturbances):
+    _, a = random_instance(1, disturbances, 2, 20000, 2)
+    deepest = a.instance.omega.prefix_index.deepest
+    for mf in (a, greatest_na(a)):
+        reference = {str(p.len): is_prefix_na(mf, p).holds for p in mf.instance.grid.prefixes()}
+        checked = counting(monkeypatch, "is_prefix_na", [fileio])
+        assert na_flags(mf) == reference
+        assert len(checked) <= deepest
+        monkeypatch.undo()
+    assert not all(na_flags(a).values())  # the unprojected map fails some prefix within the deepest
 
 
 def _shared_levels(inst, chain) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -104,14 +103,14 @@ def test_validate_trace_names_each_broken_condition():
 
     def with_step(i, **changes):
         steps = list(trace.steps)
-        steps[i] = dataclasses.replace(steps[i], **changes)
-        return dataclasses.replace(trace, steps=tuple(steps), final_h=steps[-1].h)
+        steps[i] = steps[i]._replace(**changes)
+        return trace._replace(steps=tuple(steps), final_h=steps[-1].h)
 
     broken = {
-        "trace has 2 steps for 3 control steps": dataclasses.replace(trace, steps=trace.steps[:2]),
+        "trace has 2 steps for 3 control steps": trace._replace(steps=trace.steps[:2]),
         "step 1: trajectory outside the selection multifunction": with_step(0, h=1),
         "step 3: trajectory disagrees with the previous step": with_step(2, h=2),
-        "final trajectory differs from the last step's pick": dataclasses.replace(trace, final_h=2),
+        "final trajectory differs from the last step's pick": trace._replace(final_h=2),
     }
     for message, bad in broken.items():
         assert validate_trace(a, bad) == [message]
@@ -121,8 +120,8 @@ def test_validate_trace_names_each_broken_condition():
 
 def test_validate_trace_reports_a_negative_pick_outside_both_multifunctions():
     a, trace = _three_step_run()
-    steps = (dataclasses.replace(trace.steps[0], h=-1),) + trace.steps[1:]
-    assert validate_trace(a, dataclasses.replace(trace, steps=steps)) == [
+    steps = (trace.steps[0]._replace(h=-1),) + trace.steps[1:]
+    assert validate_trace(a, trace._replace(steps=steps)) == [
         "step 1: trajectory outside the selection multifunction",
         "step 1: trajectory outside the original multifunction",
         "step 2: trajectory disagrees with the previous step",
@@ -148,8 +147,8 @@ def test_validate_trace_reports_an_index_outside_its_family(i, field, value, exp
     assert [(s.omega, s.h) for s in trace.steps] == [(0, 4), (1, 5), (3, 5)] and validate_trace(a, trace) == []
     assert (len(inst.omega), len(inst.z)) == (4, 12)
     steps = list(trace.steps)
-    steps[i - 1] = dataclasses.replace(steps[i - 1], **{field: value})
-    forged = dataclasses.replace(trace, steps=tuple(steps), final_h=steps[-1].h)
+    steps[i - 1] = steps[i - 1]._replace(**{field: value})
+    forged = trace._replace(steps=tuple(steps), final_h=steps[-1].h)
     assert validate_trace(a, forged) == [line.format(i=i) for line in expected]
 
 
