@@ -21,10 +21,8 @@ from .multifunction import (
     Instance,
     Multifunction,
     dom,
-    full_multifunction,
     is_total,
     mf_by_names,
-    mf_join,
     mf_le,
     mf_meet,
 )
@@ -84,7 +82,6 @@ from .timebase import (
     PrefixChain,
     TimeGrid,
     full_partition,
-    full_prefix_chain,
     grid,
     partition_to_chain,
 )

@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 infeasible conditions,
 4 oracle or invariant mismatch, 5 oracle enumeration budget exceeded,
-6 internal error.
+6 internal error, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fileio
@@ -266,7 +267,11 @@ def cli(argv: list[str]) -> int:
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
-        return globals()["cmd_" + args.command](args)  # looked up per call, so a rebound command runs
+        code = globals()["cmd_" + args.command](args)  # looked up per call, so a rebound command runs
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:  # a reader closed the pipe the command prints to: stop quietly, as SIGPIPE would
+        return 141
     except UsageError as e:
         return _fail("usage error", e, 1)
     except ValidationError as e:
@@ -291,4 +296,6 @@ def _fail(label: str, message: object, code: int) -> int:
 
 
 def main() -> None:
-    sys.exit(cli(sys.argv[1:]))
+    if (code := cli(sys.argv[1:])) == 141:  # the interpreter's last flush of stdout then writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

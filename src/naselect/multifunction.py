@@ -1,15 +1,15 @@
 """Set-valued maps from disturbances to trajectory index sets, with their lattice.
 
 A multifunction assigns each disturbance of an instance a (possibly empty)
-set of trajectory indices.  Entrywise inclusion is a partial order; the
-entrywise union and intersection are its join and meet, `|` and `&` on the
-ints that hold the sets; cross-instance operations are hard errors.
+set of trajectory indices.  Entrywise inclusion is a partial order, and
+entrywise intersection, `&` on the ints that hold the sets, is its meet;
+cross-instance operations are hard errors.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import and_, or_
+from operator import and_
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InstanceMismatchError, ValidationError
@@ -74,26 +74,17 @@ def mf_le(a: Multifunction, b: Multifunction) -> bool:
     return all(x & y == x for x, y in zip(a.bits, b.bits))
 
 
-def _entrywise(ms: Iterable[Multifunction], op, what: str) -> Multifunction:
-    ms = list(ms)
-    if not ms:
-        raise ValidationError(f"{what} needs at least one multifunction")
-    first = ms[0]
-    out = first.bits
-    for m in ms[1:]:
-        _same_instance(first, m)
-        out = tuple(map(op, out, m.bits))
-    return Multifunction._trusted(first.instance, out)
-
-
-def mf_join(ms: Iterable[Multifunction]) -> Multifunction:
-    """Entrywise union; the supremum of a non-empty set of multifunctions."""
-    return _entrywise(ms, or_, "join")
-
-
 def mf_meet(ms: Iterable[Multifunction]) -> Multifunction:
     """Entrywise intersection; the infimum of a non-empty set of multifunctions."""
-    return _entrywise(ms, and_, "meet")
+    ms = iter(ms)
+    first = next(ms, None)
+    if first is None:
+        raise ValidationError("meet needs at least one multifunction")
+    out = first.bits
+    for m in ms:
+        _same_instance(first, m)
+        out = tuple(map(and_, out, m.bits))
+    return Multifunction._trusted(first.instance, out)
 
 
 def dom(a: Multifunction) -> frozenset[int]:
@@ -104,12 +95,6 @@ def dom(a: Multifunction) -> frozenset[int]:
 def is_total(a: Multifunction) -> bool:
     """True when every disturbance keeps at least one trajectory."""
     return all(a.bits)
-
-
-def full_multifunction(inst: Instance) -> Multifunction:
-    """The top element: every disturbance maps to all trajectories."""
-    everything = frozenset(range(len(inst.z)))
-    return Multifunction(inst, tuple(everything for _ in range(len(inst.omega))))
 
 
 def mf_by_names(inst: Instance, mapping: Mapping[str, Iterable[str]]) -> Multifunction:

@@ -219,9 +219,11 @@ def run_exhaustive(
     One composition, then one pass over the disturbances in sorted order walks
     the revelation tree: a run keeps the previous run's steps at the prefixes
     within their common leading cells and computes the rest, one `Step` per
-    node.  Under "random" a node the next run shares saves the generator's
-    state after its draw in its level's slot.  A stuck node strands every run
-    through it, and the pass raises as the first stuck run in index order.
+    node.  Under "lex", once a run's disturbance is alone in its class, its
+    later steps copy that pick.  Under "random" a node the next run shares
+    saves the generator's state after its draw in its level's slot.  A stuck
+    node strands every run through it, and the pass raises as the first stuck
+    run in index order.
     """
     chain, phi, pick, rng = _compose(a, delta, policy, seed, check)
     index = a.instance.omega.prefix_index
@@ -242,6 +244,9 @@ def run_exhaustive(
                 path.append(_step(a, phi, pick, i, lens[i - 1], min(cls), path[-1] if path else None))
                 if rng is not None and len(cls) > 1:
                     saved[i] = rng.getstate()
+                if rng is None and len(cls) == 1:  # w is alone from here on: each later step keeps this pick
+                    path += [Step(k, *path[-1][1:]) for k in range(i + 1, len(lens))]
+                    break
             traces[w] = StepTrace(delta, tuple(path), path[-1].h)
         except ProcedureStuckError as e:
             for x in cls:

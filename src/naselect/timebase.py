@@ -117,7 +117,3 @@ def partition_to_chain(g: TimeGrid, delta: Partition) -> PrefixChain:
 
 def full_partition(g: TimeGrid) -> Partition:
     return Partition(tuple(range(g.cells + 1)))
-
-
-def full_prefix_chain(g: TimeGrid) -> PrefixChain:
-    return partition_to_chain(g, full_partition(g))

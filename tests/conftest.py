@@ -28,7 +28,7 @@ from naselect import (
     RhoSearchResult,
     SignalFamily,
     ValidationError,
-    full_prefix_chain,
+    full_partition,
     grid,
     greatest_na,
     is_total,
@@ -113,7 +113,7 @@ def instance_with_prefix(draw, **kwargs):
 @st.composite
 def instance_with_chain(draw, **kwargs):
     inst, a = draw(small_instances(**kwargs))
-    everything = full_prefix_chain(inst.grid).prefixes
+    everything = full_chain(inst.grid).prefixes
     picked = draw(st.sets(st.sampled_from(everything), min_size=1))
     return inst, a, PrefixChain(tuple(sorted(picked)))
 
@@ -130,6 +130,22 @@ def counting(monkeypatch, name, modules):
     for mod in modules:
         monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def full_chain(g) -> PrefixChain:
+    """Every prefix of the grid, shortest first: the chain of its full partition."""
+    return partition_to_chain(g, full_partition(g))
+
+
+def naive_top(inst: Instance) -> Multifunction:
+    """Every trajectory for each disturbance: the lattice's top."""
+    return Multifunction(inst, [range(len(inst.z))] * len(inst.omega))
+
+
+def naive_join(ms) -> Multifunction:
+    """Entrywise union of the value sets as frozensets: the lattice's join."""
+    ms = list(ms)
+    return Multifunction(ms[0].instance, tuple(frozenset().union(*vs) for vs in zip(*(m.values for m in ms))))
 
 
 def bits_of(a: Multifunction) -> int:

@@ -26,12 +26,10 @@ from naselect import (
     build_example4,
     compose_chain,
     feasible,
-    full_prefix_chain,
     is_chain_na,
     is_prefix_na,
     is_total,
     meet_of_projections,
-    mf_join,
     mf_le,
     mf_meet,
     optimal_rho,
@@ -42,7 +40,13 @@ from naselect import (
     verify_witness,
 )
 
-from conftest import enumerate_na_multiselectors, fixpoint_iterate, mf_to_names
+from conftest import (
+    enumerate_na_multiselectors,
+    fixpoint_iterate,
+    full_chain,
+    mf_to_names,
+    naive_join,
+)
 
 
 @contextmanager
@@ -212,7 +216,7 @@ def test_criterion_5_oracle_equivalence():
     with criterion(5, "composition equals brute force on 50 instances, full chain and 3 sub-chains"):
         rng = random.Random(20240805)
         for inst, a in _instances(50, offset=0, max_bits=13):
-            full = full_prefix_chain(inst.grid)
+            full = full_chain(inst.grid)
             assert compose_chain(a, full).values == brute_greatest(a, full).values
             prefixes = list(full.prefixes)
             for _ in range(3):
@@ -263,17 +267,17 @@ def test_criterion_6_operator_laws():
 
         # join-closure of chain-na multiselectors
         for k, (inst, a) in enumerate(_capped_cases(cases, offset=50_000)):
-            chain = full_prefix_chain(inst.grid)
+            chain = full_chain(inst.grid)
             stream = list(enumerate_na_multiselectors(a, chain))
             rng = random.Random(k)
             picked = [z for z in stream if rng.random() < 0.5] or stream[:1]
-            joined = mf_join(picked)
+            joined = naive_join(picked)
             assert mf_le(joined, a)
             assert is_chain_na(joined, chain).holds
 
         # a non-total meet of projections rules out total multiselectors
         for k, (inst, a) in enumerate(_capped_cases(cases, offset=60_000)):
-            chain = full_prefix_chain(inst.grid)
+            chain = full_chain(inst.grid)
             if is_total(meet_of_projections(a, chain)):
                 continue
             for z in enumerate_na_multiselectors(a, chain):
@@ -320,7 +324,7 @@ def test_criterion_7_feasibility_equivalences():
 def test_criterion_8_schedule_independence():
     with criterion(8, "all sweep schedules stabilize at the composition; descending needs one sweep"):
         for k, (inst, a) in enumerate(_instances(50, offset=80_000)):
-            chain = full_prefix_chain(inst.grid)
+            chain = full_chain(inst.grid)
             target = compose_chain(a, chain).values
             for schedule in ("ascending", "shuffled"):
                 run = fixpoint_iterate(a, chain, schedule, seed=k)

@@ -233,6 +233,18 @@ def test_unexpected_exceptions_exit_six(ex2_file, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: kaput\n"
 
 
+def test_a_closed_stdout_pipe_exits_141_with_nothing_on_stderr(tmp_path):
+    # `check` on 2000 cells prints about 8000 lines, more than a pipe holds,
+    # so the command is still writing when the reader closes its end
+    path = str(tmp_path / "long.json")
+    assert cli.cli(["scenario", "random:1:10,10,2000,2", "--emit", path]) == 0
+    with subprocess.Popen([*CMD, "check", path], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV) as proc:
+        assert proc.stdout.readline() == b"ok   order-reflexive\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+
+
 LONG = "7" * 5000
 
 

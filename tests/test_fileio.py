@@ -23,7 +23,6 @@ from naselect import (
     canonical_chain,
     compose_chain,
     feasible,
-    full_prefix_chain,
     greatest_na,
     partition_to_chain,
     project,
@@ -44,6 +43,7 @@ from naselect.fileio import (
 
 from conftest import (
     counting,
+    full_chain,
     hostile_instances,
     hostile_text,
     naive_digest,
@@ -299,7 +299,7 @@ def _reports_as_text(inst, mf):
     chain = canonical_chain(inst)
     reports = [
         build_report("project", inst, mf, {"prefix": mid.len}, project(mf, mid)),
-        build_report("compose", inst, mf, {}, compose_chain(mf, full_prefix_chain(inst.grid))),
+        build_report("compose", inst, mf, {}, compose_chain(mf, full_chain(inst.grid))),
         build_report(
             "greatest", inst, mf, {}, greatest_na(mf), {"chain": [p.len for p in chain.prefixes]}
         ),

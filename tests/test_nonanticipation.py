@@ -17,8 +17,6 @@ from naselect import (
     canonical_chain,
     compose_chain,
     feasible,
-    full_multifunction,
-    full_prefix_chain,
     greatest_na,
     grid,
     is_chain_na,
@@ -31,13 +29,15 @@ from naselect import (
 )
 
 from conftest import (
-    mf_to_names,
+    full_chain,
     instance_with_chain,
     instance_with_prefix,
+    mf_to_names,
     naive_compose,
     naive_is_prefix_na,
     naive_na_witness,
     naive_project,
+    naive_top,
     small_instances,
 )
 
@@ -76,7 +76,7 @@ def test_projection_output_is_na_at_its_prefix():
 
 def test_chain_predicate_reports_first_failure():
     inst, alpha = build_example2()
-    chain = full_prefix_chain(inst.grid)
+    chain = full_chain(inst.grid)
     report = is_chain_na(alpha, chain)
     assert not report.holds
     assert report.witness.prefix == Prefix(1)
@@ -98,7 +98,7 @@ def test_composed_multiselector_is_chain_na():
 def test_empty_multifunction_is_vacuously_na():
     inst, beta = build_example1()
     empty = Multifunction(inst, (frozenset(),) * 3)
-    assert is_chain_na(empty, full_prefix_chain(inst.grid)).holds
+    assert is_chain_na(empty, full_chain(inst.grid)).holds
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +193,14 @@ def test_chain_na_total_multifunction_survives_the_meet():
 
 def test_compose_sits_below_the_meet():
     _, alpha = build_example2()
-    chain = full_prefix_chain(alpha.instance.grid)
+    chain = full_chain(alpha.instance.grid)
     assert mf_le(compose_chain(alpha, chain), meet_of_projections(alpha, chain))
 
 
 def test_truncation_meets_shrink_to_one_control():
     for n in (2, 3, 5):
         inst, a = build_example3(n)
-        chain = full_prefix_chain(inst.grid)
+        chain = full_chain(inst.grid)
         met = meet_of_projections(a, chain)
         assert met.values[0] == a.values[n - 1]  # only the slowest-start control survives
         assert len(met.values[0]) == 1
@@ -269,7 +269,7 @@ def test_greatest_is_na_at_every_prefix():
     for builder in (build_example1, build_example2):
         inst, a = builder()
         top = greatest_na(a)
-        assert is_chain_na(top, full_prefix_chain(inst.grid)).holds
+        assert is_chain_na(top, full_chain(inst.grid)).holds
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def test_chain_report_is_the_first_failing_prefix_report(data):
 def _interleaved_chains(draw):
     """An instance, two or three distinct chains, and an order of calls that repeats each."""
     inst, a = draw(small_instances(max_omega=6, max_z=8))
-    everything = full_prefix_chain(inst.grid).prefixes
+    everything = full_chain(inst.grid).prefixes
     picks = st.sets(st.sampled_from(everything), min_size=1).map(lambda ps: tuple(sorted(ps)))
     chains = draw(st.lists(picks, min_size=2, max_size=3, unique=True))
     order = draw(st.permutations(list(range(len(chains))) * 2))
@@ -426,6 +426,6 @@ def test_meet_of_na_multiselectors_can_fail_na():
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_full_top_projects_onto_itself_total(data):
     inst, _ = data
-    top = full_multifunction(inst)
-    composed = compose_chain(top, full_prefix_chain(inst.grid))
+    top = naive_top(inst)
+    composed = compose_chain(top, full_chain(inst.grid))
     assert is_total(composed)

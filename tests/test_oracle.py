@@ -16,10 +16,8 @@ from naselect import (
     build_example1,
     build_example2,
     compose_chain,
-    full_prefix_chain,
     grid,
     is_chain_na,
-    mf_join,
     mf_le,
     project,
     random_instance,
@@ -33,7 +31,9 @@ from conftest import (
     counting,
     enumerate_na_multiselectors,
     fixpoint_iterate,
+    full_chain,
     naive_enumerate_na,
+    naive_join,
     small_instances,
 )
 
@@ -41,7 +41,7 @@ from conftest import (
 def test_all_empty_multifunction_enumerates_to_itself():
     inst, _ = build_example1()
     empty = Multifunction(inst, (frozenset(),) * 3)
-    chain = full_prefix_chain(inst.grid)
+    chain = full_chain(inst.grid)
     found = list(enumerate_na_multiselectors(empty, chain))
     assert len(found) == 1
     assert found[0].values == empty.values
@@ -51,13 +51,13 @@ def test_join_of_the_stream_is_the_projection():
     _, beta = build_example1()
     chain = PrefixChain((Prefix(1),))
     stream = list(enumerate_na_multiselectors(beta, chain))
-    assert mf_join(stream).values == project(beta, Prefix(1)).values
+    assert naive_join(stream).values == project(beta, Prefix(1)).values
 
 
 def test_enumeration_matches_the_naive_product_filter():
     for seed in range(8):
         _, a = random_instance(seed, 3, 4, 3, density=0.5)
-        chain = full_prefix_chain(a.instance.grid)
+        chain = full_chain(a.instance.grid)
         mine = [z.values for z in enumerate_na_multiselectors(a, chain)]
         naive = naive_enumerate_na(a, chain)
         assert len(mine) == len(set(mine))
@@ -66,7 +66,7 @@ def test_enumeration_matches_the_naive_product_filter():
 
 def test_every_enumerated_multiselector_is_a_projection_fixed_point():
     _, a = random_instance(11, 3, 4, 3, density=0.5)
-    chain = full_prefix_chain(a.instance.grid)
+    chain = full_chain(a.instance.grid)
     for z in enumerate_na_multiselectors(a, chain):
         assert mf_le(z, a)
         for p in chain.prefixes:
@@ -75,7 +75,7 @@ def test_every_enumerated_multiselector_is_a_projection_fixed_point():
 
 def test_budget_exhaustion_is_an_error():
     _, alpha = build_example2()
-    chain = full_prefix_chain(alpha.instance.grid)
+    chain = full_chain(alpha.instance.grid)
     with pytest.raises(BudgetExceededError):
         list(enumerate_na_multiselectors(alpha, chain, EnumBudget(max_multiselectors=50)))
     with pytest.raises(ValidationError):
@@ -90,7 +90,7 @@ def test_brute_greatest_matches_composition_on_the_ramp_example():
 
 def test_brute_greatest_with_single_disturbance_is_the_input():
     _, a = random_instance(2, 1, 4, 3, density=0.8)
-    chain = full_prefix_chain(a.instance.grid)
+    chain = full_chain(a.instance.grid)
     assert brute_greatest(a, chain).values == a.values
 
 
@@ -126,7 +126,7 @@ def _pinned_input(name):
 def test_visit_order_and_node_counts_are_pinned(name):
     enum_nodes, brute_nodes, digest = PINNED_WALKS[name]
     a = _pinned_input(name)
-    chain = full_prefix_chain(a.instance.grid)
+    chain = full_chain(a.instance.grid)
     stream = [
         [tuple(sorted(v)) for v in z.values]
         for z in enumerate_na_multiselectors(a, chain, EnumBudget(enum_nodes))
@@ -142,7 +142,7 @@ def test_visit_order_and_node_counts_are_pinned(name):
 @pytest.mark.parametrize("name", PINNED_WALKS)
 def test_members_held_as_places_walk_like_ready_ints(monkeypatch, name):
     a = _pinned_input(name)
-    chain = full_prefix_chain(a.instance.grid)
+    chain = full_chain(a.instance.grid)
     ready = [z.bits for z in enumerate_na_multiselectors(a, chain)]
     monkeypatch.setattr(oracle, "READY", 0)  # every position lists its members as bit places
     assert [z.bits for z in enumerate_na_multiselectors(a, chain)] == ready
@@ -153,7 +153,7 @@ def test_members_held_as_places_walk_like_ready_ints(monkeypatch, name):
 def test_the_oracle_converts_nothing(monkeypatch, name):
     a = _pinned_input(name)
     a = Multifunction._trusted(a.instance, a.bits)  # drop the values view the constructor left
-    chain = full_prefix_chain(a.instance.grid)
+    chain = full_chain(a.instance.grid)
     constructed = counting(monkeypatch, "__post_init__", [Multifunction])
     packed = counting(monkeypatch, "pack", [PrefixIndex])
     list(enumerate_na_multiselectors(a, chain))
@@ -168,7 +168,7 @@ def test_composition_equals_brute_force(data):
     inst, a = data
     if bits_of(a) > 14:
         return
-    chain = full_prefix_chain(inst.grid)
+    chain = full_chain(inst.grid)
     assert compose_chain(a, chain).values == brute_greatest(a, chain).values
 
 
@@ -208,7 +208,7 @@ def test_fixed_input_needs_no_changing_sweep():
 def test_schedules_share_the_stable_point():
     for seed in range(20):
         _, a = random_instance(seed, 3, 4, 3, density=0.5)
-        chain = full_prefix_chain(a.instance.grid)
+        chain = full_chain(a.instance.grid)
         target = brute_greatest(a, chain).values
         for schedule in ("descending", "ascending", "shuffled"):
             run = fixpoint_iterate(a, chain, schedule, seed=seed)

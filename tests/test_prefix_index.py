@@ -21,7 +21,6 @@ from naselect import (
     ProcedureStuckError,
     ValidationError,
     compose_chain,
-    full_prefix_chain,
     greatest_na,
     is_prefix_na,
     legal_extensions,
@@ -36,6 +35,7 @@ from naselect.fileio import from_jsonable, na_flags
 from conftest import (
     counting,
     edge_instances,
+    full_chain,
     naive_compose,
     naive_is_prefix_na,
     naive_legal_extensions,
@@ -50,7 +50,7 @@ EDGE = settings(max_examples=150, deadline=None, derandomize=True)
 
 def _chains(inst):
     """Every non-empty prefix chain of a grid of at most three cells."""
-    everything = full_prefix_chain(inst.grid).prefixes
+    everything = full_chain(inst.grid).prefixes
     return [
         PrefixChain(tuple(p for k, p in enumerate(everything) if mask >> k & 1))
         for mask in range(1, 2 ** len(everything))
@@ -240,7 +240,7 @@ def test_composition_carries_keysets_like_naive_projections(seed):
     alphabet, cells = ((2, 7), (3, 6))[seed % 2]
     inst, a = random_instance(seed, 30, 120, cells, alphabet, 0.3 + 0.05 * (seed % 8))
     rng = random.Random(seed)
-    everything = full_prefix_chain(inst.grid).prefixes
+    everything = full_chain(inst.grid).prefixes
     chains = [PrefixChain(everything)] + [
         PrefixChain(tuple(sorted(rng.sample(everything, rng.randint(2, 5))))) for _ in range(4)
     ]

@@ -23,7 +23,6 @@ from naselect import (
     compose_chain,
     example3_system,
     feasible,
-    full_multifunction,
     greatest_na,
     integrate,
     is_prefix_na,
@@ -38,7 +37,7 @@ from naselect.fileio import instance_digest
 from naselect.scenarios import EXAMPLE4_LEVELS, _control_family, _responses, example3_grid
 from naselect.signals import PrefixIndex
 
-from conftest import counting, naive_alpha_rho, naive_optimal_rho
+from conftest import counting, naive_alpha_rho, naive_optimal_rho, naive_top
 
 
 def test_integrate_on_the_catch_up_game():
@@ -120,7 +119,7 @@ def test_level_grid_shape_and_bounds():
     assert len(sys.levels) == 5
     inst, a = alpha_rho(sys, Fraction(0))
     assert len(inst.z) == 125
-    assert a.values == full_multifunction(inst).values
+    assert a.values == naive_top(inst).values
     with pytest.raises(ValidationError):
         build_example4(())
     with pytest.raises(ValidationError):

@@ -25,7 +25,6 @@ from naselect import (
     compose_chain,
     enumerate_omega_delta,
     feasible,
-    full_multifunction,
     full_partition,
     grid,
     is_total,
@@ -42,6 +41,7 @@ from conftest import (
     counting,
     naive_consistent_tuples,
     naive_replay,
+    naive_top,
     naive_tuple_violations,
     naive_verify_witness,
     small_instances,
@@ -237,7 +237,7 @@ def _cells_sliced_by_a_scripted_run(cells: int) -> int:
     omega = SignalFamily(("w0", "w1", "w2"), tuple(map(Counted, rows[:3])))
     z = SignalFamily(("h0", "h1"), tuple(map(Counted, rows[3:])))
     inst = Instance(grid(*range(cells + 1)), omega, z)
-    a = full_multifunction(inst)
+    a = naive_top(inst)
     sliced[0] = 0
     trace = run_stepwise(a, full_partition(inst.grid), ScriptedAdversary(tuple(omega.signals[0])))
     assert validate_trace(a, trace) == []
@@ -374,6 +374,20 @@ def test_exhaustive_computes_one_step_per_revealed_prefix_on_a_stepwise_shaped_f
         assert run_exhaustive(a, delta, policy, 5) == expected
         assert sum(len(t.steps) for t in expected.values()) == 2400
         assert len(computed) == len(_revealed_prefixes(inst, delta)) == 2335
+
+
+def test_exhaustive_lex_steps_stop_once_a_disturbance_is_alone(monkeypatch):
+    # past its last shared prefix a disturbance's class is itself, so every later lex pick is the one before
+    steps = counting(monkeypatch, "_step", [stepwise])
+    for cells in (200, 400):
+        inst, a = random_instance(1, 4, 4, cells, 2, density=1.0)
+        delta = full_partition(inst.grid)
+        expected = {
+            w: run_stepwise(a, delta, ScriptedAdversary(s), check=False) for w, s in enumerate(inst.omega.signals)
+        }
+        steps.clear()
+        assert run_exhaustive(a, delta) == expected
+        assert len(steps) <= len(inst.omega) * (inst.omega.prefix_index.deepest + 1)
 
 
 def _splitting_instance():
@@ -527,7 +541,7 @@ def test_witness_length_must_match_the_partition():
 def test_witness_must_sit_below_the_target():
     inst, a = build_example2()
     delta = Partition((0, 3))
-    report = verify_witness([full_multifunction(inst)], delta, a)
+    report = verify_witness([naive_top(inst)], delta, a)
     assert not report.ok
     assert report.violation.kind == "not-multiselector"
 

@@ -10,8 +10,6 @@ from naselect import (
     PrefixChain,
     TimeGrid,
     ValidationError,
-    full_partition,
-    full_prefix_chain,
     grid,
     partition_to_chain,
 )
@@ -109,8 +107,3 @@ def test_chains_strictly_increase(data):
     chain = partition_to_chain(g, d1)
     lens = [p.len for p in chain.prefixes]
     assert lens == sorted(set(lens))
-
-
-def test_full_prefix_chain_matches_full_partition():
-    g = grid(0, 1, 2, 3)
-    assert full_prefix_chain(g) == partition_to_chain(g, full_partition(g))
