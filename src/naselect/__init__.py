@@ -79,11 +79,9 @@ from .stepwise import (
 from .timebase import (
     Partition,
     Prefix,
-    PrefixChain,
     TimeGrid,
     full_partition,
     grid,
-    partition_to_chain,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 infeasible conditions,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -41,7 +40,7 @@ from .stepwise import (
     validate_trace,
     verify_witness,
 )
-from .timebase import Partition, Prefix, full_partition, partition_to_chain
+from .timebase import Partition, Prefix, full_partition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,9 +69,7 @@ def cmd_project(args) -> int:
 
 def cmd_compose(args) -> int:
     inst, mf = fileio.load(args.file)
-    delta = _parse_delta(args.delta)
-    chain = partition_to_chain(inst.grid, delta)
-    result = compose_chain(mf, chain)
+    result = compose_chain(mf, _parse_delta(args.delta))
     _emit(fileio.build_report("compose", inst, mf, {"delta": args.delta}, result), args)
     return 0
 
@@ -88,7 +85,7 @@ def cmd_greatest(args) -> int:
     inst, mf = fileio.load(args.file)
     chain = canonical_chain(inst)
     result = compose_chain(mf, chain)
-    extra = {"chain": [p.len for p in chain.prefixes]}
+    extra = {"chain": list(chain.indices[1:])}
     _emit(fileio.build_report("greatest", inst, mf, {}, result, extra), args)
     return 0
 
@@ -99,15 +96,10 @@ def cmd_simulate(args) -> int:
     spec = args.adversary
     if spec == "exhaustive":
         traces = run_exhaustive(mf, delta, policy=args.policy, seed=args.seed, check=True)
-        named = sorted((inst.omega.names[w], t) for w, t in traces.items())
         if args.json:
-            doc = {"args": {"delta": args.delta}, "digest": fileio.instance_digest(inst, mf)}
-            inputs = json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n  ")
-            pad, seen = "\n    ", {}  # each trace sits two levels in; the runs share steps
-            body = ("," + pad).join(f"{json.dumps(n)}: {fileio.trace_text(t, inst, pad, seen)}" for n, t in named)
-            print(f'{{\n  "command": "simulate",\n  "inputs": {inputs},\n  "traces": {{{pad}{body}\n  }}\n}}')
+            print(fileio.render_traces(inst, mf, {"delta": args.delta}, traces))
         else:
-            for name, t in named:
+            for name, t in sorted((inst.omega.names[w], t) for w, t in traces.items()):
                 print(f"{name}: final={inst.z.names[t.final_h]} consistent={'yes' if t.consistent else 'no'}")
         return 0
     if spec == "interactive":
@@ -146,10 +138,9 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     inst, mf = fileio.load(args.file)
     delta = _parse_delta(args.delta)
-    chain = partition_to_chain(inst.grid, delta)
+    fast = compose_chain(mf, delta)  # first, so a bad partition is reported ahead of a bad budget
     budget = DEFAULT_BUDGET if args.budget is None else EnumBudget(args.budget)
-    fast = compose_chain(mf, chain)
-    slow = brute_greatest(mf, chain, budget)
+    slow = brute_greatest(mf, delta, budget)
     match = fast == slow
     report = fileio.build_report(
         "oracle", inst, mf, {"delta": args.delta}, fast, {"match": match}
@@ -178,15 +169,14 @@ def _check_lines(inst, mf) -> list[tuple[str, bool]]:
             (f"fixpoint-char@{p.len}", is_prefix_na(mf, p).holds == (g == mf))
         )
     delta = full_partition(inst.grid)
-    chain = partition_to_chain(inst.grid, delta)
-    composed = compose_chain(mf, chain)
-    out.append(("compose-chain-na", is_chain_na(composed, chain).holds))
+    composed = compose_chain(mf, delta)
+    out.append(("compose-chain-na", is_chain_na(composed, delta).holds))
     out.append(("compose-below-meet", mf_le(composed, mf_meet(projections))))
     top = greatest_na(mf)
-    out.append(("greatest-fully-na", is_chain_na(top, chain).holds))
+    out.append(("greatest-fully-na", is_chain_na(top, delta).holds))
     bits = sum(v.bit_count() for v in mf.bits)
     if bits <= 16:
-        out.append(("compose-vs-oracle", brute_greatest(mf, chain) == composed))
+        out.append(("compose-vs-oracle", brute_greatest(mf, delta) == composed))
     ok = is_total(composed)
     witness_ok = verify_witness([composed] * delta.steps, delta, mf).ok
     out.append(("feasible-vs-witness", ok == witness_ok))

@@ -284,6 +284,15 @@ def build_report(
     return report
 
 
+def render_traces(inst: Instance, source: Multifunction, args: dict, traces: dict[int, StepTrace]) -> str:
+    """An exhaustive `simulate`'s report as the json module writes it, each trace under its disturbance's name."""
+    pad, seen = "\n    ", {}  # each trace sits two levels in; the runs share steps, each rendered once
+    named = sorted((inst.omega.names[w], t) for w, t in traces.items())
+    inputs = json.dumps({"args": args, "digest": instance_digest(inst, source)}, sort_keys=True, indent=2)
+    runs = ("," + pad).join(f"{_esc(n)}: {trace_text(t, inst, pad, seen)}" for n, t in named)
+    return _members({"command": '"simulate"', "inputs": inputs.replace("\n", "\n  "), "traces": f"{{{pad}{runs}\n  }}"})
+
+
 def render_report(report: dict, as_json: bool) -> str:
     """The report as the json module writes it with `result` named, or as text lines; `_rows` names each value set once."""
     result = report.get("result")

@@ -7,12 +7,13 @@ whose restriction survives intersecting the restriction sets over the whole
 equivalence class of the disturbance; it is the greatest multiselector that
 is non-anticipative at that prefix.
 
-Composing projections along a chain of prefixes, largest first, yields the
-greatest multiselector non-anticipative at every prefix of the chain.  The
-descending order matters: projections at different prefixes do not commute,
-and the projection is not monotone in the prefix.  Feasibility of a
-partition's step-by-step conditions reduces to the composed multiselector
-keeping every value set non-empty.
+Composing projections along a partition's chain of prefixes, largest first,
+yields the greatest multiselector non-anticipative at every prefix of the
+chain; its last prefix is the full one, where every class has one member, so
+it narrows nothing.  The descending order matters: projections at different
+prefixes do not commute, and the projection is not monotone in the prefix.
+Feasibility of a partition's step-by-step conditions reduces to the composed
+multiselector keeping every value set non-empty.
 
 Emptiness is legal everywhere and propagates silently; it is a diagnostic
 signal surfaced by `dom`/`is_total`, not an error.
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 from .multifunction import Instance, Multifunction, is_total, mf_meet
 from .signals import RestrictionKey
-from .timebase import Partition, Prefix, PrefixChain, partition_to_chain
+from .timebase import Partition, Prefix
 
 
 class NaWitness(NamedTuple):
@@ -56,9 +57,9 @@ class NaReport(NamedTuple("NaReport", [("holds", bool), ("witness", NaWitness | 
         return self.holds
 
 
-def _keysets(inst: Instance, values, p: Prefix):
-    """Per class of two or more disturbances at `p`: the class and its members' keysets, as ints."""
-    keys, length = inst.z.prefix_index.keys, p.len
+def _keysets(inst: Instance, values, length: int):
+    """Per class of two or more disturbances at `length` cells: the class and its members' keysets, as ints."""
+    keys = inst.z.prefix_index.keys
     for cls in inst.omega.prefix_index.classes(length):
         yield cls, [keys(values[w], length) for w in cls]
 
@@ -73,24 +74,24 @@ def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
     the smallest restriction key present on one side only.
     """
     a.instance.grid.check_prefix(p)
-    return _na_level(a, p)
+    return _na_level(a, p.len)
 
 
-def _na_level(a: Multifunction, p: Prefix) -> NaReport:
-    for cls, keysets in _keysets(a.instance, a.bits, p):
+def _na_level(a: Multifunction, length: int) -> NaReport:
+    for cls, keysets in _keysets(a.instance, a.bits, length):
         r, ref = cls[0], keysets[0]
         for w, keys in zip(cls[1:], keysets[1:]):
             if one_sided := ref ^ keys:
                 top = (one_sided & -one_sided).bit_length() - 1  # the lowest run top: runs ascend with their keys
-                key = a.instance.z.prefix_index.sorted_cells[top >> 1][: p.len]
-                return NaReport(False, NaWitness(p, r, w, key, r if ref >> top & 1 else w))
+                key = a.instance.z.prefix_index.sorted_cells[top >> 1][:length]
+                return NaReport(False, NaWitness(Prefix(length), r, w, key, r if ref >> top & 1 else w))
     return NaReport(True)
 
 
-def is_chain_na(a: Multifunction, h: PrefixChain) -> NaReport:
-    """Non-anticipativity at every chain prefix; the shortest failing prefix is reported."""
-    a.instance.grid.check_prefix(h.prefixes[-1])
-    return next((r for p in h.prefixes if not (r := _na_level(a, p))), NaReport(True))
+def is_chain_na(a: Multifunction, delta: Partition) -> NaReport:
+    """Non-anticipativity at every prefix of the partition's chain; the shortest failing prefix is reported."""
+    a.instance.grid.check_partition(delta)
+    return next((r for n in delta.indices[1:] if not (r := _na_level(a, n))), NaReport(True))
 
 
 def project(a: Multifunction, p: Prefix) -> Multifunction:
@@ -102,59 +103,59 @@ def project(a: Multifunction, p: Prefix) -> Multifunction:
     reused for all members.
     """
     a.instance.grid.check_prefix(p)
-    return _narrowed(a, [p])
+    return _narrowed(a, [p.len])
 
 
-def compose_chain(a: Multifunction, h: PrefixChain) -> Multifunction:
-    """Project along the chain, largest prefix first: the greatest chain-non-anticipative multiselector.
+def compose_chain(a: Multifunction, delta: Partition) -> Multifunction:
+    """Project along the partition's chain, largest prefix first: the greatest chain-non-anticipative multiselector.
 
     Exactly one projection pass per chain element; descending order is what
     makes a single sweep sufficient.  `a` keeps each chain's result in its
     `_composed` dict, outside equality, hash and repr, so a multifunction is
     swept at most once per chain and the results go when `a` does.
     """
-    a.instance.grid.check_prefix(h.prefixes[-1])
+    a.instance.grid.check_partition(delta)
     composed = a.__dict__.setdefault("_composed", {})
-    if h not in composed:
-        composed[h] = _narrowed(a, reversed(h.prefixes))
-    return composed[h]
+    if delta not in composed:
+        composed[delta] = _narrowed(a, reversed(delta.indices[1:]))
+    return composed[delta]
 
 
-def _narrowed(a: Multifunction, prefixes) -> Multifunction:
-    """`a` projected at each prefix in turn: per class, every value set keeps the runs all members meet."""
+def _narrowed(a: Multifunction, lengths) -> Multifunction:
+    """`a` projected at each prefix length in turn: per class, every value set keeps the runs all members meet."""
     out = list(a.bits)
-    for p in prefixes:
-        for cls, keysets in _keysets(a.instance, out, p):
+    for length in lengths:
+        for cls, keysets in _keysets(a.instance, out, length):
             core = reduce(and_, keysets)
             if keysets.count(core) < len(cls):
-                keep = a.instance.z.prefix_index.fill(core, p.len)
+                keep = a.instance.z.prefix_index.fill(core, length)
                 for w in cls:
                     out[w] &= keep
     return Multifunction._trusted(a.instance, tuple(out))
 
 
-def meet_of_projections(a: Multifunction, h: PrefixChain) -> Multifunction:
+def meet_of_projections(a: Multifunction, delta: Partition) -> Multifunction:
     """Entrywise meet of the single-prefix projections: an upper bound diagnostic.
 
     Every chain-non-anticipative multiselector of `a` sits below this meet,
     so a non-total meet rules out non-empty-valued chain-non-anticipative
     multiselectors altogether.
     """
-    a.instance.grid.check_prefix(h.prefixes[-1])
-    return mf_meet(project(a, p) for p in h.prefixes)
+    a.instance.grid.check_partition(delta)
+    return mf_meet(project(a, Prefix(n)) for n in delta.indices[1:])
 
 
-def canonical_chain(inst: Instance) -> PrefixChain:
-    """Sorted, deduplicated longest agreement prefixes over all disturbance pairs.
+def canonical_chain(inst: Instance) -> Partition:
+    """The partition at the sorted, deduplicated longest agreement prefixes over all disturbance pairs.
 
     In lexicographic order the agreement of any two signals is the smallest
     agreement of the neighbouring pairs between them, so the neighbours give
     every length; family signals are distinct, so neighbours differ at some
     cell.  Each signal paired with itself contributes the full prefix, so the
-    chain is never empty; pairs that disagree on cell 0 contribute nothing.
+    partition ends at the final stamp; pairs that disagree on cell 0 contribute nothing.
     """
     lens = {inst.grid.cells, *inst.omega.prefix_index.lcp} - {0}
-    return PrefixChain(tuple(Prefix(k) for k in sorted(lens)))
+    return Partition((0, *sorted(lens)))
 
 
 def greatest_na(a: Multifunction) -> Multifunction:
@@ -173,5 +174,5 @@ def feasible(a: Multifunction, delta: Partition) -> tuple[bool, Multifunction]:
     multiselector.  When total, g can serve as every step's selection
     multifunction; else it is the witness `InfeasibleError` carries.
     """
-    g = compose_chain(a, partition_to_chain(a.instance.grid, delta))
+    g = compose_chain(a, delta)
     return is_total(g), g

@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple
 from .errors import BudgetExceededError, ValidationError
 from .multifunction import Instance, Multifunction
 from .nonanticipation import meet_of_projections
-from .timebase import PrefixChain
+from .timebase import Partition
 
 
 class EnumBudget(NamedTuple("EnumBudget", [("max_multiselectors", int)])):
@@ -43,7 +43,7 @@ READY = 32  # members a position holds as ints: more would be an int per member 
 
 
 def _walk(
-    inst: Instance, h: PrefixChain, bits: tuple[int, ...], budget: EnumBudget
+    inst: Instance, delta: Partition, bits: tuple[int, ...], budget: EnumBudget
 ) -> Iterator[tuple[int, ...]]:
     """Depth-first over disturbances with an explicit stack, so depth is not bounded by recursion.
 
@@ -55,18 +55,18 @@ def _walk(
     becomes an int, the sum of its members' ints, only when tried, and every
     subset tried counts against the budget, consistent or not.
     """
-    inst.grid.check_prefix(h.prefixes[-1])
+    inst.grid.check_partition(delta)
     z = inst.z.prefix_index
     perm = inst.omega.prefix_index.order
     # checks[k]: (run-first position, prefix length) pairs that position k must match;
     # leads[k]: the prefix lengths at which position k is the first member of a run
     checks: list[list[tuple[int, int]]] = [[] for _ in perm]
     leads: list[list[int]] = [[] for _ in perm]
-    for p in h.prefixes:
-        for first, end in inst.omega.prefix_index.runs(p.len):
-            leads[first].append(p.len)
+    for length in delta.indices[1:]:
+        for first, end in inst.omega.prefix_index.runs(length):
+            leads[first].append(length)
             for k in range(first + 1, end):
-                checks[k].append((first, p.len))
+                checks[k].append((first, length))
 
     # each position's members in index order: member j is the int 1 << 2·rank[j], held ready
     # where the position has at most READY members, else as its place 2·rank[j]
@@ -107,16 +107,16 @@ def _walk(
 
 
 def brute_greatest(
-    a: Multifunction, h: PrefixChain, budget: EnumBudget = DEFAULT_BUDGET
+    a: Multifunction, delta: Partition, budget: EnumBudget = DEFAULT_BUDGET
 ) -> Multifunction:
     """Pointwise join of all chain-non-anticipative multiselectors of `a`.
 
     The meet of single-prefix projections bounds the join from above, so the
     walk stops as soon as the running join reaches it.
     """
-    bound = meet_of_projections(a, h).bits
+    bound = meet_of_projections(a, delta).bits
     join = (0,) * len(a.bits)
-    for bits in _walk(a.instance, h, a.bits, budget):
+    for bits in _walk(a.instance, delta, a.bits, budget):
         join = tuple(map(or_, join, bits))
         if join == bound:
             break

@@ -31,7 +31,7 @@ from .errors import (
 from .multifunction import Instance, Multifunction, is_total, mf_le
 from .nonanticipation import compose_chain
 from .signals import Record, RestrictionKey, signal_classes
-from .timebase import Partition, partition_to_chain
+from .timebase import Partition, Prefix
 
 
 class Adversary(Protocol):
@@ -153,20 +153,20 @@ def run_stepwise(
     admissible trajectories: "lex" for the smallest index, "random" for a
     seeded draw.  `on_step` is called with each finished `Step`.
     """
-    chain, phi, pick, _ = _compose(a, delta, policy, seed, check)
+    phi, pick, _ = _compose(a, delta, policy, seed, check)
     signals, index = a.instance.omega.signals, a.instance.omega.prefix_index
     w, n = 0, 0  # the revealed prefix: the first n cells of disturbance w, the first member of its class
     steps: list[Step] = []
-    for i, p in enumerate(chain.prefixes, start=1):
-        ext = tuple(adversary.extend(i, w, n, p.len))
-        if len(ext) != p.len - n:
-            raise AdversaryError(f"step {i}: expected {p.len - n} cells, got {len(ext)}")
+    for i, new in enumerate(delta.indices[1:], start=1):
+        ext = tuple(adversary.extend(i, w, n, new))
+        if len(ext) != new - n:
+            raise AdversaryError(f"step {i}: expected {new - n} cells, got {len(ext)}")
         cls = index.order[slice(*index.run(w, n))]
-        w = min((x for x in cls if signals[x][n : p.len] == ext), default=None)
+        w = min((x for x in cls if signals[x][n:new] == ext), default=None)
         if w is None:
             raise AdversaryError(f"step {i}: revealed prefix {signals[cls[0]][:n] + ext} matches no disturbance")
         steps.append(_step(a, phi, pick, i, n, w, steps[-1] if steps else None))
-        n = p.len
+        n = new
         if on_step is not None:
             on_step(steps[-1])
     return StepTrace(delta, tuple(steps), steps[-1].h)
@@ -178,8 +178,7 @@ def _compose(a: Multifunction, delta: Partition, policy: str, seed: int, check: 
     if policy not in ("lex", "random"):
         raise ValidationError(f"unknown selector policy {policy!r}")
     inst = a.instance
-    chain = partition_to_chain(inst.grid, delta)
-    phi = compose_chain(a, chain)
+    phi = compose_chain(a, delta)
     if check and not is_total(phi):
         empty = tuple(i for i, v in enumerate(phi.bits) if not v)
         names = ", ".join(inst.omega.names[i] for i in empty)
@@ -190,7 +189,7 @@ def _compose(a: Multifunction, delta: Partition, policy: str, seed: int, check: 
         )
     z = inst.z.prefix_index
     rng = random.Random(seed) if policy == "random" else None
-    return chain, phi, z.first if rng is None else lambda v: rng.choice(z.indices(v)), rng
+    return phi, z.first if rng is None else lambda v: rng.choice(z.indices(v)), rng
 
 
 def _step(a: Multifunction, phi: Multifunction, pick, i: int, prev_len: int, w: int, prev: Step | None) -> Step:
@@ -225,7 +224,7 @@ def run_exhaustive(
     node strands every run through it, and the pass raises as the first stuck
     run in index order.
     """
-    chain, phi, pick, rng = _compose(a, delta, policy, seed, check)
+    phi, pick, rng = _compose(a, delta, policy, seed, check)
     index = a.instance.omega.prefix_index
     lens = delta.indices  # lens[i]: the cells revealed at step i
     saved = [rng and rng.getstate()] * len(lens)  # saved[d]: the state after the path's d-th step
@@ -264,10 +263,9 @@ def validate_trace(a: Multifunction, trace: StepTrace) -> list[str]:
     condition that reads it fails, and it is never used to index.
     """
     inst, rank = a.instance, a.instance.z.prefix_index.rank
-    chain = partition_to_chain(inst.grid, trace.delta)
-    phi = compose_chain(a, chain)
-    if len(trace.steps) != len(chain.prefixes):
-        return [f"trace has {len(trace.steps)} steps for {len(chain.prefixes)} control steps"]
+    phi = compose_chain(a, trace.delta)
+    if len(trace.steps) != trace.delta.steps:
+        return [f"trace has {len(trace.steps)} steps for {trace.delta.steps} control steps"]
 
     def agree(fam, i: int, j: int, n: int) -> bool:
         return 0 <= i < len(fam) and 0 <= j < len(fam) and (i == j or fam.signals[i][:n] == fam.signals[j][:n])
@@ -275,7 +273,7 @@ def validate_trace(a: Multifunction, trace: StepTrace) -> list[str]:
     problems: list[str] = []
     prev = None
     prev_len = 0
-    for step, p in zip(trace.steps, chain.prefixes):
+    for step, n in zip(trace.steps, trace.delta.indices[1:]):
         w = step.omega if 0 <= step.omega < len(inst.omega) else None
         if w is None:
             problems.append(f"step {step.index}: picked disturbance does not match the revealed prefix")
@@ -289,7 +287,7 @@ def validate_trace(a: Multifunction, trace: StepTrace) -> list[str]:
                 problems.append(f"step {step.index}: disturbance disagrees with the previous step")
             if not agree(inst.z, step.h, prev.h, prev_len):
                 problems.append(f"step {step.index}: trajectory disagrees with the previous step")
-        prev, prev_len = step, p.len
+        prev, prev_len = step, n
     if trace.steps and trace.final_h != trace.steps[-1].h:
         problems.append("final trajectory differs from the last step's pick")
     return problems
@@ -304,8 +302,8 @@ def enumerate_omega_delta(inst: Instance, delta: Partition) -> Iterator[tuple[in
     with an explicit stack of (suffix, untried options); yielded in ascending
     index order.
     """
-    chain, index = partition_to_chain(inst.grid, delta), inst.omega.prefix_index
-    n = len(chain.prefixes)
+    inst.grid.check_partition(delta)
+    index, n = inst.omega.prefix_index, delta.steps
     stack: list[tuple[tuple[int, ...], Iterator[int]]] = [((), iter(range(len(inst.omega))))]
     while stack:
         suffix, options = stack[-1]
@@ -318,8 +316,7 @@ def enumerate_omega_delta(inst: Instance, delta: Partition) -> Iterator[tuple[in
         if i == 0:
             yield tup
         else:
-            cut = chain.prefixes[i - 1].len
-            stack.append((tup, iter(sorted(index.order[slice(*index.run(w, cut))]))))
+            stack.append((tup, iter(sorted(index.order[slice(*index.run(w, delta.indices[i]))]))))
 
 
 class WitnessViolation(NamedTuple):
@@ -343,7 +340,8 @@ def verify_witness(phis: list[Multifunction], delta: Partition, a: Multifunction
     two kinds of consistent tuple already reach every one of them: constant
     tuples, and tuples that switch once, at step i, between two members of
     one class at the i-th prefix.  So each class member is compared with the
-    class's first member instead of enumerating tuples.
+    class's first member instead of enumerating tuples.  Between equal
+    entries only shared classes are walked, as a class of one cannot differ.
 
     The first violation is reported in this order:
     1. `not-multiselector`, by step;
@@ -356,8 +354,8 @@ def verify_witness(phis: list[Multifunction], delta: Partition, a: Multifunction
        `(r,)*i + (y,)*(n-i)`.
     """
     inst = a.instance
-    chain = partition_to_chain(inst.grid, delta)
-    n = len(chain.prefixes)
+    inst.grid.check_partition(delta)
+    n = delta.steps
     if len(phis) != n:
         raise ValidationError(f"expected {n} multifunctions, got {len(phis)}")
     for i, phi in enumerate(phis, start=1):
@@ -379,17 +377,17 @@ def verify_witness(phis: list[Multifunction], delta: Partition, a: Multifunction
         detail = f"restriction sets differ between steps {i} and {i + 1}"
         return WitnessReport(False, WitnessViolation("restriction-mismatch", i, tup, detail))
 
-    keys = inst.z.prefix_index.keys
+    keys, omega = inst.z.prefix_index.keys, inst.omega
     for i in range(1, n):
-        p = chain.prefixes[i - 1]
+        length = delta.indices[i]
         before, after = phis[i - 1].bits, phis[i].bits
-        for cls in signal_classes(inst.omega, p):
+        for cls in omega.prefix_index.classes(length) if before == after else signal_classes(omega, Prefix(length)):
             r = cls[0]
-            ref = keys(after[r], p.len)
+            ref = keys(after[r], length)
             for x in cls:
-                if keys(before[x], p.len) != ref:
+                if keys(before[x], length) != ref:
                     return mismatch(i, (x,) * i + (r,) * (n - i))
             for y in cls:
-                if keys(after[y], p.len) != ref:
+                if keys(after[y], length) != ref:
                     return mismatch(i, (r,) * i + (y,) * (n - i))
     return WitnessReport(True)

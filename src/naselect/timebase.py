@@ -1,10 +1,11 @@
-"""Discrete time base: rational stamp grids, prefixes, partitions, prefix chains.
+"""Discrete time base: rational stamp grids, prefixes and partitions.
 
 A grid fixes stamps t_0 < ... < t_m.  Cell k covers the span between stamps k
 and k+1, so a grid with m+1 stamps has m cells.  A prefix of length k stands
 for the first k cells: the discrete counterpart of an initial time interval.
-A partition picks stamp indices (always containing both ends); its prefix
-chain lists the prefixes ending at each chosen stamp past the origin.
+A partition picks stamp indices (always containing both ends); it is also
+the chain of prefixes ending at its stamps past the origin, shortest first,
+along which the chain functions project.
 
 Stamps are exact rationals, never binary floats, so grids such as
 (0, 1, 4/3, 3/2, 2) compare exactly.
@@ -59,6 +60,10 @@ class TimeGrid(NamedTuple("TimeGrid", [("stamps", tuple[Fraction, ...])])):
         if p.len > self.cells:
             raise ValidationError(f"prefix of {p.len} cells does not fit a grid of {self.cells} cells")
 
+    def check_partition(self, delta: Partition) -> None:
+        if delta.indices[-1] != self.cells:
+            raise ValidationError(f"partition must end at the final stamp index {self.cells}, got {delta.indices[-1]}")
+
 
 def grid(*stamps) -> TimeGrid:
     """Build a grid, coercing stamps to exact rationals."""
@@ -66,7 +71,7 @@ def grid(*stamps) -> TimeGrid:
 
 
 class Partition(NamedTuple("Partition", [("indices", tuple[int, ...])])):
-    """Strictly increasing grid-stamp indices starting at 0; the last one must be the final stamp."""
+    """Strictly increasing grid-stamp indices from 0; `TimeGrid.check_partition` requires the final stamp last."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -84,35 +89,6 @@ class Partition(NamedTuple("Partition", [("indices", tuple[int, ...])])):
     @property
     def steps(self) -> int:
         return len(self.indices) - 1
-
-
-class PrefixChain(NamedTuple("PrefixChain", [("prefixes", tuple[Prefix, ...])])):
-    """Non-empty, strictly increasing run of prefixes."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, prefixes: tuple[Prefix, ...]) -> PrefixChain:
-        if not prefixes:
-            raise ValidationError("a prefix chain must not be empty")
-        for a, b in zip(prefixes, prefixes[1:]):
-            if a.len >= b.len:
-                raise ValidationError("chain prefixes must strictly increase")
-        return tuple.__new__(cls, (prefixes,))
-
-
-def partition_to_chain(g: TimeGrid, delta: Partition) -> PrefixChain:
-    """Prefixes ending at each partition stamp past the origin, shortest first.
-
-    A stamp index i contributes the prefix of the i leading cells, so the full
-    partition of a grid yields every prefix and the coarsest partition yields
-    only the full one.
-    """
-    if delta.indices[-1] != g.cells:
-        raise ValidationError(
-            f"partition must end at the final stamp index {g.cells}, got {delta.indices[-1]}"
-        )
-    return PrefixChain(tuple(Prefix(i) for i in delta.indices[1:]))
 
 
 def full_partition(g: TimeGrid) -> Partition:

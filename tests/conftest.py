@@ -24,7 +24,6 @@ from naselect import (
     Multifunction,
     Partition,
     Prefix,
-    PrefixChain,
     RhoSearchResult,
     SignalFamily,
     ValidationError,
@@ -32,7 +31,6 @@ from naselect import (
     grid,
     greatest_na,
     is_total,
-    partition_to_chain,
     project,
     random_instance,
 )
@@ -112,10 +110,10 @@ def instance_with_prefix(draw, **kwargs):
 
 @st.composite
 def instance_with_chain(draw, **kwargs):
+    """A small random instance, its multifunction, and a partition of its grid."""
     inst, a = draw(small_instances(**kwargs))
-    everything = full_chain(inst.grid).prefixes
-    picked = draw(st.sets(st.sampled_from(everything), min_size=1))
-    return inst, a, PrefixChain(tuple(sorted(picked)))
+    picked = draw(st.sets(st.integers(1, inst.grid.cells - 1)))
+    return inst, a, Partition((0, *sorted(picked), inst.grid.cells))
 
 
 def counting(monkeypatch, name, modules):
@@ -132,9 +130,10 @@ def counting(monkeypatch, name, modules):
     return calls
 
 
-def full_chain(g) -> PrefixChain:
-    """Every prefix of the grid, shortest first: the chain of its full partition."""
-    return partition_to_chain(g, full_partition(g))
+def partition_of(g, lens) -> Partition:
+    """The partition at the prefix lengths `lens` and the full prefix: the chain `lens` itself, since at the full
+    prefix every class has one member, so that prefix narrows no value set and fails no check."""
+    return Partition((0, *sorted({*lens, g.cells})))
 
 
 def naive_top(inst: Instance) -> Multifunction:
@@ -167,8 +166,9 @@ def naive_is_prefix_na(a: Multifunction, p: Prefix) -> bool:
     return True
 
 
-def naive_is_chain_na(a: Multifunction, h: PrefixChain) -> bool:
-    return all(naive_is_prefix_na(a, p) for p in h.prefixes)
+def naive_is_chain_na(a: Multifunction, lens) -> bool:
+    """Non-anticipativity at each of the prefix lengths `lens`, pair by pair."""
+    return all(naive_is_prefix_na(a, Prefix(n)) for n in lens)
 
 
 def naive_project(a: Multifunction, p: Prefix) -> Multifunction:
@@ -191,10 +191,10 @@ def naive_project(a: Multifunction, p: Prefix) -> Multifunction:
     return Multifunction(inst, tuple(out))
 
 
-def naive_compose(a: Multifunction, h: PrefixChain) -> Multifunction:
-    """Naive projections along the chain, largest prefix first."""
-    for p in reversed(h.prefixes):
-        a = naive_project(a, p)
+def naive_compose(a: Multifunction, lens) -> Multifunction:
+    """Naive projections at the prefix lengths `lens`, largest first."""
+    for n in sorted(lens, reverse=True):
+        a = naive_project(a, Prefix(n))
     return a
 
 
@@ -207,16 +207,15 @@ def naive_replay(a: Multifunction, delta: Partition, policy: str = "lex", seed: 
     ("stuck", step, disturbance).
     """
     inst = a.instance
-    chain = partition_to_chain(inst.grid, delta)
-    phi = naive_compose(a, chain)
+    phi = naive_compose(a, delta.indices[1:])
     out = {}
     for truth, signal in enumerate(inst.omega.signals):
         rng = random.Random(seed)
         picks = []
         prev_h, prev_len = None, 0
-        for i, p in enumerate(chain.prefixes, start=1):
-            revealed = signal[: p.len]
-            w = [v for v, s in enumerate(inst.omega.signals) if s[: p.len] == revealed][0]
+        for i, n in enumerate(delta.indices[1:], start=1):
+            revealed = signal[:n]
+            w = [v for v, s in enumerate(inst.omega.signals) if s[:n] == revealed][0]
             admissible = sorted(
                 j
                 for j in phi.values[w]
@@ -228,7 +227,7 @@ def naive_replay(a: Multifunction, delta: Partition, policy: str = "lex", seed: 
                 break
             h = admissible[0] if policy == "lex" else rng.choice(admissible)
             picks.append((w, h))
-            prev_h, prev_len = h, p.len
+            prev_h, prev_len = h, n
         out[truth] = picks
     return out
 
@@ -246,7 +245,7 @@ def naive_legal_extensions(inst, revealed, new_len):
     )
 
 
-def naive_enumerate_na(a: Multifunction, h: PrefixChain) -> list[tuple[frozenset[int], ...]]:
+def naive_enumerate_na(a: Multifunction, lens) -> list[tuple[frozenset[int], ...]]:
     """Full product of entrywise subsets filtered by the pairwise predicate."""
     per = [
         [frozenset(c) for r in range(len(v) + 1) for c in itertools.combinations(sorted(v), r)]
@@ -255,17 +254,17 @@ def naive_enumerate_na(a: Multifunction, h: PrefixChain) -> list[tuple[frozenset
     out = []
     for combo in itertools.product(*per):
         cand = Multifunction(a.instance, combo)
-        if naive_is_chain_na(cand, h):
+        if naive_is_chain_na(cand, lens):
             out.append(cand.values)
     return out
 
 
 def enumerate_na_multiselectors(
-    a: Multifunction, h: PrefixChain, budget: EnumBudget = DEFAULT_BUDGET
+    a: Multifunction, delta: Partition, budget: EnumBudget = DEFAULT_BUDGET
 ) -> Iterator[Multifunction]:
     """Every chain-non-anticipative multiselector of `a` exactly once, the all-empty one included: the oracle's
     walk, unjoined.  Per-disturbance subsets are tried with larger sets first, so a running join saturates early."""
-    walk = _walk(a.instance, h, a.bits, budget)
+    walk = _walk(a.instance, delta, a.bits, budget)
     return (Multifunction._trusted(a.instance, bits) for bits in walk)
 
 
@@ -277,7 +276,7 @@ class FixpointRun(NamedTuple):
 
 def fixpoint_iterate(
     a: Multifunction,
-    h: PrefixChain,
+    delta: Partition,
     schedule: str = "descending",
     seed: int = 0,
     max_sweeps: int = 64,
@@ -288,8 +287,8 @@ def fixpoint_iterate(
     one changing sweep), "ascending", or a seeded "shuffled" order.  The
     stable point is the same for every schedule.
     """
-    a.instance.grid.check_prefix(h.prefixes[-1])
-    order = sorted(h.prefixes)
+    a.instance.grid.check_partition(delta)
+    order = [Prefix(n) for n in delta.indices[1:]]
     if schedule == "descending":
         order = order[::-1]
     elif schedule == "shuffled":
@@ -312,22 +311,18 @@ def fixpoint_iterate(
         cur = nxt
 
 
-def naive_consistent_tuples(inst, chain: PrefixChain) -> list[tuple[int, ...]]:
-    """Every disturbance tuple whose consecutive entries agree on the earlier step's prefix."""
-    n = len(chain.prefixes)
+def naive_consistent_tuples(inst, lens) -> list[tuple[int, ...]]:
+    """Every disturbance tuple, one entry per prefix length in `lens`, whose consecutive entries agree on the
+    earlier entry's prefix."""
     omega = inst.omega.signals
     return [
         t
-        for t in itertools.product(range(len(omega)), repeat=n)
-        if all(
-            omega[t[i]][: chain.prefixes[i].len]
-            == omega[t[i + 1]][: chain.prefixes[i].len]
-            for i in range(n - 1)
-        )
+        for t in itertools.product(range(len(omega)), repeat=len(lens))
+        if all(omega[t[i]][: lens[i]] == omega[t[i + 1]][: lens[i]] for i in range(len(lens) - 1))
     ]
 
 
-def naive_tuple_violations(phis, chain: PrefixChain, t: tuple[int, ...]) -> set[tuple[str, int]]:
+def naive_tuple_violations(phis, lens, t: tuple[int, ...]) -> set[tuple[str, int]]:
     """(kind, step) of every step condition the tuple breaks, steps counted from 1."""
     z = phis[0].instance.z.signals
     out = set()
@@ -335,9 +330,8 @@ def naive_tuple_violations(phis, chain: PrefixChain, t: tuple[int, ...]) -> set[
         if not phis[i].values[w]:
             out.add(("empty-value", i + 1))
     for i in range(len(t) - 1):
-        p = chain.prefixes[i]
-        left = {z[h][: p.len] for h in phis[i].values[t[i]]}
-        right = {z[h][: p.len] for h in phis[i + 1].values[t[i + 1]]}
+        left = {z[h][: lens[i]] for h in phis[i].values[t[i]]}
+        right = {z[h][: lens[i]] for h in phis[i + 1].values[t[i + 1]]}
         if left != right:
             out.add(("restriction-mismatch", i + 1))
     return out
@@ -347,9 +341,9 @@ def naive_verify_witness(phis, delta: Partition, a: Multifunction) -> bool:
     """Every entry below `a` and no consistent tuple, enumerated in full, breaks a condition."""
     if not all(v <= t for phi in phis for v, t in zip(phi.values, a.values)):
         return False
-    chain = partition_to_chain(a.instance.grid, delta)
-    tuples = naive_consistent_tuples(a.instance, chain)
-    return not any(naive_tuple_violations(phis, chain, t) for t in tuples)
+    a.instance.grid.check_partition(delta)
+    lens = delta.indices[1:]
+    return not any(naive_tuple_violations(phis, lens, t) for t in naive_consistent_tuples(a.instance, lens))
 
 
 def naive_na_witness(a: Multifunction, p: Prefix):

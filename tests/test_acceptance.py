@@ -16,7 +16,6 @@ from naselect import (
     Multifunction,
     Partition,
     Prefix,
-    PrefixChain,
     ProcedureStuckError,
     alpha_rho,
     brute_greatest,
@@ -26,6 +25,7 @@ from naselect import (
     build_example4,
     compose_chain,
     feasible,
+    full_partition,
     is_chain_na,
     is_prefix_na,
     is_total,
@@ -33,7 +33,6 @@ from naselect import (
     mf_le,
     mf_meet,
     optimal_rho,
-    partition_to_chain,
     project,
     random_instance,
     run_exhaustive,
@@ -43,9 +42,9 @@ from naselect import (
 from conftest import (
     enumerate_na_multiselectors,
     fixpoint_iterate,
-    full_chain,
     mf_to_names,
     naive_join,
+    partition_of,
 )
 
 
@@ -144,7 +143,7 @@ def test_criterion_2_noncommuting_projections():
             "w22": {"h22", "h42"},
         }
         assert g12.values != g21.values
-        chain = PrefixChain((Prefix(1), Prefix(2)))
+        chain = partition_of(alpha.instance.grid, [1, 2])
         assert compose_chain(alpha, chain).values == g12.values
         assert is_chain_na(g12, chain).holds
 
@@ -173,8 +172,7 @@ def test_criterion_3_truncated_catch_up_game():
             else:
                 deltas = all_deltas
             for delta in deltas:
-                chain = partition_to_chain(inst.grid, delta)
-                composed = compose_chain(a, chain)
+                composed = compose_chain(a, delta)
                 collapse_at = min(i for i in delta.indices if i >= 2)
                 assert composed.values == project(a, Prefix(collapse_at)).values, (n, delta)
                 ok, witness = feasible(a, delta)
@@ -216,12 +214,12 @@ def test_criterion_5_oracle_equivalence():
     with criterion(5, "composition equals brute force on 50 instances, full chain and 3 sub-chains"):
         rng = random.Random(20240805)
         for inst, a in _instances(50, offset=0, max_bits=13):
-            full = full_chain(inst.grid)
+            full = full_partition(inst.grid)
             assert compose_chain(a, full).values == brute_greatest(a, full).values
-            prefixes = list(full.prefixes)
+            lens = list(full.indices[1:])
             for _ in range(3):
-                k = rng.randint(1, len(prefixes))
-                sub = PrefixChain(tuple(sorted(rng.sample(prefixes, k))))
+                k = rng.randint(1, len(lens))
+                sub = partition_of(inst.grid, rng.sample(lens, k))
                 assert compose_chain(a, sub).values == brute_greatest(a, sub).values
 
 
@@ -254,7 +252,7 @@ def test_criterion_6_operator_laws():
         for k, (inst, a) in enumerate(_capped_cases(cases, offset=30_000)):
             p = Prefix(1 + k % inst.grid.cells)
             g = project(a, p)
-            for z in enumerate_na_multiselectors(a, PrefixChain((p,))):
+            for z in enumerate_na_multiselectors(a, partition_of(inst.grid, [p.len])):
                 assert mf_le(z, g)
 
         # projecting at a shorter prefix preserves longer-prefix na
@@ -267,7 +265,7 @@ def test_criterion_6_operator_laws():
 
         # join-closure of chain-na multiselectors
         for k, (inst, a) in enumerate(_capped_cases(cases, offset=50_000)):
-            chain = full_chain(inst.grid)
+            chain = full_partition(inst.grid)
             stream = list(enumerate_na_multiselectors(a, chain))
             rng = random.Random(k)
             picked = [z for z in stream if rng.random() < 0.5] or stream[:1]
@@ -277,7 +275,7 @@ def test_criterion_6_operator_laws():
 
         # a non-total meet of projections rules out total multiselectors
         for k, (inst, a) in enumerate(_capped_cases(cases, offset=60_000)):
-            chain = full_chain(inst.grid)
+            chain = full_partition(inst.grid)
             if is_total(meet_of_projections(a, chain)):
                 continue
             for z in enumerate_na_multiselectors(a, chain):
@@ -304,7 +302,7 @@ def test_criterion_7_feasibility_equivalences():
                 stepwise_ok = all(t.consistent for t in traces.values())
             except (ProcedureStuckError, InfeasibleError):
                 stepwise_ok = False
-            composed = compose_chain(a, partition_to_chain(inst.grid, delta))
+            composed = compose_chain(a, delta)
             witness_ok = verify_witness([composed] * delta.steps, delta, a).ok
             assert ok == stepwise_ok == witness_ok, (inst.omega.names, delta)
 
@@ -324,7 +322,7 @@ def test_criterion_7_feasibility_equivalences():
 def test_criterion_8_schedule_independence():
     with criterion(8, "all sweep schedules stabilize at the composition; descending needs one sweep"):
         for k, (inst, a) in enumerate(_instances(50, offset=80_000)):
-            chain = full_chain(inst.grid)
+            chain = full_partition(inst.grid)
             target = compose_chain(a, chain).values
             for schedule in ("ascending", "shuffled"):
                 run = fixpoint_iterate(a, chain, schedule, seed=k)

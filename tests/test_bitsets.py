@@ -18,7 +18,6 @@ from hypothesis import given, settings
 
 from naselect import (
     Multifunction,
-    PrefixChain,
     compose_chain,
     dom,
     is_prefix_na,
@@ -34,11 +33,11 @@ from naselect.fileio import load, na_flags, save
 
 from conftest import (
     edge_instances,
-    full_chain,
     naive_compose,
     naive_is_prefix_na,
     naive_na_witness,
     naive_project,
+    partition_of,
     small_instances,
 )
 
@@ -102,13 +101,11 @@ def _check_against_naive(inst, a):
             w = report.witness
             assert (w.prefix, w.omega, w.omega_prime, w.key, w.key_holder) == (p, *expected)
     assert na_flags(a) == {str(p.len): naive_is_prefix_na(a, p) for p in inst.grid.prefixes()}
-    everything = full_chain(inst.grid).prefixes
+    everything = list(range(1, inst.grid.cells + 1))
     rng = random.Random(len(everything))
-    chains = [PrefixChain(everything)] + [
-        PrefixChain(tuple(sorted(rng.sample(everything, rng.randint(1, len(everything)))))) for _ in range(3)
-    ]
-    for chain in chains:
-        assert compose_chain(a, chain).values == naive_compose(a, chain).values
+    chains = [everything] + [sorted(rng.sample(everything, rng.randint(1, len(everything)))) for _ in range(3)]
+    for lens in chains:
+        assert compose_chain(a, partition_of(inst.grid, lens)).values == naive_compose(a, lens).values
 
 
 def _check_naming(inst, a):

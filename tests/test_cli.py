@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naselect
-from naselect import cli, nonanticipation, stepwise
+from naselect import cli, fileio, nonanticipation, stepwise
 
 from conftest import counting, to_jsonable
 
@@ -112,6 +112,26 @@ def test_a_misshapen_document_exits_two_with_its_shape_error(tmp_path, capsys, d
 def test_an_unknown_scripted_disturbance_is_named_as_one(ex4_file, capsys):
     assert cli.cli(["simulate", ex4_file, "--delta", "0,1,3", "--adversary", "scripted:nope"]) == 2
     assert capsys.readouterr() == ("", "error: unknown disturbance name 'nope'\n")
+
+
+SHORT_PARTITION = "partition must end at the final stamp index 3, got 2"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["compose"], ["feasible"], ["simulate", "--adversary", "exhaustive"], ["oracle", "--budget", "0"]],
+    ids=["compose", "feasible", "simulate-exhaustive", "oracle-budget-0"],
+)
+def test_a_partition_short_of_the_final_stamp_exits_two_with_its_message(ex4_file, command):
+    r = run(command[0], ex4_file, "--delta", "0,1,2", *command[1:])
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {SHORT_PARTITION}\n")
+
+
+def test_the_library_refuses_a_partition_short_of_the_final_stamp_with_the_same_message(ex4_file):
+    _, mf = fileio.load(ex4_file)
+    with pytest.raises(naselect.ValidationError) as e:
+        nonanticipation.compose_chain(mf, naselect.Partition((0, 1, 2)))
+    assert str(e.value) == SHORT_PARTITION
 
 
 @pytest.mark.parametrize(

@@ -23,8 +23,8 @@ from naselect import (
     canonical_chain,
     compose_chain,
     feasible,
+    full_partition,
     greatest_na,
-    partition_to_chain,
     project,
     random_instance,
     run_exhaustive,
@@ -43,7 +43,6 @@ from naselect.fileio import (
 
 from conftest import (
     counting,
-    full_chain,
     hostile_instances,
     hostile_text,
     naive_digest,
@@ -299,9 +298,9 @@ def _reports_as_text(inst, mf):
     chain = canonical_chain(inst)
     reports = [
         build_report("project", inst, mf, {"prefix": mid.len}, project(mf, mid)),
-        build_report("compose", inst, mf, {}, compose_chain(mf, full_chain(inst.grid))),
+        build_report("compose", inst, mf, {}, compose_chain(mf, full_partition(inst.grid))),
         build_report(
-            "greatest", inst, mf, {}, greatest_na(mf), {"chain": [p.len for p in chain.prefixes]}
+            "greatest", inst, mf, {}, greatest_na(mf), {"chain": list(chain.indices[1:])}
         ),
     ]
     return [render_report(r, as_json) for r in reports for as_json in (True, False)]
@@ -399,7 +398,7 @@ def test_reports_files_and_digests_equal_the_reference(tmp_path_factory, data, d
     reports = [
         ("project", {"prefix": p.len}, project(mf, p), None),
         ("feasible", {"delta": ",".join(map(str, delta.indices))}, composed, {"feasible": ok}),
-        ("greatest", {}, compose_chain(mf, chain), {"chain": [q.len for q in chain.prefixes]}),
+        ("greatest", {}, compose_chain(mf, chain), {"chain": list(chain.indices[1:])}),
         ("oracle", {"delta": "0"}, mf, {"match": True}),
         ("digest", {}, None, None),
     ]
@@ -426,7 +425,7 @@ def test_one_family_on_both_sides_reports_as_it_does_beside_an_equal_twin(tmp_pa
 
     def reports(a):
         ok, composed = feasible(a, delta)
-        results = {"compose": compose_chain(a, partition_to_chain(g, delta)), "feasible": composed,
+        results = {"compose": compose_chain(a, delta), "feasible": composed,
                    "greatest": greatest_na(a)}
         texts = [render_report(build_report(command, a.instance, a, {}, result), as_json)
                  for command, result in results.items() for as_json in (True, False)]
@@ -494,9 +493,9 @@ def _reports(inst, mf, delta, p):
     steps = ",".join(map(str, delta.indices))
     for command, args, result, extra in [
         ("project", {"prefix": p.len}, project(mf, p), None),
-        ("compose", {"delta": steps}, compose_chain(mf, partition_to_chain(inst.grid, delta)), None),
+        ("compose", {"delta": steps}, compose_chain(mf, delta), None),
         ("feasible", {"delta": steps}, composed, {"feasible": ok}),
-        ("greatest", {}, compose_chain(mf, chain), {"chain": [q.len for q in chain.prefixes]}),
+        ("greatest", {}, compose_chain(mf, chain), {"chain": list(chain.indices[1:])}),
     ]:
         yield build_report(command, inst, mf, args, result, extra), naive_report(command, inst, mf, args, result, extra)
 

@@ -16,6 +16,7 @@ from naselect import (
     build_example3,
     build_example4,
     dom,
+    full_partition,
     greatest_na,
     grid,
     is_total,
@@ -25,7 +26,7 @@ from naselect import (
     random_instance,
 )
 
-from conftest import full_chain, mf_to_names, naive_join, small_instances
+from conftest import mf_to_names, naive_join, small_instances
 
 
 def test_le_is_reflexive():
@@ -79,8 +80,8 @@ def test_meet_of_truncated_projections_collapses():
     # the meet over all prefix projections equals the projection at the
     # shortest prefix past the waiting period
     inst, a = build_example3(4)
-    chain = full_chain(inst.grid)
-    met = mf_meet([project(a, p) for p in chain.prefixes])
+    chain = full_partition(inst.grid)
+    met = mf_meet([project(a, Prefix(n)) for n in chain.indices[1:]])
     assert met.values == project(a, Prefix(2)).values
 
 

@@ -1,22 +1,26 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naselect import (
+    BudgetExceededError,
+    EnumBudget,
     Instance,
     Multifunction,
     NaReport,
     Partition,
     Prefix,
-    PrefixChain,
     SignalFamily,
+    brute_greatest,
     build_example1,
     build_example2,
     build_example3,
     canonical_chain,
     compose_chain,
     feasible,
+    full_partition,
     greatest_na,
     grid,
     is_chain_na,
@@ -29,15 +33,20 @@ from naselect import (
 )
 
 from conftest import (
-    full_chain,
+    bits_of,
+    enumerate_na_multiselectors,
     instance_with_chain,
     instance_with_prefix,
     mf_to_names,
     naive_compose,
+    naive_enumerate_na,
+    naive_is_chain_na,
     naive_is_prefix_na,
+    naive_join,
     naive_na_witness,
     naive_project,
     naive_top,
+    partition_of,
     small_instances,
 )
 
@@ -76,7 +85,7 @@ def test_projection_output_is_na_at_its_prefix():
 
 def test_chain_predicate_reports_first_failure():
     inst, alpha = build_example2()
-    chain = full_chain(inst.grid)
+    chain = full_partition(inst.grid)
     report = is_chain_na(alpha, chain)
     assert not report.holds
     assert report.witness.prefix == Prefix(1)
@@ -85,20 +94,20 @@ def test_chain_predicate_reports_first_failure():
 def test_chain_predicate_on_singleton_chain_matches_prefix_predicate():
     inst, beta = build_example1()
     for p in inst.grid.prefixes():
-        single = PrefixChain((p,))
+        single = partition_of(inst.grid, [p.len])
         assert is_chain_na(beta, single).holds == is_prefix_na(beta, p).holds
 
 
 def test_composed_multiselector_is_chain_na():
     inst, alpha = build_example2()
-    chain = PrefixChain((Prefix(1), Prefix(2)))
+    chain = Partition((0, 1, 2, 3))
     assert is_chain_na(compose_chain(alpha, chain), chain).holds
 
 
 def test_empty_multifunction_is_vacuously_na():
     inst, beta = build_example1()
     empty = Multifunction(inst, (frozenset(),) * 3)
-    assert is_chain_na(empty, full_chain(inst.grid)).holds
+    assert is_chain_na(empty, full_partition(inst.grid)).holds
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +175,7 @@ def test_projection_orders_do_not_commute():
 
 def test_compose_applies_largest_prefix_first():
     _, alpha = build_example2()
-    chain = PrefixChain((Prefix(1), Prefix(2)))
+    chain = Partition((0, 1, 2, 3))
     composed = compose_chain(alpha, chain)
     assert composed.values == project(project(alpha, Prefix(2)), Prefix(1)).values
     assert _named(composed)["w11"] == {"h21", "h41"}
@@ -175,7 +184,8 @@ def test_compose_applies_largest_prefix_first():
 def test_compose_on_singleton_chain_is_projection():
     _, beta = build_example1()
     for p in beta.instance.grid.prefixes():
-        assert compose_chain(beta, PrefixChain((p,))).values == project(beta, p).values
+        single = partition_of(beta.instance.grid, [p.len])
+        assert compose_chain(beta, single).values == project(beta, p).values
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +194,7 @@ def test_compose_on_singleton_chain_is_projection():
 
 def test_chain_na_total_multifunction_survives_the_meet():
     inst, alpha = build_example2()
-    chain = PrefixChain((Prefix(1), Prefix(2)))
+    chain = Partition((0, 1, 2, 3))
     stable = compose_chain(alpha, chain)
     met = meet_of_projections(stable, chain)
     assert is_total(met)
@@ -193,14 +203,14 @@ def test_chain_na_total_multifunction_survives_the_meet():
 
 def test_compose_sits_below_the_meet():
     _, alpha = build_example2()
-    chain = full_chain(alpha.instance.grid)
+    chain = full_partition(alpha.instance.grid)
     assert mf_le(compose_chain(alpha, chain), meet_of_projections(alpha, chain))
 
 
 def test_truncation_meets_shrink_to_one_control():
     for n in (2, 3, 5):
         inst, a = build_example3(n)
-        chain = full_chain(inst.grid)
+        chain = full_partition(inst.grid)
         met = meet_of_projections(a, chain)
         assert met.values[0] == a.values[n - 1]  # only the slowest-start control survives
         assert len(met.values[0]) == 1
@@ -214,7 +224,7 @@ def test_canonical_chain_of_the_ramp_example():
     inst, _ = build_example2()
     # lexicographic agreement: all pairs share one cell, one pair shares two,
     # identical pairs share all three
-    assert [p.len for p in canonical_chain(inst).prefixes] == [1, 2, 3]
+    assert list(canonical_chain(inst).indices[1:]) == [1, 2, 3]
 
 
 def test_canonical_chain_matches_naive_pairwise_agreement():
@@ -234,7 +244,7 @@ def test_canonical_chain_matches_naive_pairwise_agreement():
                     n += 1
                 if n:
                     lens.add(n)
-        assert [p.len for p in canonical_chain(inst).prefixes] == sorted(lens)
+        assert list(canonical_chain(inst).indices[1:]) == sorted(lens)
 
 
 def test_canonical_chain_of_the_push_pull_discretization():
@@ -244,7 +254,7 @@ def test_canonical_chain_of_the_push_pull_discretization():
 
     inst, _ = alpha_rho(build_example4(), Fraction(-7, 2))
     # the two disturbances agree exactly on the first cell
-    assert [p.len for p in canonical_chain(inst).prefixes] == [1, 3]
+    assert list(canonical_chain(inst).indices[1:]) == [1, 3]
 
 
 def test_canonical_chain_of_single_disturbance_is_full_prefix():
@@ -252,7 +262,7 @@ def test_canonical_chain_of_single_disturbance_is_full_prefix():
     fam = SignalFamily(("w1",), (("a", "b"),))
     z = SignalFamily(("h1",), (("x", "y"),))
     inst = Instance(g, fam, z)
-    assert [p.len for p in canonical_chain(inst).prefixes] == [2]
+    assert list(canonical_chain(inst).indices[1:]) == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +279,7 @@ def test_greatest_is_na_at_every_prefix():
     for builder in (build_example1, build_example2):
         inst, a = builder()
         top = greatest_na(a)
-        assert is_chain_na(top, full_chain(inst.grid)).holds
+        assert is_chain_na(top, full_partition(inst.grid)).holds
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +370,7 @@ def test_fixed_points_are_exactly_the_na_multifunctions(data):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_longer_prefix_na_survives_shorter_projection(data):
     _, a, chain = data
-    p_long = chain.prefixes[-1]
+    p_long = Prefix(chain.indices[-2] or chain.indices[-1])  # the longest prefix short of the full one, if any
     fixed = project(a, p_long)
     for p_short in a.instance.grid.prefixes():
         if p_short.len >= p_long.len:
@@ -373,8 +383,9 @@ def test_longer_prefix_na_survives_shorter_projection(data):
 def test_chain_report_is_the_first_failing_prefix_report(data):
     _, a, h = data
     # a projection passes at its own prefix, so the first failure moves along the chain
-    for b in (a, *(project(a, p) for p in h.prefixes), compose_chain(a, h)):
-        failing = [r for r in (is_prefix_na(b, p) for p in h.prefixes) if not r.holds]
+    prefixes = [Prefix(n) for n in h.indices[1:]]
+    for b in (a, *(project(a, p) for p in prefixes), compose_chain(a, h)):
+        failing = [r for r in (is_prefix_na(b, p) for p in prefixes) if not r.holds]
         assert is_chain_na(b, h) == (failing[0] if failing else NaReport(True))
 
 
@@ -382,8 +393,8 @@ def test_chain_report_is_the_first_failing_prefix_report(data):
 def _interleaved_chains(draw):
     """An instance, two or three distinct chains, and an order of calls that repeats each."""
     inst, a = draw(small_instances(max_omega=6, max_z=8))
-    everything = full_chain(inst.grid).prefixes
-    picks = st.sets(st.sampled_from(everything), min_size=1).map(lambda ps: tuple(sorted(ps)))
+    cells = inst.grid.cells
+    picks = st.sets(st.integers(1, cells - 1)).map(lambda ns: (0, *sorted(ns), cells))
     chains = draw(st.lists(picks, min_size=2, max_size=3, unique=True))
     order = draw(st.permutations(list(range(len(chains))) * 2))
     return inst, a, chains, order
@@ -396,10 +407,10 @@ def test_a_multifunction_keeps_each_chain_composition(data):
     before = (hash(a), repr(a))
     first = {}
     for k in order:
-        chain = PrefixChain(chains[k])  # a fresh but equal chain finds the kept result
+        chain = Partition(chains[k])  # a fresh but equal partition finds the kept result
         g = compose_chain(a, chain)
         assert first.setdefault(k, g) is g
-        assert g.values == naive_compose(a, chain).values
+        assert g.values == naive_compose(a, chain.indices[1:]).values
         fresh = Multifunction(inst, g.values)
         assert g == fresh and hash(g) == hash(fresh)
     # what `a` keeps stays out of its equality, hash and repr
@@ -427,5 +438,56 @@ def test_meet_of_na_multiselectors_can_fail_na():
 def test_full_top_projects_onto_itself_total(data):
     inst, _ = data
     top = naive_top(inst)
-    composed = compose_chain(top, full_chain(inst.grid))
+    composed = compose_chain(top, full_partition(inst.grid))
     assert is_total(composed)
+
+
+@st.composite
+def _lengths_short_of_the_full_prefix(draw):
+    inst, a = draw(small_instances())
+    return inst, a, sorted(draw(st.sets(st.integers(1, inst.grid.cells - 1), min_size=1)))
+
+
+def _naive_walk_nodes(a: Multifunction, lens) -> int:
+    """The subset assignments the oracle's walk tries for the prefix lengths `lens`: at each disturbance, in
+    lexicographic signal order, every subset of its value set, once per assignment of the disturbances before it
+    whose pairs agree on their restriction sets at each length where their signals agree."""
+    omega, z = a.instance.omega.signals, a.instance.z.signals
+    order = sorted(range(len(omega)), key=omega.__getitem__)
+    partial, nodes = [()], 0
+    for k, w in enumerate(order):
+        subsets = [frozenset(c) for r in range(len(a.values[w]) + 1) for c in itertools.combinations(a.values[w], r)]
+        nodes += len(partial) * len(subsets)
+        partial = [
+            p + (v,)
+            for p in partial
+            for v in subsets
+            if all(
+                omega[x][:n] != omega[w][:n] or {z[h][:n] for h in p[i]} == {z[h][:n] for h in v}
+                for i, x in enumerate(order[:k])
+                for n in lens
+            )
+        ]
+    return nodes
+
+
+@given(_lengths_short_of_the_full_prefix())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_a_chain_short_of_the_full_prefix_acts_as_its_partition(data):
+    # at the full prefix every class has one member, so a chain that omits it is the partition that ends there
+    inst, a, lens = data
+    delta = Partition((0, *lens, inst.grid.cells))
+    assert compose_chain(a, delta).values == naive_compose(a, lens).values
+    assert is_chain_na(a, delta).holds == naive_is_chain_na(a, lens)
+    met = tuple(frozenset.intersection(*vs) for vs in zip(*(naive_project(a, Prefix(n)).values for n in lens)))
+    assert meet_of_projections(a, delta).values == met
+    if bits_of(a) > 14:
+        return
+    naive = naive_enumerate_na(a, lens)
+    assert brute_greatest(a, delta).values == naive_join(Multifunction(inst, vs) for vs in naive).values
+    nodes = _naive_walk_nodes(a, lens)
+    stream = [z.values for z in enumerate_na_multiselectors(a, delta, EnumBudget(nodes))]
+    assert len(stream) == len(set(stream)) and set(stream) == set(naive)
+    if nodes > 1:
+        with pytest.raises(BudgetExceededError):
+            list(enumerate_na_multiselectors(a, delta, EnumBudget(nodes - 1)))

@@ -8,14 +8,15 @@ from naselect import (
     EnumBudget,
     Instance,
     Multifunction,
+    Partition,
     Prefix,
-    PrefixChain,
     SignalFamily,
     ValidationError,
     brute_greatest,
     build_example1,
     build_example2,
     compose_chain,
+    full_partition,
     grid,
     is_chain_na,
     mf_le,
@@ -31,7 +32,6 @@ from conftest import (
     counting,
     enumerate_na_multiselectors,
     fixpoint_iterate,
-    full_chain,
     naive_enumerate_na,
     naive_join,
     small_instances,
@@ -41,7 +41,7 @@ from conftest import (
 def test_all_empty_multifunction_enumerates_to_itself():
     inst, _ = build_example1()
     empty = Multifunction(inst, (frozenset(),) * 3)
-    chain = full_chain(inst.grid)
+    chain = full_partition(inst.grid)
     found = list(enumerate_na_multiselectors(empty, chain))
     assert len(found) == 1
     assert found[0].values == empty.values
@@ -49,7 +49,7 @@ def test_all_empty_multifunction_enumerates_to_itself():
 
 def test_join_of_the_stream_is_the_projection():
     _, beta = build_example1()
-    chain = PrefixChain((Prefix(1),))
+    chain = Partition((0, 1, 3))
     stream = list(enumerate_na_multiselectors(beta, chain))
     assert naive_join(stream).values == project(beta, Prefix(1)).values
 
@@ -57,25 +57,25 @@ def test_join_of_the_stream_is_the_projection():
 def test_enumeration_matches_the_naive_product_filter():
     for seed in range(8):
         _, a = random_instance(seed, 3, 4, 3, density=0.5)
-        chain = full_chain(a.instance.grid)
+        chain = full_partition(a.instance.grid)
         mine = [z.values for z in enumerate_na_multiselectors(a, chain)]
-        naive = naive_enumerate_na(a, chain)
+        naive = naive_enumerate_na(a, chain.indices[1:])
         assert len(mine) == len(set(mine))
         assert set(mine) == set(naive)
 
 
 def test_every_enumerated_multiselector_is_a_projection_fixed_point():
     _, a = random_instance(11, 3, 4, 3, density=0.5)
-    chain = full_chain(a.instance.grid)
+    chain = full_partition(a.instance.grid)
     for z in enumerate_na_multiselectors(a, chain):
         assert mf_le(z, a)
-        for p in chain.prefixes:
+        for p in map(Prefix, chain.indices[1:]):
             assert project(z, p).values == z.values
 
 
 def test_budget_exhaustion_is_an_error():
     _, alpha = build_example2()
-    chain = full_chain(alpha.instance.grid)
+    chain = full_partition(alpha.instance.grid)
     with pytest.raises(BudgetExceededError):
         list(enumerate_na_multiselectors(alpha, chain, EnumBudget(max_multiselectors=50)))
     with pytest.raises(ValidationError):
@@ -84,13 +84,13 @@ def test_budget_exhaustion_is_an_error():
 
 def test_brute_greatest_matches_composition_on_the_ramp_example():
     _, alpha = build_example2()
-    chain = PrefixChain((Prefix(1), Prefix(2)))
+    chain = Partition((0, 1, 2, 3))
     assert brute_greatest(alpha, chain).values == compose_chain(alpha, chain).values
 
 
 def test_brute_greatest_with_single_disturbance_is_the_input():
     _, a = random_instance(2, 1, 4, 3, density=0.8)
-    chain = full_chain(a.instance.grid)
+    chain = full_partition(a.instance.grid)
     assert brute_greatest(a, chain).values == a.values
 
 
@@ -102,7 +102,7 @@ def test_brute_greatest_walks_more_disturbances_than_the_recursion_limit():
     )
     z = SignalFamily(("h",), (("0",) * 11,))
     a = Multifunction(Instance(g, omega, z), (frozenset({0}),) * 1200)
-    assert brute_greatest(a, PrefixChain((Prefix(11),))).values == a.values
+    assert brute_greatest(a, Partition((0, 11))).values == a.values
 
 
 # Minimal budgets on the full prefix chain and SHA-256 digests of the ordered
@@ -126,7 +126,7 @@ def _pinned_input(name):
 def test_visit_order_and_node_counts_are_pinned(name):
     enum_nodes, brute_nodes, digest = PINNED_WALKS[name]
     a = _pinned_input(name)
-    chain = full_chain(a.instance.grid)
+    chain = full_partition(a.instance.grid)
     stream = [
         [tuple(sorted(v)) for v in z.values]
         for z in enumerate_na_multiselectors(a, chain, EnumBudget(enum_nodes))
@@ -142,7 +142,7 @@ def test_visit_order_and_node_counts_are_pinned(name):
 @pytest.mark.parametrize("name", PINNED_WALKS)
 def test_members_held_as_places_walk_like_ready_ints(monkeypatch, name):
     a = _pinned_input(name)
-    chain = full_chain(a.instance.grid)
+    chain = full_partition(a.instance.grid)
     ready = [z.bits for z in enumerate_na_multiselectors(a, chain)]
     monkeypatch.setattr(oracle, "READY", 0)  # every position lists its members as bit places
     assert [z.bits for z in enumerate_na_multiselectors(a, chain)] == ready
@@ -153,7 +153,7 @@ def test_members_held_as_places_walk_like_ready_ints(monkeypatch, name):
 def test_the_oracle_converts_nothing(monkeypatch, name):
     a = _pinned_input(name)
     a = Multifunction._trusted(a.instance, a.bits)  # drop the values view the constructor left
-    chain = full_chain(a.instance.grid)
+    chain = full_partition(a.instance.grid)
     constructed = counting(monkeypatch, "__post_init__", [Multifunction])
     packed = counting(monkeypatch, "pack", [PrefixIndex])
     list(enumerate_na_multiselectors(a, chain))
@@ -168,7 +168,7 @@ def test_composition_equals_brute_force(data):
     inst, a = data
     if bits_of(a) > 14:
         return
-    chain = full_chain(inst.grid)
+    chain = full_partition(inst.grid)
     assert compose_chain(a, chain).values == brute_greatest(a, chain).values
 
 
@@ -178,7 +178,7 @@ def test_composition_equals_brute_force(data):
 
 def test_descending_schedule_stabilizes_after_one_changing_sweep():
     _, alpha = build_example2()
-    chain = PrefixChain((Prefix(1), Prefix(2)))
+    chain = Partition((0, 1, 2, 3))
     run = fixpoint_iterate(alpha, chain, "descending")
     assert run.changed_sweeps == 1
     assert run.sweeps == 2
@@ -187,7 +187,7 @@ def test_descending_schedule_stabilizes_after_one_changing_sweep():
 
 def test_ascending_schedule_detours_but_arrives():
     _, alpha = build_example2()
-    chain = PrefixChain((Prefix(1), Prefix(2)))
+    chain = Partition((0, 1, 2, 3))
     target = compose_chain(alpha, chain)
     one_sweep = project(project(alpha, Prefix(1)), Prefix(2))
     assert one_sweep.values != target.values
@@ -198,7 +198,7 @@ def test_ascending_schedule_detours_but_arrives():
 
 def test_fixed_input_needs_no_changing_sweep():
     _, alpha = build_example2()
-    chain = PrefixChain((Prefix(1), Prefix(2)))
+    chain = Partition((0, 1, 2, 3))
     stable = compose_chain(alpha, chain)
     run = fixpoint_iterate(stable, chain, "descending")
     assert run.changed_sweeps == 0
@@ -208,7 +208,7 @@ def test_fixed_input_needs_no_changing_sweep():
 def test_schedules_share_the_stable_point():
     for seed in range(20):
         _, a = random_instance(seed, 3, 4, 3, density=0.5)
-        chain = full_chain(a.instance.grid)
+        chain = full_partition(a.instance.grid)
         target = brute_greatest(a, chain).values
         for schedule in ("descending", "ascending", "shuffled"):
             run = fixpoint_iterate(a, chain, schedule, seed=seed)
@@ -218,7 +218,7 @@ def test_schedules_share_the_stable_point():
 
 def test_sweep_cap_is_enforced():
     _, alpha = build_example2()
-    chain = PrefixChain((Prefix(1), Prefix(2)))
+    chain = Partition((0, 1, 2, 3))
     with pytest.raises(BudgetExceededError):
         fixpoint_iterate(alpha, chain, "ascending", max_sweeps=1)
     with pytest.raises(ValidationError):

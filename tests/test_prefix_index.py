@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from naselect import (
     Multifunction,
     Partition,
-    PrefixChain,
     ProcedureStuckError,
     ValidationError,
     compose_chain,
@@ -35,13 +34,13 @@ from naselect.fileio import from_jsonable, na_flags
 from conftest import (
     counting,
     edge_instances,
-    full_chain,
     naive_compose,
     naive_is_prefix_na,
     naive_legal_extensions,
     naive_na_witness,
     naive_project,
     naive_replay,
+    partition_of,
     to_jsonable,
 )
 
@@ -49,22 +48,14 @@ EDGE = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def _chains(inst):
-    """Every non-empty prefix chain of a grid of at most three cells."""
-    everything = full_chain(inst.grid).prefixes
-    return [
-        PrefixChain(tuple(p for k, p in enumerate(everything) if mask >> k & 1))
-        for mask in range(1, 2 ** len(everything))
-    ]
+    """Every non-empty prefix chain of a grid of at most three cells, as its lengths, shortest first."""
+    cells = inst.grid.cells
+    return [[n for n in range(1, cells + 1) if mask >> n - 1 & 1] for mask in range(1, 2**cells)]
 
 
 def _partitions(inst):
     """Every partition of the grid: the chains that end at the full prefix."""
-    full = inst.grid.cells
-    return [
-        Partition((0, *(p.len for p in chain.prefixes)))
-        for chain in _chains(inst)
-        if chain.prefixes[-1].len == full
-    ]
+    return [Partition((0, *lens)) for lens in _chains(inst) if lens[-1] == inst.grid.cells]
 
 
 @EDGE
@@ -88,8 +79,8 @@ def test_projection_and_na_check_match_the_naive_definitions(data):
 @given(edge_instances())
 def test_composition_matches_naive_projections(data):
     inst, a = data
-    for chain in _chains(inst):
-        assert compose_chain(a, chain).values == naive_compose(a, chain).values
+    for lens in _chains(inst):
+        assert compose_chain(a, partition_of(inst.grid, lens)).values == naive_compose(a, lens).values
 
 
 @EDGE
@@ -133,7 +124,7 @@ def test_library_built_values_pass_the_public_constructor(data):
     inst, a = data
     _, loaded = from_jsonable(to_jsonable(inst, a))
     built = [loaded] + [project(a, p) for p in inst.grid.prefixes()]
-    built += [compose_chain(a, chain) for chain in _chains(inst)]
+    built += [compose_chain(a, partition_of(inst.grid, lens)) for lens in _chains(inst)]
     for r in built:
         assert type(r.values) is tuple
         assert all(type(v) is frozenset for v in r.values)
@@ -230,9 +221,9 @@ def test_na_flags_on_a_long_grid_checks_no_prefix_past_the_deepest_shared_one(mo
     assert not all(na_flags(a).values())  # the unprojected map fails some prefix within the deepest
 
 
-def _shared_levels(inst, chain) -> int:
-    """Chain prefixes, but the shortest, with a class of two or more disturbances."""
-    return sum(bool(inst.omega.prefix_index.classes(p.len)) for p in chain.prefixes[1:])
+def _shared_levels(inst, lens) -> int:
+    """Chain prefix lengths, but the shortest, with a class of two or more disturbances."""
+    return sum(bool(inst.omega.prefix_index.classes(n)) for n in lens[1:])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -240,13 +231,11 @@ def test_composition_carries_keysets_like_naive_projections(seed):
     alphabet, cells = ((2, 7), (3, 6))[seed % 2]
     inst, a = random_instance(seed, 30, 120, cells, alphabet, 0.3 + 0.05 * (seed % 8))
     rng = random.Random(seed)
-    everything = full_chain(inst.grid).prefixes
-    chains = [PrefixChain(everything)] + [
-        PrefixChain(tuple(sorted(rng.sample(everything, rng.randint(2, 5))))) for _ in range(4)
-    ]
+    everything = list(range(1, inst.grid.cells + 1))
+    chains = [everything] + [sorted(rng.sample(everything, rng.randint(2, 5))) for _ in range(4)]
     assert _shared_levels(inst, chains[0]) >= 2
-    for chain in chains:
-        composed = compose_chain(a, chain)
-        assert composed.values == naive_compose(a, chain).values
+    for lens in chains:
+        composed = compose_chain(a, partition_of(inst.grid, lens))
+        assert composed.values == naive_compose(a, lens).values
         for mf in (a, composed):
             assert na_flags(mf) == {str(p.len): naive_is_prefix_na(mf, p) for p in inst.grid.prefixes()}

@@ -22,7 +22,6 @@ from naselect import (
     NaWitness,
     Partition,
     Prefix,
-    PrefixChain,
     RhoSearchResult,
     ScriptedAdversary,
     SignalFamily,
@@ -82,12 +81,6 @@ RECORDS = {
     "TimeGrid": (lambda: grid(0, 1, 2), GRID, ("stamps",), lambda: grid(0, 1, 3)),
     "Partition": (
         lambda: Partition((0, 1, 2)), "Partition(indices=(0, 1, 2))", ("indices",), lambda: Partition((0, 2)),
-    ),
-    "PrefixChain": (
-        lambda: PrefixChain((Prefix(1), Prefix(2))),
-        "PrefixChain(prefixes=(Prefix(len=1), Prefix(len=2)))",
-        ("prefixes",),
-        lambda: PrefixChain((Prefix(2),)),
     ),
     "SignalFamily": (
         omega, OMEGA, ("names", "signals"), lambda: SignalFamily(("w1", "w3"), (("a", "b"), ("a", "c"))),
@@ -191,8 +184,6 @@ INVALID = {
     "partition-short": (lambda: Partition((0,)), "a partition needs at least two stamp indices"),
     "partition-start": (lambda: Partition((1, 2)), "a partition must start at stamp index 0"),
     "partition-order": (lambda: Partition((0, 2, 2)), "partition indices must be strictly increasing"),
-    "chain-empty": (lambda: PrefixChain(()), "a prefix chain must not be empty"),
-    "chain-order": (lambda: PrefixChain((Prefix(2), Prefix(1))), "chain prefixes must strictly increase"),
     "family-lists": (_signals(["w"], (("a",),)), "family names and signals must be tuples"),
     "family-empty": (_signals((), ()), "a signal family must not be empty"),
     "family-names": (_signals(("w1", "w2"), (("a",),)), "family needs exactly one name per signal"),
@@ -262,7 +253,6 @@ REPLACED = {
         lambda: grid(0, 1)._replace(stamps=(Fraction(1), Fraction(0))), "grid stamps must be strictly increasing (1 before 0)",
     ),
     "partition": (lambda: Partition((0, 1))._replace(indices=(1, 2)), "a partition must start at stamp index 0"),
-    "chain": (lambda: PrefixChain((Prefix(1),))._replace(prefixes=()), "a prefix chain must not be empty"),
     "instance": (lambda: inst()._replace(grid=grid(0, 1)), "disturbance signals have 2 cells, the grid has 1"),
     "budget": (lambda: EnumBudget()._replace(max_multiselectors=0), "budget must be positive"),
     "system": (lambda: system()._replace(dynamics="u*v"), "unknown dynamics 'u*v'"),

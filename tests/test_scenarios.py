@@ -29,7 +29,6 @@ from naselect import (
     is_total,
     mf_le,
     optimal_rho,
-    partition_to_chain,
     random_instance,
 )
 from naselect import cli, nonanticipation, scenarios
@@ -325,7 +324,7 @@ def test_feasibility_fails_below_the_optimum():
     ok, g = feasible(a, delta)
     assert not ok
     # the non-total composite comes back, as `InfeasibleError` carries it
-    assert g == compose_chain(a, partition_to_chain(a.instance.grid, delta))
+    assert g == compose_chain(a, delta)
     assert not is_total(g)
 
 

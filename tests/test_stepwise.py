@@ -29,7 +29,6 @@ from naselect import (
     grid,
     is_total,
     legal_extensions,
-    partition_to_chain,
     random_instance,
     run_exhaustive,
     run_stepwise,
@@ -337,7 +336,8 @@ def test_exhaustive_composes_once(monkeypatch, check):
 
 
 def _revealed_prefixes(inst, delta):
-    lens = [p.len for p in partition_to_chain(inst.grid, delta).prefixes]
+    inst.grid.check_partition(delta)
+    lens = delta.indices[1:]
     return {s[:n] for s in inst.omega.signals for n in lens}
 
 
@@ -471,9 +471,8 @@ def test_single_step_tuples_are_all_disturbances():
 def test_tuple_enumeration_matches_the_naive_filter():
     inst, _ = build_example2()
     delta = Partition((0, 1, 2, 3))
-    chain = partition_to_chain(inst.grid, delta)
     mine = sorted(enumerate_omega_delta(inst, delta))
-    naive = naive_consistent_tuples(inst, chain)
+    naive = naive_consistent_tuples(inst, delta.indices[1:])
     assert mine == naive
     assert len(mine) == 24
 
@@ -527,7 +526,7 @@ def test_unprojected_multifunction_fails_with_a_mismatch():
 def test_single_step_total_multiselector_passes():
     inst, a = build_example2()
     delta = Partition((0, 3))
-    composed = compose_chain(a, partition_to_chain(inst.grid, delta))
+    composed = compose_chain(a, delta)
     report = verify_witness([composed], delta, a)
     assert report.ok
 
@@ -564,7 +563,7 @@ def witness_candidates(draw):
     inner = draw(st.sets(st.integers(1, m - 1)))
     delta = Partition((0,) + tuple(sorted(inner)) + (m,))
     n = delta.steps
-    composed = compose_chain(a, partition_to_chain(inst.grid, delta))
+    composed = compose_chain(a, delta)
 
     def part():
         return Multifunction(
@@ -598,9 +597,53 @@ def test_witness_check_matches_full_tuple_enumeration(case):
     assert report.ok == naive_verify_witness(phis, delta, a)
     if not report.ok:
         v = report.violation
-        chain = partition_to_chain(inst.grid, delta)
-        assert v.omegas in naive_consistent_tuples(inst, chain)
-        assert (v.kind, v.step) in naive_tuple_violations(phis, chain, v.omegas)
+        lens = delta.indices[1:]
+        assert v.omegas in naive_consistent_tuples(inst, lens)
+        assert (v.kind, v.step) in naive_tuple_violations(phis, lens, v.omegas)
+
+
+def _first_mismatch_between_equal_entries(inst, b, delta):
+    """The first restriction mismatch of `[b] * delta.steps`, found by scanning every class in first-member order,
+    classes of one member included, with restriction sets as sets of sliced cells."""
+    n, omega, z = delta.steps, inst.omega.signals, inst.z.signals
+    for i in range(1, n):
+        m = delta.indices[i]
+        classes: dict[tuple, list[int]] = {}
+        for w, s in enumerate(omega):
+            classes.setdefault(s[:m], []).append(w)
+        for cls in classes.values():
+            r = cls[0]
+            ref = {z[h][:m] for h in b.values[r]}
+            for x in cls:
+                if {z[h][:m] for h in b.values[x]} != ref:
+                    return (x,) * i + (r,) * (n - i)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_instances(max_omega=6, max_z=6, max_cells=4, min_omega=2), st.data())
+def test_witness_check_between_equal_entries_reports_the_first_mismatch_of_every_class(case, data):
+    inst, a = case
+    assume(is_total(a))
+    inner = data.draw(st.sets(st.integers(1, inst.grid.cells - 1)))
+    delta = Partition((0, *sorted(inner), inst.grid.cells))
+    for b in (a, compose_chain(a, delta)):
+        report = verify_witness([b] * delta.steps, delta, a)
+        expected = _first_mismatch_between_equal_entries(inst, b, delta)
+        if expected is None:
+            assert report.ok == is_total(b)
+        else:
+            assert report.violation.kind == "restriction-mismatch" and report.violation.omegas == expected
+
+
+def test_witness_check_between_equal_entries_skips_the_classes_of_one_member(monkeypatch):
+    inst, a = random_instance(1, 10, 10, 2000, 2)
+    delta = full_partition(inst.grid)
+    g = compose_chain(a, delta)
+    calls = counting(monkeypatch, "signal_classes", [stepwise])
+    assert verify_witness([g] * delta.steps, delta, a).ok == is_total(g)
+    assert not verify_witness([a] * delta.steps, delta, a).ok
+    assert calls == []  # only the shared classes, read from the prefix index, are walked
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +665,6 @@ def test_feasibility_matches_stepwise_and_witness_on_random_instances():
                     stepwise_ok = True
                 except (ProcedureStuckError, InfeasibleError):
                     stepwise_ok = False
-                composed = compose_chain(a, partition_to_chain(inst.grid, delta))
+                composed = compose_chain(a, delta)
                 witness_ok = verify_witness([composed] * delta.steps, delta, a).ok
                 assert ok == stepwise_ok == witness_ok, (seed, delta)

@@ -5,14 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naselect import (
+    Instance,
+    Multifunction,
     Partition,
     Prefix,
-    PrefixChain,
+    SignalFamily,
     TimeGrid,
     ValidationError,
+    compose_chain,
+    full_partition,
     grid,
-    partition_to_chain,
 )
+
+from conftest import naive_compose
 
 
 def test_grid_needs_two_increasing_stamps():
@@ -45,38 +50,41 @@ def test_partition_invariants():
         Partition((0, 2, 2))
 
 
-def test_chain_invariants():
-    with pytest.raises(ValidationError):
-        PrefixChain(())
-    with pytest.raises(ValidationError):
-        PrefixChain((Prefix(2), Prefix(2)))
-
-
 def test_full_partition_yields_all_prefixes():
     g = grid(0, 1, 2, 3)
-    chain = partition_to_chain(g, Partition((0, 1, 2, 3)))
-    assert [p.len for p in chain.prefixes] == [1, 2, 3]
+    chain = full_partition(g)
+    g.check_partition(chain)
+    assert list(chain.indices[1:]) == [1, 2, 3]
 
 
 def test_coarsest_partition_yields_only_full_prefix():
     g = grid(0, 1, 2, 3)
-    chain = partition_to_chain(g, Partition((0, 3)))
-    assert [p.len for p in chain.prefixes] == [3]
+    chain = Partition((0, 3))
+    g.check_partition(chain)
+    assert list(chain.indices[1:]) == [3]
 
 
 def test_partition_to_chain_on_uneven_grid():
     # stamp indices {0, 2, 4} of (0, 1, 4/3, 3/2, 2) cover 2 and 4 leading cells
     g = grid(0, 1, "4/3", "3/2", 2)
-    chain = partition_to_chain(g, Partition((0, 2, 4)))
-    assert [p.len for p in chain.prefixes] == [2, 4]
+    chain = Partition((0, 2, 4))
+    g.check_partition(chain)
+    assert list(chain.indices[1:]) == [2, 4]
+    # w1 and w2 share 2 leading cells, where h1 and h2 differ: the prefix of 2 cells empties both value sets
+    omega = SignalFamily(("w1", "w2"), (("a", "a", "a", "a"), ("a", "a", "b", "b")))
+    z = SignalFamily(("h1", "h2"), (("x", "x", "x", "x"), ("x", "y", "x", "x")))
+    a = Multifunction(Instance(g, omega, z), ({0}, {1}))
+    assert compose_chain(a, chain).values == naive_compose(a, [2, 4]).values == (set(), set())
+    assert compose_chain(a, Partition((0, 1, 4))).values == naive_compose(a, [1, 4]).values == ({0}, {1})
 
 
 def test_partition_must_end_at_final_stamp():
     g = grid(0, 1, 2, 3)
+    with pytest.raises(ValidationError) as e:
+        g.check_partition(Partition((0, 2)))
+    assert str(e.value) == "partition must end at the final stamp index 3, got 2"
     with pytest.raises(ValidationError):
-        partition_to_chain(g, Partition((0, 2)))
-    with pytest.raises(ValidationError):
-        partition_to_chain(g, Partition((0, 5)))
+        g.check_partition(Partition((0, 5)))
 
 
 @st.composite
@@ -95,8 +103,10 @@ def _grid_and_partitions(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_partition_refinement_is_chain_monotone(data):
     g, coarse, fine = data
-    lens_coarse = {p.len for p in partition_to_chain(g, coarse).prefixes}
-    lens_fine = {p.len for p in partition_to_chain(g, fine).prefixes}
+    g.check_partition(coarse)
+    g.check_partition(fine)
+    lens_coarse = set(coarse.indices[1:])
+    lens_fine = set(fine.indices[1:])
     assert lens_coarse <= lens_fine
 
 
@@ -104,6 +114,6 @@ def test_partition_refinement_is_chain_monotone(data):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_chains_strictly_increase(data):
     g, d1, _ = data
-    chain = partition_to_chain(g, d1)
-    lens = [p.len for p in chain.prefixes]
+    g.check_partition(d1)
+    lens = list(d1.indices[1:])
     assert lens == sorted(set(lens))
