@@ -78,7 +78,6 @@ from .stepwise import (
 )
 from .timebase import (
     Partition,
-    Prefix,
     TimeGrid,
     full_partition,
     grid,

@@ -40,7 +40,7 @@ from .stepwise import (
     validate_trace,
     verify_witness,
 )
-from .timebase import Partition, Prefix, full_partition
+from .timebase import Partition, full_partition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +62,7 @@ def _emit(report: dict, args) -> None:
 
 def cmd_project(args) -> int:
     inst, mf = fileio.load(args.file)
-    result = project(mf, Prefix(args.prefix))
+    result = project(mf, args.prefix)
     _emit(fileio.build_report("project", inst, mf, {"prefix": args.prefix}, result), args)
     return 0
 
@@ -160,13 +160,14 @@ def cmd_scenario(args) -> int:
 def _check_lines(inst, mf) -> list[tuple[str, bool]]:
     out: list[tuple[str, bool]] = []
     out.append(("order-reflexive", mf_le(mf, mf)))
-    projections = [project(mf, p) for p in inst.grid.prefixes()]
-    for p, g in zip(inst.grid.prefixes(), projections):
-        out.append((f"project-nonexpansive@{p.len}", mf_le(g, mf)))
-        out.append((f"project-idempotent@{p.len}", project(g, p) == g))
-        out.append((f"project-na@{p.len}", is_prefix_na(g, p).holds))
+    lengths = range(1, inst.grid.cells + 1)
+    projections = [project(mf, n) for n in lengths]
+    for n, g in zip(lengths, projections):
+        out.append((f"project-nonexpansive@{n}", mf_le(g, mf)))
+        out.append((f"project-idempotent@{n}", project(g, n) == g))
+        out.append((f"project-na@{n}", is_prefix_na(g, n).holds))
         out.append(
-            (f"fixpoint-char@{p.len}", is_prefix_na(mf, p).holds == (g == mf))
+            (f"fixpoint-char@{n}", is_prefix_na(mf, n).holds == (g == mf))
         )
     delta = full_partition(inst.grid)
     composed = compose_chain(mf, delta)

@@ -27,16 +27,16 @@ from typing import NamedTuple
 
 from .multifunction import Instance, Multifunction, is_total, mf_meet
 from .signals import RestrictionKey
-from .timebase import Partition, Prefix
+from .timebase import Partition
 
 
 class NaWitness(NamedTuple):
-    """A violating pair: two disturbances agreeing on `prefix` whose value sets differ there.
+    """A violating pair: two disturbances agreeing on the first `prefix` cells whose value sets differ there.
 
     `key` is a restriction present for exactly one of them; `key_holder` says which.
     """
 
-    prefix: Prefix
+    prefix: int
     omega: int
     omega_prime: int
     key: RestrictionKey
@@ -64,8 +64,8 @@ def _keysets(inst: Instance, values, length: int):
         yield cls, [keys(values[w], length) for w in cls]
 
 
-def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
-    """Check non-anticipativity at one prefix, stopping at the first failing class.
+def is_prefix_na(a: Multifunction, n: int) -> NaReport:
+    """Check non-anticipativity at the prefix of `n` cells, stopping at the first failing class.
 
     Every member of a class must share the restriction set of the class's
     first member.  On failure the witness is the lexicographically smallest
@@ -73,8 +73,8 @@ def is_prefix_na(a: Multifunction, p: Prefix) -> NaReport:
     the first member that differs from it in the first failing class, with
     the smallest restriction key present on one side only.
     """
-    a.instance.grid.check_prefix(p)
-    return _na_level(a, p.len)
+    a.instance.grid.check_prefix(n)
+    return _na_level(a, n)
 
 
 def _na_level(a: Multifunction, length: int) -> NaReport:
@@ -84,7 +84,7 @@ def _na_level(a: Multifunction, length: int) -> NaReport:
             if one_sided := ref ^ keys:
                 top = (one_sided & -one_sided).bit_length() - 1  # the lowest run top: runs ascend with their keys
                 key = a.instance.z.prefix_index.sorted_cells[top >> 1][:length]
-                return NaReport(False, NaWitness(Prefix(length), r, w, key, r if ref >> top & 1 else w))
+                return NaReport(False, NaWitness(length, r, w, key, r if ref >> top & 1 else w))
     return NaReport(True)
 
 
@@ -94,16 +94,16 @@ def is_chain_na(a: Multifunction, delta: Partition) -> NaReport:
     return next((r for n in delta.indices[1:] if not (r := _na_level(a, n))), NaReport(True))
 
 
-def project(a: Multifunction, p: Prefix) -> Multifunction:
-    """Greatest multiselector of `a` that is non-anticipative at `p`.
+def project(a: Multifunction, n: int) -> Multifunction:
+    """Greatest multiselector of `a` that is non-anticipative at the prefix of `n` cells.
 
-    Each value set keeps the trajectories whose restriction at `p` lies in
+    Each value set keeps the trajectories whose restriction to it lies in
     the intersection of the restriction sets over the disturbance's
     equivalence class.  The intersection is computed once per class and
     reused for all members.
     """
-    a.instance.grid.check_prefix(p)
-    return _narrowed(a, [p.len])
+    a.instance.grid.check_prefix(n)
+    return _narrowed(a, [n])
 
 
 def compose_chain(a: Multifunction, delta: Partition) -> Multifunction:
@@ -142,7 +142,7 @@ def meet_of_projections(a: Multifunction, delta: Partition) -> Multifunction:
     multiselectors altogether.
     """
     a.instance.grid.check_partition(delta)
-    return mf_meet(project(a, Prefix(n)) for n in delta.indices[1:])
+    return mf_meet(project(a, n) for n in delta.indices[1:])
 
 
 def canonical_chain(inst: Instance) -> Partition:

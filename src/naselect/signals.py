@@ -18,7 +18,6 @@ from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .timebase import Prefix
 
 Token = str
 RestrictionKey = tuple[Token, ...]
@@ -233,7 +232,7 @@ class SignalFamily(Record):
         return PrefixIndex(self)
 
 
-def signal_classes(fam: SignalFamily, a: Prefix) -> tuple[tuple[int, ...], ...]:
-    """The partition of all indices by restriction at `a`, in first-appearance order, from the shared classes."""
-    of = {i: cls for cls in fam.prefix_index.classes(a.len) for i in cls}  # a member alone is in none
+def signal_classes(fam: SignalFamily, n: int) -> tuple[tuple[int, ...], ...]:
+    """The partition of all indices by their first `n` cells, in first-appearance order; at 0, one class."""
+    of = {i: cls for cls in fam.prefix_index.classes(n) for i in cls}  # a member alone is in none
     return tuple(cls for i in range(len(fam)) if (cls := of.get(i, (i,)))[0] == i)

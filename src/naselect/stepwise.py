@@ -31,7 +31,7 @@ from .errors import (
 from .multifunction import Instance, Multifunction, is_total, mf_le
 from .nonanticipation import compose_chain
 from .signals import Record, RestrictionKey, signal_classes
-from .timebase import Partition, Prefix
+from .timebase import Partition
 
 
 class Adversary(Protocol):
@@ -381,7 +381,7 @@ def verify_witness(phis: list[Multifunction], delta: Partition, a: Multifunction
     for i in range(1, n):
         length = delta.indices[i]
         before, after = phis[i - 1].bits, phis[i].bits
-        for cls in omega.prefix_index.classes(length) if before == after else signal_classes(omega, Prefix(length)):
+        for cls in omega.prefix_index.classes(length) if before == after else signal_classes(omega, length):
             r = cls[0]
             ref = keys(after[r], length)
             for x in cls:

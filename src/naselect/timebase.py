@@ -1,11 +1,11 @@
-"""Discrete time base: rational stamp grids, prefixes and partitions.
+"""Discrete time base: rational stamp grids and partitions.
 
 A grid fixes stamps t_0 < ... < t_m.  Cell k covers the span between stamps k
-and k+1, so a grid with m+1 stamps has m cells.  A prefix of length k stands
-for the first k cells: the discrete counterpart of an initial time interval.
-A partition picks stamp indices (always containing both ends); it is also
-the chain of prefixes ending at its stamps past the origin, shortest first,
-along which the chain functions project.
+and k+1, so a grid with m+1 stamps has m cells.  A prefix is named by its
+length, the int k: the first k cells, the discrete counterpart of an initial
+time interval.  A partition picks stamp indices (always containing both ends);
+it is also the chain of prefixes ending at its stamps past the origin,
+shortest first, along which the chain functions project.
 
 Stamps are exact rationals, never binary floats, so grids such as
 (0, 1, 4/3, 3/2, 2) compare exactly.
@@ -19,23 +19,11 @@ from typing import NamedTuple
 from .errors import ValidationError
 
 
-class Prefix(NamedTuple("Prefix", [("len", int)])):
-    """The first `len` cells of a grid; prefixes order by length."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
-
-    def __new__(cls, len: int) -> Prefix:
-        if len < 1:
-            raise ValidationError(f"prefix length must be positive, got {len}")
-        return tuple.__new__(cls, (len,))
-
-
 class TimeGrid(NamedTuple("TimeGrid", [("stamps", tuple[Fraction, ...])])):
     """Strictly increasing rational stamps; at least two."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     def __new__(cls, stamps: tuple[Fraction, ...]) -> TimeGrid:
         if len(stamps) < 2:
@@ -52,13 +40,11 @@ class TimeGrid(NamedTuple("TimeGrid", [("stamps", tuple[Fraction, ...])])):
     def widths(self) -> tuple[Fraction, ...]:
         return tuple(b - a for a, b in zip(self.stamps, self.stamps[1:]))
 
-    def prefixes(self) -> tuple[Prefix, ...]:
-        """Every prefix of this grid, shortest first."""
-        return tuple(Prefix(k) for k in range(1, self.cells + 1))
-
-    def check_prefix(self, p: Prefix) -> None:
-        if p.len > self.cells:
-            raise ValidationError(f"prefix of {p.len} cells does not fit a grid of {self.cells} cells")
+    def check_prefix(self, n: int) -> None:
+        if n < 1:
+            raise ValidationError(f"prefix length must be positive, got {n}")
+        if n > self.cells:
+            raise ValidationError(f"prefix of {n} cells does not fit a grid of {self.cells} cells")
 
     def check_partition(self, delta: Partition) -> None:
         if delta.indices[-1] != self.cells:

@@ -23,7 +23,6 @@ from naselect import (
     Instance,
     Multifunction,
     Partition,
-    Prefix,
     RhoSearchResult,
     SignalFamily,
     ValidationError,
@@ -104,7 +103,7 @@ def hostile_instances(draw, text=hostile_text, **kwargs):
 @st.composite
 def instance_with_prefix(draw, **kwargs):
     inst, a = draw(small_instances(**kwargs))
-    p = Prefix(draw(st.integers(1, inst.grid.cells)))
+    p = draw(st.integers(1, inst.grid.cells))
     return inst, a, p
 
 
@@ -151,16 +150,16 @@ def bits_of(a: Multifunction) -> int:
     return sum(len(v) for v in a.values)
 
 
-def naive_is_prefix_na(a: Multifunction, p: Prefix) -> bool:
+def naive_is_prefix_na(a: Multifunction, k: int) -> bool:
     """Pairwise definition, no class grouping."""
     inst = a.instance
     n = len(inst.omega)
     for i in range(n):
         for j in range(n):
-            if inst.omega.signals[i][: p.len] != inst.omega.signals[j][: p.len]:
+            if inst.omega.signals[i][:k] != inst.omega.signals[j][:k]:
                 continue
-            left = {inst.z.signals[h][: p.len] for h in a.values[i]}
-            right = {inst.z.signals[h][: p.len] for h in a.values[j]}
+            left = {inst.z.signals[h][:k] for h in a.values[i]}
+            right = {inst.z.signals[h][:k] for h in a.values[j]}
             if left != right:
                 return False
     return True
@@ -168,10 +167,10 @@ def naive_is_prefix_na(a: Multifunction, p: Prefix) -> bool:
 
 def naive_is_chain_na(a: Multifunction, lens) -> bool:
     """Non-anticipativity at each of the prefix lengths `lens`, pair by pair."""
-    return all(naive_is_prefix_na(a, Prefix(n)) for n in lens)
+    return all(naive_is_prefix_na(a, n) for n in lens)
 
 
-def naive_project(a: Multifunction, p: Prefix) -> Multifunction:
+def naive_project(a: Multifunction, k: int) -> Multifunction:
     """Per-disturbance evaluation of the defining formula, recomputed each time."""
     inst = a.instance
     out = []
@@ -179,14 +178,14 @@ def naive_project(a: Multifunction, p: Prefix) -> Multifunction:
         cls = [
             j
             for j in range(len(inst.omega))
-            if inst.omega.signals[j][: p.len] == inst.omega.signals[i][: p.len]
+            if inst.omega.signals[j][:k] == inst.omega.signals[i][:k]
         ]
         keysets = [
-            {inst.z.signals[h][: p.len] for h in a.values[j]} for j in cls
+            {inst.z.signals[h][:k] for h in a.values[j]} for j in cls
         ]
         core = set.intersection(*keysets)
         out.append(
-            frozenset(h for h in a.values[i] if inst.z.signals[h][: p.len] in core)
+            frozenset(h for h in a.values[i] if inst.z.signals[h][:k] in core)
         )
     return Multifunction(inst, tuple(out))
 
@@ -194,7 +193,7 @@ def naive_project(a: Multifunction, p: Prefix) -> Multifunction:
 def naive_compose(a: Multifunction, lens) -> Multifunction:
     """Naive projections at the prefix lengths `lens`, largest first."""
     for n in sorted(lens, reverse=True):
-        a = naive_project(a, Prefix(n))
+        a = naive_project(a, n)
     return a
 
 
@@ -288,7 +287,7 @@ def fixpoint_iterate(
     stable point is the same for every schedule.
     """
     a.instance.grid.check_partition(delta)
-    order = [Prefix(n) for n in delta.indices[1:]]
+    order = list(delta.indices[1:])
     if schedule == "descending":
         order = order[::-1]
     elif schedule == "shuffled":
@@ -346,16 +345,16 @@ def naive_verify_witness(phis, delta: Partition, a: Multifunction) -> bool:
     return not any(naive_tuple_violations(phis, lens, t) for t in naive_consistent_tuples(a.instance, lens))
 
 
-def naive_na_witness(a: Multifunction, p: Prefix):
+def naive_na_witness(a: Multifunction, k: int):
     """The lex-first violating pair, its smallest one-sided key and that key's holder, or None."""
     inst = a.instance
     n = len(inst.omega)
     for i in range(n):
         for j in range(i + 1, n):
-            if inst.omega.signals[i][: p.len] != inst.omega.signals[j][: p.len]:
+            if inst.omega.signals[i][:k] != inst.omega.signals[j][:k]:
                 continue
-            left = {inst.z.signals[h][: p.len] for h in a.values[i]}
-            right = {inst.z.signals[h][: p.len] for h in a.values[j]}
+            left = {inst.z.signals[h][:k] for h in a.values[i]}
+            right = {inst.z.signals[h][:k] for h in a.values[j]}
             if left != right:
                 key = min(left ^ right)
                 return i, j, key, i if key in left else j
@@ -440,7 +439,7 @@ def naive_report(command, inst: Instance, source: Multifunction, args=None, resu
     doc = {"command": command, "inputs": {"digest": naive_digest(inst, source), "args": args or {}}}
     if result is not None:
         doc["result"] = mf_to_names(result)
-        na = {str(p.len): naive_is_prefix_na(result, p) for p in inst.grid.prefixes()}
+        na = {str(p): naive_is_prefix_na(result, p) for p in range(1, inst.grid.cells + 1)}
         doc["flags"] = {"total": all(doc["result"].values()), "na": na}
         if not doc["flags"]["total"]:
             doc["diagnosis"] = {"empty": [w for w, zs in doc["result"].items() if not zs]}

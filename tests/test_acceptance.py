@@ -15,7 +15,6 @@ from naselect import (
     InfeasibleError,
     Multifunction,
     Partition,
-    Prefix,
     ProcedureStuckError,
     alpha_rho,
     brute_greatest,
@@ -99,8 +98,8 @@ def _all_partitions(cells):
 def test_criterion_1_incomparable_projections():
     with criterion(1, "short and long projections match the expected tables and are incomparable"):
         _, beta = build_example1()
-        short = project(beta, Prefix(1))
-        long = project(beta, Prefix(2))
+        short = project(beta, 1)
+        long = project(beta, 2)
         assert _named(short) == {"w1": {"h1", "h2"}, "w2": {"h1", "h2"}, "w3": {"h2"}}
         assert _named(long) == {
             "w1": {"h1", "h2"},
@@ -114,10 +113,10 @@ def test_criterion_1_incomparable_projections():
 def test_criterion_2_noncommuting_projections():
     with criterion(2, "all four ramp tables match; orders differ; descending result is chain-na"):
         _, alpha = build_example2()
-        g1 = project(alpha, Prefix(1))
-        g2 = project(alpha, Prefix(2))
-        g21 = project(g1, Prefix(2))
-        g12 = project(g2, Prefix(1))
+        g1 = project(alpha, 1)
+        g2 = project(alpha, 2)
+        g21 = project(g1, 2)
+        g12 = project(g2, 1)
         assert _named(g1) == {
             "w11": {"h11", "h12", "h21", "h32", "h41"},
             "w12": {"h11", "h21", "h22", "h32", "h42"},
@@ -155,11 +154,11 @@ def test_criterion_3_truncated_catch_up_game():
             inst, a = build_example3(n)
             cells = inst.grid.cells  # n + 1
             # closed forms for every grid prefix
-            assert project(a, Prefix(1)).values == a.values
+            assert project(a, 1).values == a.values
             for k in range(2, cells + 1):
                 i = n + 2 - k
                 expected = tuple(a.values[max(j, i) - 1] for j in range(1, n + 1))
-                assert project(a, Prefix(k)).values == expected, (n, k)
+                assert project(a, k).values == expected, (n, k)
             # collapse identity and feasibility on sampled partitions
             interior = list(range(1, cells))
             all_deltas = [
@@ -174,14 +173,14 @@ def test_criterion_3_truncated_catch_up_game():
             for delta in deltas:
                 composed = compose_chain(a, delta)
                 collapse_at = min(i for i in delta.indices if i >= 2)
-                assert composed.values == project(a, Prefix(collapse_at)).values, (n, delta)
+                assert composed.values == project(a, collapse_at).values, (n, delta)
                 ok, witness = feasible(a, delta)
                 assert ok and is_total(witness)
             # the meet over the first n prefix projections pins down one control
             running = a
             sizes = []
             for k in range(1, n + 1):
-                running = mf_meet([running, project(a, Prefix(k))])
+                running = mf_meet([running, project(a, k)])
                 sizes.append(len(running.values[0]))
             assert sizes == sorted(sizes, reverse=True)
             assert sizes[-1] == 1
@@ -195,7 +194,7 @@ def test_criterion_4_guaranteed_result_search():
         w = res.witness
         inst = w.instance
         assert is_total(w)
-        assert is_prefix_na(w, Prefix(1)).holds
+        assert is_prefix_na(w, 1).holds
         for name, tail in (("v1", "1"), ("v2", "-1")):
             entry = w.values[inst.omega.index_of(name)]
             assert entry
@@ -233,7 +232,7 @@ def test_criterion_6_operator_laws():
 
         # non-expansive, idempotent, fixed-point characterization
         for k, (inst, a) in enumerate(_instances(cases, offset=10_000)):
-            p = Prefix(1 + k % inst.grid.cells)
+            p = 1 + k % inst.grid.cells
             g = project(a, p)
             assert mf_le(g, a)
             assert project(g, p).values == g.values
@@ -245,21 +244,21 @@ def test_criterion_6_operator_laws():
             a = Multifunction(
                 inst, tuple(frozenset(j for j in v if rng.random() < 0.7) for v in b.values)
             )
-            p = Prefix(1 + k % inst.grid.cells)
+            p = 1 + k % inst.grid.cells
             assert mf_le(project(a, p), project(b, p))
 
         # maximality against the enumerated multiselectors
         for k, (inst, a) in enumerate(_capped_cases(cases, offset=30_000)):
-            p = Prefix(1 + k % inst.grid.cells)
+            p = 1 + k % inst.grid.cells
             g = project(a, p)
-            for z in enumerate_na_multiselectors(a, partition_of(inst.grid, [p.len])):
+            for z in enumerate_na_multiselectors(a, partition_of(inst.grid, [p])):
                 assert mf_le(z, g)
 
         # projecting at a shorter prefix preserves longer-prefix na
         for k, (inst, a) in enumerate(_instances(cases, offset=40_000)):
             cells = inst.grid.cells
-            long = Prefix(2 + k % (cells - 1))
-            short = Prefix(1 + k % (long.len - 1)) if long.len > 1 else Prefix(1)
+            long = 2 + k % (cells - 1)
+            short = 1 + k % (long - 1) if long > 1 else 1
             fixed = project(a, long)
             assert is_prefix_na(project(fixed, short), long).holds
 

@@ -134,6 +134,28 @@ def test_the_library_refuses_a_partition_short_of_the_final_stamp_with_the_same_
     assert str(e.value) == SHORT_PARTITION
 
 
+PREFIX_ERRORS = {
+    "0": "prefix length must be positive, got 0",
+    "-1": "prefix length must be positive, got -1",
+    "4": "prefix of 4 cells does not fit a grid of 3 cells",
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("prefix", PREFIX_ERRORS)
+def test_a_prefix_outside_the_grid_exits_two_with_its_message(ex4_file, capsys, prefix, json_flag):
+    assert cli.cli(["project", ex4_file, "--prefix", prefix, *json_flag]) == 2
+    assert capsys.readouterr() == ("", f"error: {PREFIX_ERRORS[prefix]}\n")
+
+
+def test_the_library_refuses_a_prefix_outside_the_grid_with_the_same_message(ex4_file):
+    _, mf = fileio.load(ex4_file)
+    for check, n in [(nonanticipation.project, 0), (nonanticipation.is_prefix_na, 4)]:
+        with pytest.raises(naselect.ValidationError) as e:
+            check(mf, n)
+        assert str(e.value) == PREFIX_ERRORS[str(n)]
+
+
 @pytest.mark.parametrize(
     "line, code",
     [

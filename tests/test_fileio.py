@@ -14,7 +14,6 @@ from naselect import (
     InteractiveAdversary,
     Multifunction,
     Partition,
-    Prefix,
     ScriptedAdversary,
     SignalFamily,
     ValidationError,
@@ -294,10 +293,10 @@ def test_report_rendering_is_stable():
 
 def _reports_as_text(inst, mf):
     """project, compose and greatest reports, each rendered as JSON and as text."""
-    mid = inst.grid.prefixes()[inst.grid.cells // 2]
+    mid = inst.grid.cells // 2 + 1
     chain = canonical_chain(inst)
     reports = [
-        build_report("project", inst, mf, {"prefix": mid.len}, project(mf, mid)),
+        build_report("project", inst, mf, {"prefix": mid}, project(mf, mid)),
         build_report("compose", inst, mf, {}, compose_chain(mf, full_partition(inst.grid))),
         build_report(
             "greatest", inst, mf, {}, greatest_na(mf), {"chain": list(chain.indices[1:])}
@@ -390,13 +389,13 @@ def report_cases(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_reports_files_and_digests_equal_the_reference(tmp_path_factory, data, draw):
     inst, mf = data
-    p = Prefix(draw.draw(st.integers(1, inst.grid.cells)))
+    p = draw.draw(st.integers(1, inst.grid.cells))
     cells = inst.grid.cells
     delta = Partition((0, *sorted(draw.draw(st.sets(st.integers(1, cells - 1)))), cells))
     ok, composed = feasible(mf, delta)
     chain = canonical_chain(inst)
     reports = [
-        ("project", {"prefix": p.len}, project(mf, p), None),
+        ("project", {"prefix": p}, project(mf, p), None),
         ("feasible", {"delta": ",".join(map(str, delta.indices))}, composed, {"feasible": ok}),
         ("greatest", {}, compose_chain(mf, chain), {"chain": list(chain.indices[1:])}),
         ("oracle", {"delta": "0"}, mf, {"match": True}),
@@ -492,7 +491,7 @@ def _reports(inst, mf, delta, p):
     chain = canonical_chain(inst)
     steps = ",".join(map(str, delta.indices))
     for command, args, result, extra in [
-        ("project", {"prefix": p.len}, project(mf, p), None),
+        ("project", {"prefix": p}, project(mf, p), None),
         ("compose", {"delta": steps}, compose_chain(mf, delta), None),
         ("feasible", {"delta": steps}, composed, {"feasible": ok}),
         ("greatest", {}, compose_chain(mf, chain), {"chain": list(chain.indices[1:])}),
@@ -510,7 +509,7 @@ def test_loaded_files_report_what_the_reference_writes(tmp_path_factory, data, r
     inst, mf = data
     cells = inst.grid.cells
     delta = Partition((0, *sorted(draw.draw(st.sets(st.integers(1, cells - 1)))), cells))
-    p = Prefix(draw.draw(st.integers(1, cells)))
+    p = draw.draw(st.integers(1, cells))
     saved = to_jsonable(inst, mf)
     rows = rng.sample(list(saved["alpha"].items()), len(inst.omega))
     shuffled = dict(saved, alpha={w: rng.sample(zs, len(zs)) for w, zs in rows})

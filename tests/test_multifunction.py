@@ -8,7 +8,6 @@ from naselect import (
     Instance,
     InstanceMismatchError,
     Multifunction,
-    Prefix,
     SignalFamily,
     ValidationError,
     alpha_rho,
@@ -36,7 +35,7 @@ def test_le_is_reflexive():
 
 def test_projection_sits_below_the_source():
     _, beta = build_example1()
-    assert mf_le(project(beta, Prefix(1)), beta)
+    assert mf_le(project(beta, 1), beta)
 
 
 def test_le_detects_a_larger_entry():
@@ -81,8 +80,8 @@ def test_meet_of_truncated_projections_collapses():
     # shortest prefix past the waiting period
     inst, a = build_example3(4)
     chain = full_partition(inst.grid)
-    met = mf_meet([project(a, Prefix(n)) for n in chain.indices[1:]])
-    assert met.values == project(a, Prefix(2)).values
+    met = mf_meet([project(a, n) for n in chain.indices[1:]])
+    assert met.values == project(a, 2).values
 
 
 def test_dom_of_all_empty_is_empty():

@@ -11,7 +11,6 @@ from naselect import (
     Multifunction,
     NaReport,
     Partition,
-    Prefix,
     SignalFamily,
     brute_greatest,
     build_example1,
@@ -62,16 +61,16 @@ def _named(mf):
 def test_constant_multifunction_is_na_everywhere():
     inst, _ = build_example1()
     const = Multifunction(inst, (frozenset({0, 2}),) * 3)
-    for p in inst.grid.prefixes():
+    for p in range(1, inst.grid.cells + 1):
         assert is_prefix_na(const, p).holds
 
 
 def test_incomparable_example_fails_at_the_short_prefix():
     inst, beta = build_example1()
-    report = is_prefix_na(beta, Prefix(1))
+    report = is_prefix_na(beta, 1)
     assert not report.holds
     w = report.witness
-    assert w.prefix == Prefix(1)
+    assert w.prefix == 1
     # the smallest violating pair: the first two disturbances already differ
     assert (w.omega, w.omega_prime) == (0, 1)
     assert w.key in {("a",), ("d",)}
@@ -79,7 +78,7 @@ def test_incomparable_example_fails_at_the_short_prefix():
 
 def test_projection_output_is_na_at_its_prefix():
     inst, beta = build_example1()
-    for p in inst.grid.prefixes():
+    for p in range(1, inst.grid.cells + 1):
         assert is_prefix_na(project(beta, p), p).holds
 
 
@@ -88,13 +87,13 @@ def test_chain_predicate_reports_first_failure():
     chain = full_partition(inst.grid)
     report = is_chain_na(alpha, chain)
     assert not report.holds
-    assert report.witness.prefix == Prefix(1)
+    assert report.witness.prefix == 1
 
 
 def test_chain_predicate_on_singleton_chain_matches_prefix_predicate():
     inst, beta = build_example1()
-    for p in inst.grid.prefixes():
-        single = partition_of(inst.grid, [p.len])
+    for p in range(1, inst.grid.cells + 1):
+        single = partition_of(inst.grid, [p])
         assert is_chain_na(beta, single).holds == is_prefix_na(beta, p).holds
 
 
@@ -116,12 +115,12 @@ def test_empty_multifunction_is_vacuously_na():
 
 def test_projection_displays_on_the_incomparable_example():
     _, beta = build_example1()
-    assert _named(project(beta, Prefix(1))) == {
+    assert _named(project(beta, 1)) == {
         "w1": {"h1", "h2"},
         "w2": {"h1", "h2"},
         "w3": {"h2"},
     }
-    assert _named(project(beta, Prefix(2))) == {
+    assert _named(project(beta, 2)) == {
         "w1": {"h1", "h2"},
         "w2": {"h2", "h3"},
         "w3": {"h2", "h3"},
@@ -130,16 +129,16 @@ def test_projection_displays_on_the_incomparable_example():
 
 def test_projections_at_different_prefixes_are_incomparable():
     _, beta = build_example1()
-    p1 = project(beta, Prefix(1))
-    p2 = project(beta, Prefix(2))
+    p1 = project(beta, 1)
+    p2 = project(beta, 2)
     assert not mf_le(p1, p2)
     assert not mf_le(p2, p1)
 
 
 def test_projection_displays_on_the_ramp_example():
     _, alpha = build_example2()
-    g1 = project(alpha, Prefix(1))
-    g2 = project(alpha, Prefix(2))
+    g1 = project(alpha, 1)
+    g2 = project(alpha, 2)
     assert _named(g1) == {
         "w11": {"h11", "h12", "h21", "h32", "h41"},
         "w12": {"h21", "h22", "h11", "h32", "h42"},
@@ -156,8 +155,8 @@ def test_projection_displays_on_the_ramp_example():
 
 def test_projection_orders_do_not_commute():
     _, alpha = build_example2()
-    via_short_then_long = project(project(alpha, Prefix(1)), Prefix(2))
-    via_long_then_short = project(project(alpha, Prefix(2)), Prefix(1))
+    via_short_then_long = project(project(alpha, 1), 2)
+    via_long_then_short = project(project(alpha, 2), 1)
     assert _named(via_short_then_long) == {
         "w11": {"h11", "h12", "h21", "h32", "h41"},
         "w12": {"h22", "h42"},
@@ -177,14 +176,14 @@ def test_compose_applies_largest_prefix_first():
     _, alpha = build_example2()
     chain = Partition((0, 1, 2, 3))
     composed = compose_chain(alpha, chain)
-    assert composed.values == project(project(alpha, Prefix(2)), Prefix(1)).values
+    assert composed.values == project(project(alpha, 2), 1).values
     assert _named(composed)["w11"] == {"h21", "h41"}
 
 
 def test_compose_on_singleton_chain_is_projection():
     _, beta = build_example1()
-    for p in beta.instance.grid.prefixes():
-        single = partition_of(beta.instance.grid, [p.len])
+    for p in range(1, beta.instance.grid.cells + 1):
+        single = partition_of(beta.instance.grid, [p])
         assert compose_chain(beta, single).values == project(beta, p).values
 
 
@@ -370,10 +369,10 @@ def test_fixed_points_are_exactly_the_na_multifunctions(data):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_longer_prefix_na_survives_shorter_projection(data):
     _, a, chain = data
-    p_long = Prefix(chain.indices[-2] or chain.indices[-1])  # the longest prefix short of the full one, if any
+    p_long = chain.indices[-2] or chain.indices[-1]  # the longest prefix short of the full one, if any
     fixed = project(a, p_long)
-    for p_short in a.instance.grid.prefixes():
-        if p_short.len >= p_long.len:
+    for p_short in range(1, a.instance.grid.cells + 1):
+        if p_short >= p_long:
             break
         assert is_prefix_na(project(fixed, p_short), p_long).holds
 
@@ -383,7 +382,7 @@ def test_longer_prefix_na_survives_shorter_projection(data):
 def test_chain_report_is_the_first_failing_prefix_report(data):
     _, a, h = data
     # a projection passes at its own prefix, so the first failure moves along the chain
-    prefixes = [Prefix(n) for n in h.indices[1:]]
+    prefixes = h.indices[1:]
     for b in (a, *(project(a, p) for p in prefixes), compose_chain(a, h)):
         failing = [r for r in (is_prefix_na(b, p) for p in prefixes) if not r.holds]
         assert is_chain_na(b, h) == (failing[0] if failing else NaReport(True))
@@ -427,10 +426,10 @@ def test_meet_of_na_multiselectors_can_fail_na():
     inst = Instance(g, omega, z)
     z1 = Multifunction(inst, (frozenset({0}), frozenset({1})))
     z2 = Multifunction(inst, (frozenset({1}), frozenset({1})))
-    assert is_prefix_na(z1, Prefix(1)).holds
-    assert is_prefix_na(z2, Prefix(1)).holds
+    assert is_prefix_na(z1, 1).holds
+    assert is_prefix_na(z2, 1).holds
     met = mf_meet([z1, z2])
-    assert not is_prefix_na(met, Prefix(1)).holds
+    assert not is_prefix_na(met, 1).holds
 
 
 @given(small_instances())
@@ -479,7 +478,7 @@ def test_a_chain_short_of_the_full_prefix_acts_as_its_partition(data):
     delta = Partition((0, *lens, inst.grid.cells))
     assert compose_chain(a, delta).values == naive_compose(a, lens).values
     assert is_chain_na(a, delta).holds == naive_is_chain_na(a, lens)
-    met = tuple(frozenset.intersection(*vs) for vs in zip(*(naive_project(a, Prefix(n)).values for n in lens)))
+    met = tuple(frozenset.intersection(*vs) for vs in zip(*(naive_project(a, n).values for n in lens)))
     assert meet_of_projections(a, delta).values == met
     if bits_of(a) > 14:
         return

@@ -9,7 +9,6 @@ from naselect import (
     Instance,
     Multifunction,
     Partition,
-    Prefix,
     SignalFamily,
     ValidationError,
     brute_greatest,
@@ -51,7 +50,7 @@ def test_join_of_the_stream_is_the_projection():
     _, beta = build_example1()
     chain = Partition((0, 1, 3))
     stream = list(enumerate_na_multiselectors(beta, chain))
-    assert naive_join(stream).values == project(beta, Prefix(1)).values
+    assert naive_join(stream).values == project(beta, 1).values
 
 
 def test_enumeration_matches_the_naive_product_filter():
@@ -69,7 +68,7 @@ def test_every_enumerated_multiselector_is_a_projection_fixed_point():
     chain = full_partition(a.instance.grid)
     for z in enumerate_na_multiselectors(a, chain):
         assert mf_le(z, a)
-        for p in map(Prefix, chain.indices[1:]):
+        for p in chain.indices[1:]:
             assert project(z, p).values == z.values
 
 
@@ -189,7 +188,7 @@ def test_ascending_schedule_detours_but_arrives():
     _, alpha = build_example2()
     chain = Partition((0, 1, 2, 3))
     target = compose_chain(alpha, chain)
-    one_sweep = project(project(alpha, Prefix(1)), Prefix(2))
+    one_sweep = project(project(alpha, 1), 2)
     assert one_sweep.values != target.values
     run = fixpoint_iterate(alpha, chain, "ascending")
     assert run.changed_sweeps > 1

@@ -62,7 +62,7 @@ def _partitions(inst):
 @given(edge_instances())
 def test_projection_and_na_check_match_the_naive_definitions(data):
     inst, a = data
-    for p in inst.grid.prefixes():
+    for p in range(1, inst.grid.cells + 1):
         assert project(a, p).values == naive_project(a, p).values
         report = is_prefix_na(a, p)
         assert report.holds == naive_is_prefix_na(a, p)
@@ -72,7 +72,7 @@ def test_projection_and_na_check_match_the_naive_definitions(data):
         else:
             w = report.witness
             assert (w.omega, w.omega_prime, w.key, w.key_holder) == expected
-    assert na_flags(a) == {str(p.len): naive_is_prefix_na(a, p) for p in inst.grid.prefixes()}
+    assert na_flags(a) == {str(p): naive_is_prefix_na(a, p) for p in range(1, inst.grid.cells + 1)}
 
 
 @EDGE
@@ -88,13 +88,13 @@ def test_composition_matches_naive_projections(data):
 def test_classes_and_extensions_match_a_scan_of_every_disturbance(data):
     inst, _ = data
     m, index = inst.grid.cells, inst.omega.prefix_index
-    for p in inst.grid.prefixes():
+    for p in range(1, inst.grid.cells + 1):
         first_seen: dict[tuple, list[int]] = {}
         for i, s in enumerate(inst.omega.signals):
-            first_seen.setdefault(s[: p.len], []).append(i)
+            first_seen.setdefault(s[:p], []).append(i)
         assert signal_classes(inst.omega, p) == tuple(map(tuple, first_seen.values()))
         for w, s in enumerate(inst.omega.signals):  # each member's run holds its class
-            assert sorted(index.order[slice(*index.run(w, p.len))]) == first_seen[s[: p.len]]
+            assert sorted(index.order[slice(*index.run(w, p))]) == first_seen[s[:p]]
     for w, s in enumerate(inst.omega.signals):
         for n in range(m + 1):
             for new_len in range(n, m + 1):
@@ -123,7 +123,7 @@ def test_exhaustive_picks_match_a_linear_replay(data, policy_seed):
 def test_library_built_values_pass_the_public_constructor(data):
     inst, a = data
     _, loaded = from_jsonable(to_jsonable(inst, a))
-    built = [loaded] + [project(a, p) for p in inst.grid.prefixes()]
+    built = [loaded] + [project(a, p) for p in range(1, inst.grid.cells + 1)]
     built += [compose_chain(a, partition_of(inst.grid, lens)) for lens in _chains(inst)]
     for r in built:
         assert type(r.values) is tuple
@@ -213,7 +213,7 @@ def test_na_flags_on_a_long_grid_checks_no_prefix_past_the_deepest_shared_one(mo
     _, a = random_instance(1, disturbances, 2, 20000, 2)
     deepest = a.instance.omega.prefix_index.deepest
     for mf in (a, greatest_na(a)):
-        reference = {str(p.len): is_prefix_na(mf, p).holds for p in mf.instance.grid.prefixes()}
+        reference = {str(p): is_prefix_na(mf, p).holds for p in range(1, mf.instance.grid.cells + 1)}
         checked = counting(monkeypatch, "is_prefix_na", [fileio])
         assert na_flags(mf) == reference
         assert len(checked) <= deepest
@@ -238,4 +238,4 @@ def test_composition_carries_keysets_like_naive_projections(seed):
         composed = compose_chain(a, partition_of(inst.grid, lens))
         assert composed.values == naive_compose(a, lens).values
         for mf in (a, composed):
-            assert na_flags(mf) == {str(p.len): naive_is_prefix_na(mf, p) for p in inst.grid.prefixes()}
+            assert na_flags(mf) == {str(p): naive_is_prefix_na(mf, p) for p in range(1, inst.grid.cells + 1)}

@@ -21,7 +21,6 @@ from naselect import (
     NaReport,
     NaWitness,
     Partition,
-    Prefix,
     RhoSearchResult,
     ScriptedAdversary,
     SignalFamily,
@@ -38,7 +37,7 @@ GRID = "TimeGrid(stamps=(Fraction(0, 1), Fraction(1, 1), Fraction(2, 1)))"
 OMEGA = "SignalFamily(names=('w1', 'w2'), signals=(('a', 'b'), ('a', 'c')))"
 Z = "SignalFamily(names=('h1',), signals=(('x', 'y'),))"
 INSTANCE = f"Instance(grid={GRID}, omega={OMEGA}, z={Z})"
-WITNESS = "NaWitness(prefix=Prefix(len=1), omega=0, omega_prime=1, key=('x',), key_holder=0)"
+WITNESS = "NaWitness(prefix=1, omega=0, omega_prime=1, key=('x',), key_holder=0)"
 STEP = "Step(index=1, omega=0, h=0, omega_consistent=True, h_consistent=True, h_admissible=False)"
 VIOLATION = "WitnessViolation(kind='empty-value', step=1, omegas=(0, 0), detail='empty value at w1')"
 
@@ -60,7 +59,7 @@ def mf(*values):
 
 
 def witness(key_holder=0):
-    return NaWitness(Prefix(1), 0, 1, ("x",), key_holder)
+    return NaWitness(1, 0, 1, ("x",), key_holder)
 
 
 def step(h_admissible=False):
@@ -77,7 +76,6 @@ def system(dynamics="u+v"):
 
 # name: (a fresh record, its repr, its fields in order, a fresh record that differs in one field)
 RECORDS = {
-    "Prefix": (lambda: Prefix(3), "Prefix(len=3)", ("len",), lambda: Prefix(4)),
     "TimeGrid": (lambda: grid(0, 1, 2), GRID, ("stamps",), lambda: grid(0, 1, 3)),
     "Partition": (
         lambda: Partition((0, 1, 2)), "Partition(indices=(0, 1, 2))", ("indices",), lambda: Partition((0, 2)),
@@ -178,7 +176,6 @@ def _signals(names, signals):
 
 
 INVALID = {
-    "prefix": (lambda: Prefix(0), "prefix length must be positive, got 0"),
     "grid-one-stamp": (lambda: TimeGrid((Fraction(0),)), "a grid needs at least two stamps"),
     "grid-order": (lambda: grid(0, 2, 1), "grid stamps must be strictly increasing (2 before 1)"),
     "partition-short": (lambda: Partition((0,)), "a partition needs at least two stamp indices"),
@@ -230,25 +227,16 @@ def test_a_report_holds_exactly_when_it_has_no_witness():
     assert not NaReport(False, witness())
 
 
-def test_prefixes_order_by_length():
-    assert sorted([Prefix(3), Prefix(1), Prefix(2)]) == [Prefix(1), Prefix(2), Prefix(3)]
-    assert Prefix(1) < Prefix(2) <= Prefix(2) and Prefix(3) > Prefix(2) >= Prefix(2)
-    assert max(Prefix(2), Prefix(5)) == Prefix(5)
-    with pytest.raises(TypeError):
-        Prefix(1) < 2
-
-
 def test_a_record_is_a_tuple_of_its_fields():
     trace = StepTrace(Partition((0, 2)), (step(),), 0)
     delta, steps, final_h = trace
     assert (delta, steps, final_h) == (Partition((0, 2)), (step(),), 0) and len(trace) == 3
-    assert trace == (Partition((0, 2)), (step(),), 0) and Prefix(3) == (3,)
+    assert trace == (Partition((0, 2)), (step(),), 0) and Partition((0, 3)) == ((0, 3),)
     assert trace._replace(final_h=1) == StepTrace(Partition((0, 2)), (step(),), 1)
-    assert type(Prefix(3)._replace(len=4)) is Prefix
+    assert type(Partition((0, 3))._replace(indices=(0, 4))) is Partition
 
 
 REPLACED = {
-    "prefix": (lambda: Prefix(3)._replace(len=0), "prefix length must be positive, got 0"),
     "grid": (
         lambda: grid(0, 1)._replace(stamps=(Fraction(1), Fraction(0))), "grid stamps must be strictly increasing (1 before 0)",
     ),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from naselect import (
     ControlSystem,
     Partition,
-    Prefix,
     SignalFamily,
     TimeGrid,
     ValidationError,
@@ -86,7 +85,7 @@ def test_incomparable_instance_shape():
     inst, beta = build_example1()
     assert inst.omega.names == ("w1", "w2", "w3")
     assert inst.z.names == ("h1", "h2", "h3")
-    assert not is_prefix_na(beta, Prefix(1)).holds
+    assert not is_prefix_na(beta, 1).holds
 
 
 def test_ramp_instance_shape():
@@ -131,7 +130,7 @@ def test_optimal_level_with_default_grid():
     assert res.candidates[-2:] == (Fraction(-7, 2), Fraction(-4))
     w = res.witness
     assert is_total(w)
-    assert is_prefix_na(w, Prefix(1)).holds
+    assert is_prefix_na(w, 1).holds
     inst = w.instance
     for name, tail in (("v1", "1"), ("v2", "-1")):
         for j in w.values[inst.omega.index_of(name)]:

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 
 from naselect import (
-    Prefix,
     SignalFamily,
     ValidationError,
     build_example1,
@@ -21,8 +20,8 @@ def _names(inst, indices):
 def _class(fam, idx, p):
     """The prefix index's run of member `idx` at `p`, checked to be its shared class when it has two or more."""
     index = fam.prefix_index
-    members = sorted(index.order[slice(*index.run(idx, p.len))])
-    assert (tuple(members) in index.classes(p.len)) == (len(members) > 1)
+    members = sorted(index.order[slice(*index.run(idx, p))])
+    assert (tuple(members) in index.classes(p)) == (len(members) > 1)
     return frozenset(members)
 
 
@@ -36,13 +35,13 @@ def test_ramp_disturbances_share_the_first_cell():
 def test_ramp_classes_at_one_cell_cover_everything():
     inst, _ = build_example2()
     for idx in range(len(inst.omega)):
-        assert _class(inst.omega, idx, Prefix(1)) == frozenset(range(4))
+        assert _class(inst.omega, idx, 1) == frozenset(range(4))
 
 
 def test_ramp_classes_at_two_cells():
     inst, _ = build_example2()
     by_name = {
-        name: _names(inst, _class(inst.omega, inst.omega.index_of(name), Prefix(2)))
+        name: _names(inst, _class(inst.omega, inst.omega.index_of(name), 2))
         for name in inst.omega.names
     }
     assert by_name["w11"] == {"w11"}
@@ -54,7 +53,7 @@ def test_ramp_classes_at_two_cells():
 def test_distinct_signals_are_alone_at_full_length():
     inst, _ = build_example2()
     for idx in range(len(inst.omega)):
-        assert _class(inst.omega, idx, Prefix(3)) == frozenset({idx})
+        assert _class(inst.omega, idx, 3) == frozenset({idx})
 
 
 def test_family_rejects_duplicates_and_mismatches():
@@ -115,7 +114,7 @@ def test_longer_prefixes_refine_classes(data):
     inst, _ = data
     for idx in range(len(inst.omega)):
         previous = None
-        for p in inst.grid.prefixes():
+        for p in range(1, inst.grid.cells + 1):
             cls = _class(inst.omega, idx, p)
             assert idx in cls
             if previous is not None:
@@ -127,7 +126,8 @@ def test_longer_prefixes_refine_classes(data):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_classes_partition_the_family(data):
     inst, _ = data
-    for p in inst.grid.prefixes():
+    assert signal_classes(inst.omega, 0) == (tuple(range(len(inst.omega))),)  # every signal agrees on no cells
+    for p in range(inst.grid.cells + 1):
         classes = signal_classes(inst.omega, p)
         flat = [i for cls in classes for i in cls]
         assert sorted(flat) == list(range(len(inst.omega)))
@@ -140,8 +140,8 @@ def test_classes_partition_the_family(data):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_equal_restriction_means_same_class(data):
     inst, _ = data
-    for p in inst.grid.prefixes():
+    for p in range(inst.grid.cells + 1):
         for i, s in enumerate(inst.omega.signals):
             for j, t in enumerate(inst.omega.signals):
-                same = s[: p.len] == t[: p.len]
+                same = s[:p] == t[:p]
                 assert same == (j in _class(inst.omega, i, p))

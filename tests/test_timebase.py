@@ -8,7 +8,6 @@ from naselect import (
     Instance,
     Multifunction,
     Partition,
-    Prefix,
     SignalFamily,
     TimeGrid,
     ValidationError,
@@ -33,12 +32,21 @@ def test_grid_cells_and_widths():
     g = grid(0, 1, "4/3", "3/2", 2)
     assert g.cells == 4
     assert g.widths() == (Fraction(1), Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
-    assert [p.len for p in g.prefixes()] == [1, 2, 3, 4]
 
 
 def test_prefix_positive():
-    with pytest.raises(ValidationError):
-        Prefix(0)
+    """`check_prefix` is the one check of a prefix length: 1 to `cells` pass, any other length raises."""
+    g = grid(0, 1, 2, 3)
+    for n in range(1, g.cells + 1):
+        g.check_prefix(n)
+    for n, message in [
+        (0, "prefix length must be positive, got 0"),
+        (-1, "prefix length must be positive, got -1"),
+        (4, "prefix of 4 cells does not fit a grid of 3 cells"),
+    ]:
+        with pytest.raises(ValidationError) as e:
+            g.check_prefix(n)
+        assert str(e.value) == message
 
 
 def test_partition_invariants():
